@@ -1,17 +1,23 @@
 """Certified bounds on the projective and Hermitian projective norms.
 
-Lower bounds come from the trace norm, the realignment (computable cross
-norm) inequality and a rank-one witness family whose injective norm is
-exactly one; upper bounds come from explicit simple-tensor decompositions:
-spectral-Schmidt expansions, the operator-Schmidt (realignment) expansion,
-a signed decomposition over product densities, and a robustness-style
-search for affine combinations of separable states.  Every bound carries a
-certificate that can be re-checked independently of how it was produced.
+Each call wraps its operator in one private ``_Analysis`` that computes the
+shared work at most once, on first use: the Hermitian and PSD flags, trace
+norm, realignment bound, witness see-saw, spectral-Schmidt expansion and
+signed decomposition.  Nothing is kept on the operator or between calls.
+Over it sit one list of lower and one list of upper providers, each a
+``(value, method, certificate)`` triple.  Lower: the trace norm, the
+realignment (computable cross norm) inequality and a rank-one witness whose
+injective norm is exactly one.  Upper: the spectral-Schmidt and
+operator-Schmidt expansions, a signed decomposition over product densities,
+a robustness-style search for affine combinations of separable states, and
+supplied decompositions.  Every bound carries a certificate that can be
+re-checked independently of how it was produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -266,9 +272,14 @@ def upper_bound_spectral(op: BipartiteOperator):
     never exceeds m = min(d_h, d_j).
     """
     _require_hermitian(op, "upper_bound_spectral")
+    return _spectral_standard(_spectral_schmidt(op), op.shape)
+
+
+def _spectral_standard(spectral: list, shape: BipartiteShape):
+    """Weight and standard decomposition of a spectral-Schmidt expansion."""
     terms = []
     value = 0.0
-    for lam, sf in _spectral_schmidt(op):
+    for lam, sf in spectral:
         a = sf.coefficients
         value += abs(lam) * float(a.sum() ** 2)
         sgn = 1.0 if lam >= 0 else -1.0
@@ -277,7 +288,7 @@ def upper_bound_spectral(op: BipartiteOperator):
                 x = sgn * np.outer(sf.left_vectors[k], sf.left_vectors[l].conj())
                 y = np.outer(sf.right_vectors[k], sf.right_vectors[l].conj())
                 terms.append((abs(lam) * a[k] * a[l], x, y))
-    return value, StandardDecomposition(terms, op.shape)
+    return value, StandardDecomposition(terms, shape)
 
 
 def upper_bound_realignment(op: BipartiteOperator):
@@ -437,8 +448,16 @@ def hermitian_upper(op: BipartiteOperator):
     parts.  For a unit pure state the weight is 2 (sum_l a_l)^2 - 1.
     """
     _require_hermitian(op, "hermitian_upper")
+    dec = _signed_decomposition(_spectral_schmidt(op), op.shape)
+    return dec.weight, dec
+
+
+def _signed_decomposition(spectral: list, shape: BipartiteShape) -> SignedDecomposition:
+    """Signed decomposition of a spectral-Schmidt expansion; terms negligible
+    next to the largest eigenvalue are dropped, so the cutoff scales."""
+    scale = max((abs(lam) for lam, _ in spectral), default=0.0)
     terms = []
-    for lam, sf in _spectral_schmidt(op):
+    for lam, sf in spectral:
         a = sf.coefficients
         lv, rv = sf.left_vectors, sf.right_vectors
         for k in range(sf.rank):
@@ -455,22 +474,27 @@ def hermitian_upper(op: BipartiteOperator):
                     ((x - x.conj().T) / 2j, (y - y.conj().T) / 2j, -1.0),
                 ):
                     _append_signed_product(terms, sgn * coeff, xmat, ymat)
-    terms = [(t, r, s) for t, r, s in terms if abs(t) > 1e-15]
-    dec = SignedDecomposition(terms, op.shape)
-    return dec.weight, dec
+    terms = [(t, r, s) for t, r, s in terms if abs(t) > 1e-15 * scale]
+    return SignedDecomposition(terms, shape)
 
 
 def _append_signed_product(terms: list, coeff: float, x: np.ndarray, y: np.ndarray):
-    """Expand coeff * (X (x) Y) with Hermitian X, Y over product densities."""
+    """Expand coeff * (X (x) Y) with Hermitian X, Y over product densities.
+
+    X and Y come from unit Schmidt vectors and the operator's scale only
+    from ``coeff``, so a part is dropped relative to its factor's trace norm.
+    """
     xp, xm = positive_negative_split(x)
     yp, ym = positive_negative_split(y)
+    xcut = 1e-15 * float(np.trace(xp + xm).real)
+    ycut = 1e-15 * float(np.trace(yp + ym).real)
     for xmat, xsgn in ((xp, 1.0), (xm, -1.0)):
         tx = float(np.trace(xmat).real)
-        if tx <= 1e-15:
+        if tx <= xcut:
             continue
         for ymat, ysgn in ((yp, 1.0), (ym, -1.0)):
             ty = float(np.trace(ymat).real)
-            if ty <= 1e-15:
+            if ty <= ycut:
                 continue
             terms.append((coeff * xsgn * ysgn * tx * ty, xmat / tx, ymat / ty))
 
@@ -479,23 +503,11 @@ def _append_signed_product(terms: list, coeff: float, x: np.ndarray, y: np.ndarr
 # robustness-style decomposition search
 
 
-@dataclass(eq=False)
-class Atom:
-    """Pure product state |phi><phi| (x) |psi><psi| used as a dictionary element."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-
-    def densities(self):
-        return (
-            np.outer(self.phi, self.phi.conj()),
-            np.outer(self.psi, self.psi.conj()),
-        )
-
-    def embedded(self) -> np.ndarray:
-        mat = np.kron(*self.densities())
-        flat = mat.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
+def _densities(atom) -> tuple:
+    """The factors |phi><phi|, |psi><psi| of an atom: a pair (phi, psi) of unit
+    vectors standing for the pure product state |phi><phi| (x) |psi><psi|."""
+    phi, psi = atom
+    return np.outer(phi, phi.conj()), np.outer(psi, psi.conj())
 
 
 @dataclass(eq=False)
@@ -515,6 +527,11 @@ class RobustnessResult:
 def _embed_matrix(mat: np.ndarray) -> np.ndarray:
     flat = mat.reshape(-1)
     return np.concatenate([flat.real, flat.imag])
+
+
+def _column(atom) -> np.ndarray:
+    """The atom's product density as a real column for the fits."""
+    return _embed_matrix(np.kron(*_densities(atom)))
 
 
 def _max_product_expectation(mat: np.ndarray, shape: BipartiteShape, rng, n_starts=5,
@@ -565,7 +582,7 @@ def _seed_atoms(op: BipartiteOperator) -> list:
     atoms = []
     for i in range(uh.shape[1]):
         for k in range(uj.shape[1]):
-            atoms.append(Atom(uh[:, i].copy(), uj[:, k].copy()))
+            atoms.append((uh[:, i].copy(), uj[:, k].copy()))
     return atoms
 
 
@@ -591,7 +608,7 @@ def separable_fit(
     tn_target = max(trace_norm(target), 1e-300)
     d = _embed_matrix(target)
     atoms = _seed_atoms(op)
-    cols = [a.embedded() for a in atoms]
+    cols = [_column(a) for a in atoms]
     n = op.shape.total
 
     weights = np.zeros(len(atoms))
@@ -603,7 +620,7 @@ def separable_fit(
         residual = target - _combine(atoms, weights, n)
         err = trace_norm(residual) / tn_target
         if err <= tol:
-            dec = _mixture_from(atoms, weights, op.shape)
+            dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14)
             return dec, rounds
         recent.append(err)
         if len(recent) > 12:
@@ -613,19 +630,19 @@ def separable_fit(
         val, phi, psi = _max_product_expectation(residual, op.shape, rng)
         if val <= 1e-13 * tn_target:
             break  # no product direction improves: target is outside the cone
-        atoms.append(Atom(phi, psi))
-        cols.append(atoms[-1].embedded())
+        atoms.append((phi, psi))
+        cols.append(_column(atoms[-1]))
         if rounds % 3 == 0 and err <= 0.1:
             for i in np.argsort(-weights)[:12]:
                 if weights[i] <= 1e-12:
                     break
-                loo = residual + weights[i] * np.kron(*atoms[i].densities())
+                loo = residual + weights[i] * np.kron(*_densities(atoms[i]))
                 _, p2, q2 = _max_product_expectation(
                     loo, op.shape, rng, n_starts=2, iters=25,
-                    extra_starts=((atoms[i].phi, atoms[i].psi),),
+                    extra_starts=(atoms[i],),
                 )
-                atoms.append(Atom(p2, q2))
-                cols.append(atoms[-1].embedded())
+                atoms.append((p2, q2))
+                cols.append(_column(atoms[-1]))
         if len(atoms) > atom_budget:
             padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
             atoms, cols, weights = _prune(atoms, cols, padded, atom_budget)
@@ -636,25 +653,13 @@ def _combine(atoms, weights, n) -> np.ndarray:
     acc = np.zeros((n, n), dtype=complex)
     for w, a in zip(weights, atoms):
         if w != 0.0:
-            acc += w * np.kron(*a.densities())
+            acc += w * np.kron(*_densities(a))
     return acc
 
 
-def _mixture_from(atoms, weights, shape) -> SignedDecomposition:
-    terms = []
-    for w, a in zip(weights, atoms):
-        if w > 1e-14:
-            rho, sig = a.densities()
-            terms.append((float(w), rho, sig))
-    return SignedDecomposition(terms, shape)
-
-
-def _signed_from(atoms, t, shape) -> SignedDecomposition:
-    terms = []
-    for w, a in zip(t, atoms):
-        if abs(w) > 1e-12:
-            rho, sig = a.densities()
-            terms.append((float(w), rho, sig))
+def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
+    """sum_k w_k (rho_k (x) sigma_k) over the atoms whose |w_k| exceeds ``cutoff``."""
+    terms = [(float(w), *_densities(a)) for w, a in zip(weights, atoms) if abs(w) > cutoff]
     return SignedDecomposition(terms, shape)
 
 
@@ -702,38 +707,26 @@ def robustness_upper(
     """
     if not op.is_psd(EPS_PSD):
         raise ValueError("robustness_upper expects a (near-)density operator")
+    an = _Analysis(op, config)
     shape = op.shape
     n = shape.total
-    tn_target = max(trace_norm(op.matrix), 1e-300)
+    tn_target = max(an.trace_norm, 1e-300)
 
     mixture, rounds1 = separable_fit(op, config, atom_budget, max_rounds)
-    if mixture is not None:
-        total = mixture.weight  # equals the trace; 1 for a density
-        d1 = SignedDecomposition(
-            [(t / total, r, s) for t, r, s in mixture.terms], shape
-        )
-        return RobustnessResult(
-            success=True,
-            value=float(total),
-            alpha=float(mixture.alpha),
-            d1=d1,
-            d2=None,
-            decomposition=mixture,
-            rounds_used=rounds1,
-            message="nonnegative product mixture found",
-        )
+    if mixture is not None:  # weight equals the trace; 1 for a density
+        return _robustness_result(mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition
-    base_weight, base_dec = hermitian_upper(op)
+    base_dec = an.signed
     atoms = [_atom_from_density(rho, sig) for _, rho, sig in base_dec.terms]
     atoms.extend(_seed_atoms(op))
 
     rng = rng_from_seed(config.seed + 1)
     d = _embed_matrix(op.matrix)
-    best = (base_weight, base_dec)
+    best = base_dec
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        a_mat = np.column_stack([a.embedded() for a in atoms])
+        a_mat = np.column_stack([_column(a) for a in atoms])
         k = a_mat.shape[1]
         res = linprog(
             c=np.ones(2 * k),
@@ -745,10 +738,10 @@ def robustness_upper(
         if not res.success:
             break
         t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d)
-        dec = _signed_from(atoms, t, shape)
+        dec = _decomposition_from(atoms, t, shape, cutoff=1e-12)
         err = trace_norm(op.matrix - dec.reconstruct()) / tn_target
-        if err <= VALIDATE_TOL and dec.weight < best[0]:
-            best = (dec.weight, dec)
+        if err <= VALIDATE_TOL and dec.weight < best.weight:
+            best = dec
         y = res.eqlin.marginals
         ymat = (y[: n * n] + 1j * y[n * n :]).reshape(n, n)
         ymat = (ymat + ymat.conj().T) / 2
@@ -757,10 +750,9 @@ def robustness_upper(
         gain = max(abs(vplus), abs(vminus))
         if gain <= 1.0 + 1e-7:
             break
-        atoms.append(Atom(phi_p, psi_p) if abs(vplus) >= abs(vminus) else Atom(phi_m, psi_m))
+        atoms.append((phi_p, psi_p) if abs(vplus) >= abs(vminus) else (phi_m, psi_m))
 
-    weight, dec = best
-    err = trace_norm(op.matrix - dec.reconstruct()) / tn_target
+    err = trace_norm(op.matrix - best.reconstruct()) / tn_target
     if err > VALIDATE_TOL:
         return RobustnessResult(
             success=False,
@@ -772,35 +764,135 @@ def robustness_upper(
             rounds_used=rounds,
             message=f"no certificate: residual {err:.3e} above tolerance",
         )
-    alpha = dec.alpha  # equals (1 + weight) / 2 for unit-trace targets
+    return _robustness_result(best, rounds, "signed decomposition found")
+
+
+def _robustness_result(dec: SignedDecomposition, rounds: int, message: str) -> RobustnessResult:
+    """Success with D = alpha D1 - (alpha-1) D2 split from a validated
+    decomposition; alpha equals (1 + weight) / 2 for unit-trace targets."""
     pos = [(t, r, s) for t, r, s in dec.terms if t > 0]
     neg = [(-t, r, s) for t, r, s in dec.terms if t < 0]
     apos = sum(t for t, _, _ in pos)
-    d1 = SignedDecomposition([(t / apos, r, s) for t, r, s in pos], shape) if apos > 0 else None
+    d1 = SignedDecomposition([(t / apos, r, s) for t, r, s in pos], dec.shape) if apos > 0 else None
     aneg = sum(t for t, _, _ in neg)
-    d2 = SignedDecomposition([(t / aneg, r, s) for t, r, s in neg], shape) if aneg > 0 else None
+    d2 = SignedDecomposition([(t / aneg, r, s) for t, r, s in neg], dec.shape) if aneg > 0 else None
     return RobustnessResult(
         success=True,
-        value=float(weight),
-        alpha=float(alpha),
+        value=float(dec.weight),
+        alpha=float(dec.alpha),
         d1=d1,
         d2=d2,
         decomposition=dec,
         rounds_used=rounds,
-        message="signed decomposition found",
+        message=message,
     )
 
 
-def _atom_from_density(rho: np.ndarray, sig: np.ndarray) -> "Atom":
+def _atom_from_density(rho: np.ndarray, sig: np.ndarray) -> tuple:
     """Nearest pure-product atom when the factors are (nearly) pure; kept
     exact for the rank-one factors produced by hermitian_upper."""
     _, ur = np.linalg.eigh(rho)
     _, us = np.linalg.eigh(sig)
-    return Atom(ur[:, -1].copy(), us[:, -1].copy())
+    return ur[:, -1].copy(), us[:, -1].copy()
 
 
 # ---------------------------------------------------------------------------
 # combined bounds
+
+
+class _Analysis:
+    """What the bound providers of one call share about its operator.
+
+    Each attribute is computed at most once, on first use.  An analysis
+    serves one top-level call; nothing is stored on the operator.
+    """
+
+    def __init__(self, op: BipartiteOperator, config: SeeSawConfig):
+        self.op = op
+        self.config = config
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return self.op.is_hermitian(EPS_HERM)
+
+    @cached_property
+    def psd(self) -> bool:
+        return self.hermitian and self.op.is_psd(EPS_PSD)
+
+    @cached_property
+    def trace_norm(self) -> float:
+        return trace_norm(self.op.matrix)
+
+    @cached_property
+    def realignment_lower(self) -> float:
+        return lower_bound_realignment(self.op)
+
+    @cached_property
+    def witness(self) -> tuple:
+        """Best rank-one witness value and vector; |<c|D|c>| counts unless D is PSD."""
+        q, c = _witness_seesaw(self.op.matrix, self.op.shape, self.config, use_abs=not self.psd)
+        return q, BipartiteVector(self.op.shape, c)
+
+    @cached_property
+    def spectral(self) -> list:
+        return _spectral_schmidt(self.op)
+
+    @cached_property
+    def signed(self) -> SignedDecomposition:
+        return _signed_decomposition(self.spectral, self.op.shape)
+
+    def bounds(self, include_robustness: bool = True, atom_budget: int | None = None,
+               extra_decompositions: tuple = ()) -> NormBounds:
+        """The brackets :func:`pi_bounds` reports, from the provider lists."""
+        op = self.op
+        q, c = self.witness
+        lows = [(self.trace_norm, "trace_norm", None),
+                (self.realignment_lower, "realignment", None),
+                (q, "witness", c)]
+        low = max(lows, key=lambda p: p[0])
+        if not self.hermitian:
+            split = (_hermitian_split_upper(op), "hermitian_split", None)
+            return _norm_bounds({"pi_lower": low, "pi_upper": split}, indirect=True)
+
+        us, dec_s = _spectral_standard(self.spectral, op.shape)
+        ur, dec_r = upper_bound_realignment(op)
+        ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
+               (self.signed.weight, "signed", self.signed)]
+        if include_robustness and self.psd:
+            budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
+            rb = robustness_upper(op, self.config, atom_budget=budget)
+            if rb.success:
+                ups.append((rb.value, "robustness", rb.decomposition))
+        for dec in extra_decompositions:
+            report = validate_decomposition(op, dec)
+            if report.valid:
+                ups.append((report.weight, "supplied", dec))
+        up = min(ups, key=lambda p: p[0])
+        # a signed decomposition is also a standard one: its weight bounds both norms
+        h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
+        h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
+        return _norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up})
+
+
+def _norm_bounds(winners: dict, indirect: bool = False) -> NormBounds:
+    """NormBounds from the winning (value, method, certificate) of each bound;
+    a bound with no winner (Hermitian bounds of indirect input) reads NaN."""
+    values = {name: float(winners[name][0]) if name in winners else float("nan")
+              for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
+    return NormBounds(**values, methods={k: p[1] for k, p in winners.items()},
+                      certificates={k: p[2] for k, p in winners.items()}, indirect=indirect)
+
+
+def _hermitian_split_upper(op: BipartiteOperator) -> float:
+    """Triangle-inequality upper bound for non-Hermitian input via Hermitian parts."""
+    mat = op.matrix
+    up = 0.0
+    for part in ((mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j):
+        hop = BipartiteOperator(op.shape, part)
+        us, _ = upper_bound_spectral(hop)
+        ur, _ = upper_bound_realignment(hop)
+        up += min(us, ur)
+    return up
 
 
 def pi_bounds(
@@ -814,90 +906,13 @@ def pi_bounds(
 
     Lower: max of trace norm, realignment and the rank-one witness value.
     Upper: min over the spectral-Schmidt, operator-Schmidt and signed
-    certificates (a signed decomposition is also a standard one, so its
-    weight bounds both norms).  Non-Hermitian input is split into Hermitian
-    parts, bounded by the triangle inequality and flagged ``indirect``.
+    certificates, the robustness search when asked for, and the supplied
+    decompositions that validate (a signed decomposition is also a standard
+    one, so its weight bounds both norms).  Non-Hermitian input keeps the
+    same lower bounds; its upper bound splits it into Hermitian parts,
+    bounded by the triangle inequality, and is flagged ``indirect``.
     """
-    if not op.is_hermitian(EPS_HERM):
-        return _pi_bounds_indirect(op, config)
-
-    tn = trace_norm(op.matrix)
-    lr = lower_bound_realignment(op)
-    wv, cert_vec = _witness_seesaw(op.matrix, op.shape, config, use_abs=not op.is_psd(EPS_PSD))
-    lows = [(tn, "trace_norm", None), (lr, "realignment", None),
-            (wv, "witness", BipartiteVector(op.shape, cert_vec))]
-    pi_low, low_method, low_cert = max(lows, key=lambda x: x[0])
-
-    us, dec_s = upper_bound_spectral(op)
-    ur, dec_r = upper_bound_realignment(op)
-    uh, dec_h = hermitian_upper(op)
-    ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r), (uh, "signed", dec_h)]
-    h_ups = [(uh, "signed", dec_h)]
-
-    if include_robustness and op.is_psd(EPS_PSD):
-        budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
-        rb = robustness_upper(op, config, atom_budget=budget)
-        if rb.success:
-            ups.append((rb.value, "robustness", rb.decomposition))
-            h_ups.append((rb.value, "robustness", rb.decomposition))
-
-    for dec in extra_decompositions:
-        report = validate_decomposition(op, dec)
-        if report.valid:
-            ups.append((report.weight, "supplied", dec))
-            if report.certifies_h_upper:
-                h_ups.append((report.weight, "supplied", dec))
-
-    pi_up, up_method, up_cert = min(ups, key=lambda x: x[0])
-    h_ups.append((2.0 * pi_up, "twice_pi_upper", up_cert))
-    h_up, h_method, h_cert = min(h_ups, key=lambda x: x[0])
-
-    return NormBounds(
-        pi_lower=float(pi_low),
-        pi_upper=float(pi_up),
-        h_lower=float(pi_low),
-        h_upper=float(h_up),
-        methods={
-            "pi_lower": low_method,
-            "pi_upper": up_method,
-            "h_lower": low_method,
-            "h_upper": h_method,
-        },
-        certificates={
-            "pi_lower": low_cert,
-            "pi_upper": up_cert,
-            "h_lower": low_cert,
-            "h_upper": h_cert,
-        },
-    )
-
-
-def _pi_bounds_indirect(op: BipartiteOperator, config: SeeSawConfig) -> NormBounds:
-    """Triangle-inequality bounds for non-Hermitian input via Hermitian parts."""
-    mat = op.matrix
-    tn = trace_norm(mat)
-    lr = lower_bound_realignment(op)
-    wv, cert_vec = _witness_seesaw(mat, op.shape, config, use_abs=True)
-    lows = [(tn, "trace_norm", None), (lr, "realignment", None),
-            (wv, "witness", BipartiteVector(op.shape, cert_vec))]
-    pi_low, low_method, low_cert = max(lows, key=lambda x: x[0])
-
-    h1 = BipartiteOperator(op.shape, (mat + mat.conj().T) / 2)
-    h2 = BipartiteOperator(op.shape, (mat - mat.conj().T) / 2j)
-    up = 0.0
-    for part in (h1, h2):
-        us, _ = upper_bound_spectral(part)
-        ur, _ = upper_bound_realignment(part)
-        up += min(us, ur)
-    return NormBounds(
-        pi_lower=float(pi_low),
-        pi_upper=float(up),
-        h_lower=float("nan"),
-        h_upper=float("nan"),
-        methods={"pi_lower": low_method, "pi_upper": "hermitian_split"},
-        certificates={"pi_lower": low_cert, "pi_upper": None},
-        indirect=True,
-    )
+    return _Analysis(op, config).bounds(include_robustness, atom_budget, extra_decompositions)
 
 
 def ent(op: BipartiteOperator, config: SeeSawConfig, **kwargs) -> NormBounds:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import pi_bounds
+from .bounds import _Analysis, pi_bounds
 from .core import (
     BipartiteOperator,
     BipartiteVector,
@@ -28,6 +28,7 @@ from .core import (
 )
 from .gnorm import SeeSawConfig, g_norm_seesaw
 from .separability import (
+    _classify,
     build_witness_EN,
     classify,
     isotropic,
@@ -265,20 +266,16 @@ def cmd_sweep(args) -> int:
         rows = []
         for p in _parse_grid(_require(args.p, "--p")):
             op = isotropic(p, d)
-            nb = pi_bounds(op, cfg, include_robustness=False)
-            cls = classify(op, cfg)
-            ppt = ppt_oracle(op)
-            from .bounds import lower_bound_witness
-
-            wv, _ = lower_bound_witness(op, cfg)
+            an = _Analysis(op, cfg)  # one witness see-saw serves all three columns
+            nb = an.bounds(include_robustness=False)
             rows.append(
                 {
                     "p": p,
-                    "witness_lower": wv,
+                    "witness_lower": an.witness[0],
                     "pi_lower": nb.pi_lower,
                     "pi_upper": nb.pi_upper,
-                    "verdict": cls.verdict,
-                    "ppt_min_eigenvalue": ppt.min_eigenvalue,
+                    "verdict": _classify(an).verdict,
+                    "ppt_min_eigenvalue": ppt_oracle(op).min_eigenvalue,
                 }
             )
         _write_csv(out, rows, ["p", "witness_lower", "pi_lower", "pi_upper",
@@ -377,10 +374,11 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ShapeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # internal failure
+    except Exception as exc:
+        # invalid input raises ValueError; LinAlgError subclasses it but is internal
+        if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

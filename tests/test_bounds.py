@@ -9,6 +9,7 @@ from crossnorm import (
     BipartiteVector,
     SeeSawConfig,
     StandardDecomposition,
+    classify,
     ent,
     hermitian_upper,
     kron,
@@ -339,6 +340,60 @@ def test_pi_bounds_indirect_non_hermitian():
     assert nb.indirect
     assert nb.pi_lower <= nb.pi_upper + 1e-8
     assert trace_norm(m) <= nb.pi_lower + 1e-9
+
+
+def test_tiny_operator_keeps_a_valid_upper_certificate():
+    # the signed-decomposition cutoff scales with the operator, so no term of
+    # a tiny operator is dropped as negligible
+    op = BipartiteOperator(BipartiteShape(2, 2), 1e-16 * max_entangled(2).matrix)
+    nb = pi_bounds(op, CFG, include_robustness=False)
+    assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
+    assert validate_decomposition(op, nb.certificates["h_upper"]).certifies_h_upper
+    assert nb.pi_upper == pytest.approx(2e-16, rel=1e-9)
+    assert nb.h_upper == pytest.approx(3e-16, rel=1e-9)
+
+
+def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
+    from crossnorm import bounds
+    from crossnorm.cli import main
+
+    calls = []
+    seesaw = bounds._witness_seesaw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_witness_seesaw", counted)
+    small = ["--seed", "3", "--restarts", "4", "--max-iters", "40"]
+    assert main(["sweep", "isotropic", "--d", "2", "--p", "0:1:0.5",
+                 "--csv-out", str(tmp_path / "iso.csv")] + small) == 0
+    assert len(calls) == 3  # one per grid point
+
+    cfg = SeeSawConfig(seed=3, restarts=4, max_iters=40)
+    op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
+    calls.clear()
+    cls = classify(op, cfg, max_rounds=1)
+    assert cls.verdict == "Undecided"
+    assert len(calls) == 1
+
+    calls.clear()
+    nb = pi_bounds(op, cfg, include_robustness=False)
+    pi_bounds(op, cfg, include_robustness=False)
+    assert len(calls) == 2  # nothing is cached across calls
+
+    got = cls.bounds
+    assert (got.pi_lower, got.pi_upper, got.h_lower, got.h_upper, got.methods, got.indirect) == \
+        (nb.pi_lower, nb.pi_upper, nb.h_lower, nb.h_upper, nb.methods, nb.indirect)
+    assert got.certificates.keys() == nb.certificates.keys()
+    for name, cert in nb.certificates.items():
+        mine = got.certificates[name]
+        if cert is None:
+            assert mine is None
+        elif isinstance(cert, BipartiteVector):
+            assert np.array_equal(mine.entries, cert.entries)
+        else:
+            assert mine.to_dict() == cert.to_dict()
 
 
 def test_pi_bounds_user_decomposition_tightens():

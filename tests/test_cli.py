@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from crossnorm import SeeSawConfig, from_state_dict, max_entangled, pi_bounds
+from crossnorm import SeeSawConfig, from_state_dict, max_entangled, pi_bounds, to_state_dict
 from crossnorm.cli import main
 
 
@@ -61,6 +61,29 @@ def test_malformed_json_exit_code_and_message(tmp_path, capsys):
     assert run(["bounds", bad, "--seed", 1]) == 1
     err = capsys.readouterr().err
     assert "bad.json:2" in err  # line-numbered
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_state_is_invalid_input(tmp_path, capsys, bad):
+    state = to_state_dict(max_entangled(2))
+    state["data"][5][1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(state))
+    assert run(["bounds", path, "--seed", 1]) == 1
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_linalg_failure_is_internal_error(tmp_path, monkeypatch, capsys):
+    import crossnorm.cli
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    state_file = tmp_path / "bell.json"
+    run(["gallery", "max-entangled", "--d", 2, "--out", state_file])
+    monkeypatch.setattr(crossnorm.cli, "pi_bounds", diverge)
+    assert run(["bounds", state_file, "--seed", 1]) == 2
+    assert "internal error: LinAlgError" in capsys.readouterr().err
 
 
 def test_shape_mismatch_exit_code(tmp_path):
