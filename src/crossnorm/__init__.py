@@ -30,10 +30,7 @@ from .bounds import (
 )
 from .core import (
     EPS_HERM,
-    EPS_NORM,
-    EPS_ORTHO,
     EPS_PSD,
-    EPS_RECON,
     EPS_TRACE,
     SCHMIDT_CUTOFF,
     BipartiteOperator,

@@ -12,6 +12,12 @@ operator-Schmidt expansions, a signed decomposition over product densities,
 a robustness-style search for affine combinations of separable states, and
 supplied decompositions.  Every bound carries a certificate that can be
 re-checked independently of how it was produced.
+
+Upper certificates are one container family.  A ``StandardDecomposition``
+sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
+A ``SignedDecomposition`` sum_k t_k rho_k (x) sigma_k over product
+densities is a standard one too, and its weight sum_k |t_k| also bounds
+the Hermitian norm; the robustness search and ``separable_fit`` return it.
 """
 
 from __future__ import annotations
@@ -53,43 +59,47 @@ class StandardDecomposition:
 
     terms: list  # list of (r, X, Y)
     shape: BipartiteShape
+    kind = "standard"
+    _term_keys = ("r", "x", "y")
 
     @property
     def weight(self) -> float:
-        return float(sum(r for r, _, _ in self.terms))
+        """sum_k |coefficient_k|: sum_k r_k on valid standard terms, the
+        Hermitian weight sum_k |t_k| on signed ones."""
+        return float(sum(abs(w) for w, _, _ in self.terms))
 
     def reconstruct(self) -> np.ndarray:
         n = self.shape.total
         acc = np.zeros((n, n), dtype=complex)
-        for r, x, y in self.terms:
-            acc += r * np.kron(x, y)
+        for w, x, y in self.terms:
+            acc += w * np.kron(x, y)
         return acc
 
     def to_dict(self) -> dict:
         from .core import complex_to_pairs
 
+        kw, kx, ky = self._term_keys
         return {
-            "kind": "standard",
+            "kind": self.kind,
             "shape": {"dh": self.shape.dh, "dj": self.shape.dj},
             "terms": [
-                {"r": float(r), "x": complex_to_pairs(x), "y": complex_to_pairs(y)}
-                for r, x, y in self.terms
+                {kw: float(w), kx: complex_to_pairs(x), ky: complex_to_pairs(y)}
+                for w, x, y in self.terms
             ],
             "weight": self.weight,
         }
 
 
-@dataclass(eq=False)
-class SignedDecomposition:
-    """target = sum_k t_k (rho_k (x) sigma_k) over product densities, t_k real."""
+class SignedDecomposition(StandardDecomposition):
+    """target = sum_k t_k (rho_k (x) sigma_k) over product densities, t_k real.
 
-    terms: list  # list of (t, rho, sigma)
-    shape: BipartiteShape
+    Each term has ||rho_k||_1 ||sigma_k||_1 = 1 and |t_k| as its weight, so
+    this is also a standard decomposition (with the sign of t_k moved into
+    rho_k); its weight bounds the Hermitian norm as well.
+    """
 
-    @property
-    def weight(self) -> float:
-        """Hermitian weight sum_k |t_k|."""
-        return float(sum(abs(t) for t, _, _ in self.terms))
+    kind = "signed"
+    _term_keys = ("t", "rho", "sigma")
 
     @property
     def alpha(self) -> float:
@@ -99,26 +109,8 @@ class SignedDecomposition:
     def is_positive(self) -> bool:
         return all(t >= 0 for t, _, _ in self.terms)
 
-    def reconstruct(self) -> np.ndarray:
-        n = self.shape.total
-        acc = np.zeros((n, n), dtype=complex)
-        for t, rho, sigma in self.terms:
-            acc += t * np.kron(rho, sigma)
-        return acc
-
     def to_dict(self) -> dict:
-        from .core import complex_to_pairs
-
-        return {
-            "kind": "signed",
-            "shape": {"dh": self.shape.dh, "dj": self.shape.dj},
-            "terms": [
-                {"t": float(t), "rho": complex_to_pairs(r), "sigma": complex_to_pairs(s)}
-                for t, r, s in self.terms
-            ],
-            "weight": self.weight,
-            "alpha": self.alpha,
-        }
+        return {**super().to_dict(), "alpha": self.alpha}
 
 
 @dataclass(eq=False)
@@ -512,16 +504,43 @@ def _densities(atom) -> tuple:
 
 @dataclass(eq=False)
 class RobustnessResult:
-    """Outcome of a separable / affine-combination decomposition search."""
+    """Outcome of a separable / affine-combination decomposition search.
+
+    Everything but the search record derives from ``decomposition``, which
+    is None when the search failed: D = alpha D1 - (alpha-1) D2, with
+    alpha = (1 + value) / 2 for unit-trace targets.
+    """
 
     success: bool
-    value: float  # certified hermitian weight sum|t_k|; 2 alpha - 1 for densities
-    alpha: float
-    d1: SignedDecomposition | None
-    d2: SignedDecomposition | None
     decomposition: SignedDecomposition | None
     rounds_used: int
     message: str = ""
+
+    @property
+    def value(self) -> float:
+        """Certified Hermitian weight sum|t_k|; 2 alpha - 1 for densities; NaN on failure."""
+        return float("nan") if self.decomposition is None else self.decomposition.weight
+
+    @property
+    def alpha(self) -> float:
+        return float("nan") if self.decomposition is None else self.decomposition.alpha
+
+    @property
+    def d1(self) -> SignedDecomposition | None:
+        return self._part(1.0)
+
+    @property
+    def d2(self) -> SignedDecomposition | None:
+        return self._part(-1.0)
+
+    def _part(self, sign: float) -> SignedDecomposition | None:
+        """The terms of one sign renormalized to a product mixture; None if there are none."""
+        if self.decomposition is None:
+            return None
+        part = [(sign * t, r, s) for t, r, s in self.decomposition.terms if sign * t > 0]
+        total = sum(t for t, _, _ in part)
+        terms = [(t / total, r, s) for t, r, s in part]
+        return SignedDecomposition(terms, self.decomposition.shape) if total > 0 else None
 
 
 def _embed_matrix(mat: np.ndarray) -> np.ndarray:
@@ -609,7 +628,6 @@ def separable_fit(
     d = _embed_matrix(target)
     atoms = _seed_atoms(op)
     cols = [_column(a) for a in atoms]
-    n = op.shape.total
 
     weights = np.zeros(len(atoms))
     rounds = 0
@@ -617,7 +635,7 @@ def separable_fit(
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
         weights, _ = nnls(a_mat, d)
-        residual = target - _combine(atoms, weights, n)
+        residual = target - _decomposition_from(atoms, weights, op.shape, cutoff=0.0).reconstruct()
         err = trace_norm(residual) / tn_target
         if err <= tol:
             dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14)
@@ -647,14 +665,6 @@ def separable_fit(
             padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
             atoms, cols, weights = _prune(atoms, cols, padded, atom_budget)
     return None, rounds
-
-
-def _combine(atoms, weights, n) -> np.ndarray:
-    acc = np.zeros((n, n), dtype=complex)
-    for w, a in zip(weights, atoms):
-        if w != 0.0:
-            acc += w * np.kron(*_densities(a))
-    return acc
 
 
 def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
@@ -714,7 +724,7 @@ def robustness_upper(
 
     mixture, rounds1 = separable_fit(op, config, atom_budget, max_rounds)
     if mixture is not None:  # weight equals the trace; 1 for a density
-        return _robustness_result(mixture, rounds1, "nonnegative product mixture found")
+        return RobustnessResult(True, mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition
     base_dec = an.signed
@@ -754,38 +764,9 @@ def robustness_upper(
 
     err = trace_norm(op.matrix - best.reconstruct()) / tn_target
     if err > VALIDATE_TOL:
-        return RobustnessResult(
-            success=False,
-            value=float("nan"),
-            alpha=float("nan"),
-            d1=None,
-            d2=None,
-            decomposition=None,
-            rounds_used=rounds,
-            message=f"no certificate: residual {err:.3e} above tolerance",
-        )
-    return _robustness_result(best, rounds, "signed decomposition found")
-
-
-def _robustness_result(dec: SignedDecomposition, rounds: int, message: str) -> RobustnessResult:
-    """Success with D = alpha D1 - (alpha-1) D2 split from a validated
-    decomposition; alpha equals (1 + weight) / 2 for unit-trace targets."""
-    pos = [(t, r, s) for t, r, s in dec.terms if t > 0]
-    neg = [(-t, r, s) for t, r, s in dec.terms if t < 0]
-    apos = sum(t for t, _, _ in pos)
-    d1 = SignedDecomposition([(t / apos, r, s) for t, r, s in pos], dec.shape) if apos > 0 else None
-    aneg = sum(t for t, _, _ in neg)
-    d2 = SignedDecomposition([(t / aneg, r, s) for t, r, s in neg], dec.shape) if aneg > 0 else None
-    return RobustnessResult(
-        success=True,
-        value=float(dec.weight),
-        alpha=float(dec.alpha),
-        d1=d1,
-        d2=d2,
-        decomposition=dec,
-        rounds_used=rounds,
-        message=message,
-    )
+        return RobustnessResult(False, None, rounds,
+                                f"no certificate: residual {err:.3e} above tolerance")
+    return RobustnessResult(True, best, rounds, "signed decomposition found")
 
 
 def _atom_from_density(rho: np.ndarray, sig: np.ndarray) -> tuple:
@@ -834,6 +815,15 @@ class _Analysis:
         return q, BipartiteVector(self.op.shape, c)
 
     @cached_property
+    def lower(self) -> tuple:
+        """The best of the lower providers: trace norm, realignment, rank-one witness."""
+        q, c = self.witness
+        lows = [(self.trace_norm, "trace_norm", None),
+                (self.realignment_lower, "realignment", None),
+                (q, "witness", c)]
+        return max(lows, key=lambda p: p[0])
+
+    @cached_property
     def spectral(self) -> list:
         return _spectral_schmidt(self.op)
 
@@ -845,11 +835,7 @@ class _Analysis:
                extra_decompositions: tuple = ()) -> NormBounds:
         """The brackets :func:`pi_bounds` reports, from the provider lists."""
         op = self.op
-        q, c = self.witness
-        lows = [(self.trace_norm, "trace_norm", None),
-                (self.realignment_lower, "realignment", None),
-                (q, "witness", c)]
-        low = max(lows, key=lambda p: p[0])
+        low = self.lower
         if not self.hermitian:
             split = (_hermitian_split_upper(op), "hermitian_split", None)
             return _norm_bounds({"pi_lower": low, "pi_upper": split}, indirect=True)
@@ -958,18 +944,8 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
     """
     tn_target = max(trace_norm(target.matrix), 1e-300)
     messages = []
-    if isinstance(dec, StandardDecomposition):
-        kind = "standard"
-        norm_err = 0.0
-        for r, x, y in dec.terms:
-            norm_err = max(norm_err, abs(trace_norm(x) * trace_norm(y) - 1.0))
-            if r < -1e-12:
-                messages.append(f"negative weight {r}")
-        if norm_err > 1e-9:
-            messages.append(f"factor normalization off by {norm_err:.3e}")
-        positive = False
-    elif isinstance(dec, SignedDecomposition):
-        kind = "signed"
+    # signed first: a signed decomposition is also a StandardDecomposition
+    if isinstance(dec, SignedDecomposition):
         norm_err = 0.0
         for t, rho, sig in dec.terms:
             for fac in (rho, sig):
@@ -985,6 +961,15 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
         if tr_err > VALIDATE_TOL * tn_target:
             messages.append(f"weights sum to trace off by {tr_err:.3e}")
         positive = dec.is_positive
+    elif isinstance(dec, StandardDecomposition):
+        norm_err = 0.0
+        for r, x, y in dec.terms:
+            norm_err = max(norm_err, abs(trace_norm(x) * trace_norm(y) - 1.0))
+            if r < -1e-12:
+                messages.append(f"negative weight {r}")
+        if norm_err > 1e-9:
+            messages.append(f"factor normalization off by {norm_err:.3e}")
+        positive = False
     else:
         return ValidationReport(
             valid=False, kind=type(dec).__name__, weight=float("nan"),
@@ -997,6 +982,7 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
     if recon_err > VALIDATE_TOL:
         messages.append(f"reconstruction error {recon_err:.3e} above tolerance")
     valid = not messages
+    kind = dec.kind
     optimal = bool(valid and kind == "signed" and positive)
     return ValidationReport(
         valid=valid,

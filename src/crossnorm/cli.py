@@ -130,53 +130,46 @@ def _certificate_dicts(bounds) -> dict:
     return certs
 
 
-def cmd_bounds(args) -> int:
+def _run_on_state(args, computation: str, compute) -> int:
+    """Load the state at ``args.path``, run ``compute(op, config)`` for its
+    (results, certificates) and emit the report."""
     t0 = time.perf_counter()
     state = load_state(args.path)
     op = _as_operator(state)
     cfg = _config(args)
-    nb = pi_bounds(op, cfg, include_robustness=not args.no_robustness)
-    rep = _report(args, "bounds", _digest(state, args.path), nb.to_dict(),
-                  _certificate_dicts(nb), t0)
-    _emit(args, rep)
+    results, certs = compute(op, cfg)
+    _emit(args, _report(args, computation, _digest(state, args.path), results, certs, t0))
     return 0
+
+
+def cmd_bounds(args) -> int:
+    def compute(op, cfg):
+        nb = pi_bounds(op, cfg, include_robustness=not args.no_robustness)
+        return nb.to_dict(), _certificate_dicts(nb)
+
+    return _run_on_state(args, "bounds", compute)
 
 
 def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
-    state = load_state(args.path)
-    op = _as_operator(state)
-    cfg = _config(args)
-    cls = classify(op, cfg)
-    rep = _report(args, "classify", _digest(state, args.path), cls.to_dict(), None, t0)
-    _emit(args, rep)
-    return 0
+    return _run_on_state(args, "classify", lambda op, cfg: (classify(op, cfg).to_dict(), None))
 
 
 def cmd_gnorm(args) -> int:
-    t0 = time.perf_counter()
-    state = load_state(args.path)
-    op = _as_operator(state)
-    cfg = _config(args)
-    est = g_norm_seesaw(op, cfg)
-    results = {
-        "g_norm": {
-            "lower": est.lower_bound,
-            "upper": est.upper_bound,
-            "converged": est.converged,
-        },
-        "iterations_used": est.iterations_used,
-        "best_restart": est.best_restart,
-    }
-    certs = {
-        "phi": [[z.real, z.imag] for z in est.phi],
-        "psi": [[z.real, z.imag] for z in est.psi],
-        "eta": [[z.real, z.imag] for z in est.eta],
-        "chi": [[z.real, z.imag] for z in est.chi],
-    }
-    rep = _report(args, "gnorm", _digest(state, args.path), results, certs, t0)
-    _emit(args, rep)
-    return 0
+    def compute(op, cfg):
+        est = g_norm_seesaw(op, cfg)
+        results = {
+            "g_norm": {
+                "lower": est.lower_bound,
+                "upper": est.upper_bound,
+                "converged": est.converged,
+            },
+            "iterations_used": est.iterations_used,
+            "best_restart": est.best_restart,
+        }
+        vectors = {"phi": est.phi, "psi": est.psi, "eta": est.eta, "chi": est.chi}
+        return results, {k: [[z.real, z.imag] for z in v] for k, v in vectors.items()}
+
+    return _run_on_state(args, "gnorm", compute)
 
 
 def cmd_witness(args) -> int:

@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tolerances, relative to input scale.
-EPS_NORM = 1e-10
 EPS_TRACE = 1e-10
 EPS_HERM = 1e-10
 EPS_PSD = 1e-9
-EPS_ORTHO = 1e-9
-EPS_RECON = 1e-9
 SCHMIDT_CUTOFF = 1e-12
 
 
@@ -98,10 +95,6 @@ class BipartiteOperator:
                 f"({self.shape.dh}, {self.shape.dj})"
             )
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n(self) -> int:
-        return self.shape.total
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))

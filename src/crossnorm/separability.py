@@ -349,14 +349,12 @@ def random_separable(shape: BipartiteShape, k: int, seed: int):
     jshape = BipartiteShape(shape.dj, 1)
     p = rng.dirichlet(np.ones(k))
     terms = []
-    n = shape.total
-    acc = np.zeros((n, n), dtype=complex)
     for i in range(k):
         rho = random_density(hshape, rng).matrix
         sig = random_density(jshape, rng).matrix
         terms.append((float(p[i]), rho, sig))
-        acc += p[i] * np.kron(rho, sig)
-    return BipartiteOperator(shape, acc), SignedDecomposition(terms, shape)
+    dec = SignedDecomposition(terms, shape)
+    return BipartiteOperator(shape, dec.reconstruct()), dec
 
 
 def isotropic(p: float, d: int) -> BipartiteOperator:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _Analysis
 from .core import BipartiteOperator, BipartiteShape, BipartiteVector, schmidt_decompose
+from .gnorm import SeeSawConfig
 
 DENSE_CUTOFF = 512
 
@@ -218,11 +220,10 @@ def mixing_lower_bound(p: float, v: BipartiteVector, d0, n: int) -> float:
 def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
     """Rows (N, lemosd_bound, witness_bound, dense_pi_lower) for a CSV sweep.
 
-    The dense column is blank when the truncation exceeds the dense cutoff.
+    The dense column is blank when the truncation exceeds the dense cutoff;
+    otherwise it is the ``pi_lower`` of :func:`pi_bounds`, from the lower
+    providers alone.
     """
-    from .bounds import pi_bounds
-    from .gnorm import SeeSawConfig
-
     rows = []
     for n in ns:
         b = divergent_lower_bound(family, n)
@@ -230,7 +231,7 @@ def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
         if family.shape(n).total <= DENSE_CUTOFF:
             cfg = config if config is not None else SeeSawConfig(seed=0, restarts=4, max_iters=60)
             op = family.dense_operator(n)
-            dense = pi_bounds(op, cfg, include_robustness=False).pi_lower
+            dense = float(_Analysis(op, cfg).lower[0])
         rows.append(
             {
                 "N": n,

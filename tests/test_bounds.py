@@ -7,7 +7,9 @@ from crossnorm import (
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
+    RobustnessResult,
     SeeSawConfig,
+    SignedDecomposition,
     StandardDecomposition,
     classify,
     ent,
@@ -286,6 +288,12 @@ def test_robustness_bell():
     assert dec.weight == pytest.approx(res.value, abs=1e-12)
 
 
+def test_unsuccessful_robustness_result_has_no_value():
+    res = RobustnessResult(False, None, 7, "no certificate")
+    assert np.isnan(res.value) and np.isnan(res.alpha)
+    assert res.d1 is None and res.d2 is None
+
+
 def test_robustness_maximally_mixed():
     op = BipartiteOperator(BipartiteShape(2, 2), np.eye(4, dtype=complex) / 4)
     res = robustness_upper(op, CFG)
@@ -477,3 +485,27 @@ def test_validate_positive_decomposition_tags_optimal():
 def test_validate_never_raises_on_junk():
     rep = validate_decomposition(max_entangled(2), object())
     assert not rep.valid
+
+
+def test_signed_decomposition_with_negative_terms_certifies_h_upper():
+    _, dec = hermitian_upper(max_entangled(2))
+    assert isinstance(dec, StandardDecomposition) and not dec.is_positive
+    rep = validate_decomposition(max_entangled(2), dec)
+    assert rep.valid and rep.kind == "signed" and rep.certifies_h_upper
+    assert rep.weight == pytest.approx(3.0, abs=1e-9)
+
+
+def test_decomposition_wire_format():
+    x = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    y = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    shape = BipartiteShape(2, 2)
+    std = StandardDecomposition([(0.5, x, y), (0.25, y, x)], shape).to_dict()
+    assert std["kind"] == "standard" and std["shape"] == {"dh": 2, "dj": 2}
+    assert [set(t) for t in std["terms"]] == [{"r", "x", "y"}] * 2
+    assert std["terms"][0]["r"] == 0.5 and std["weight"] == 0.75 and "alpha" not in std
+    signed = SignedDecomposition([(1.5, x, y), (-0.5, y, x)], shape).to_dict()
+    assert signed["kind"] == "signed"
+    assert [set(t) for t in signed["terms"]] == [{"t", "rho", "sigma"}] * 2
+    assert [t["t"] for t in signed["terms"]] == [1.5, -0.5]
+    assert signed["weight"] == 2.0 and signed["alpha"] == 1.5
+    assert set(signed) == {"kind", "shape", "terms", "weight", "alpha"}

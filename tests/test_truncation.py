@@ -183,6 +183,19 @@ def test_mixing_validates_p():
 # sweep rows
 
 
+def test_divergence_sweep_runs_no_upper_provider(monkeypatch):
+    from crossnorm import bounds
+
+    rows = divergence_sweep(paper_preset(1), (1,), CFG)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reads only pi_lower")
+
+    monkeypatch.setattr(bounds, "_spectral_schmidt", refuse)
+    monkeypatch.setattr(bounds, "upper_bound_realignment", refuse)
+    assert divergence_sweep(paper_preset(1), (1,), CFG) == rows
+
+
 def test_divergence_sweep_rows():
     rows = divergence_sweep(PAPER_PRESET, (1, 2, 3), CFG)
     assert [r["N"] for r in rows] == [1, 2, 3]
