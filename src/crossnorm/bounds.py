@@ -11,7 +11,15 @@ injective norm is exactly one.  Upper: the spectral-Schmidt and
 operator-Schmidt expansions, a signed decomposition over product densities,
 a robustness-style search for affine combinations of separable states, and
 supplied decompositions.  Every bound carries a certificate that can be
-re-checked independently of how it was produced.
+re-checked independently of how it was produced, and every reported bound
+is rounded outward by 4 n eps (relative) to cover floating-point error.
+
+The witness see-saw advances all its restarts together.  Each step makes
+one stacked SVD of the restarts' (d_h, d_j) reshapes, builds their product
+Schmidt bases by broadcasting, compresses D onto them, diagonalizes the
+compressed matrices in one stacked ``eigh`` and scores every rebalancing
+candidate at once.  Restarts of one kept Schmidt rank share a stack, and
+stacks are cut so that their product bases stay small at large n.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -31,11 +39,13 @@ from scipy.optimize import linprog, nnls
 from .core import (
     EPS_HERM,
     EPS_PSD,
+    SCHMIDT_CUTOFF,
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
     eigh_blocks,
     nuclear_norm,
+    outward,
     positive_negative_split,
     realign,
     rng_from_seed,
@@ -132,32 +142,25 @@ class NormBounds:
     indirect: bool = False
 
     def pi_value(self):
-        if self.pi_upper - self.pi_lower < PINCH_TOL:
-            return 0.5 * (self.pi_lower + self.pi_upper)
-        return None
+        return _pinched(self.pi_lower, self.pi_upper)
 
     def h_value(self):
-        if self.h_upper - self.h_lower < PINCH_TOL:
-            return 0.5 * (self.h_lower + self.h_upper)
-        return None
+        return _pinched(self.h_lower, self.h_upper)
 
     def to_dict(self) -> dict:
-        def scrub(x):
-            return None if np.isnan(x) else x
-
-        d = {
-            "pi_lower": self.pi_lower,
-            "pi_upper": self.pi_upper,
-            "h_lower": scrub(self.h_lower),
-            "h_upper": scrub(self.h_upper),
-            "methods": dict(self.methods),
-            "indirect": self.indirect,
-        }
-        if self.pi_value() is not None:
-            d["pi_value"] = self.pi_value()
-        if not np.isnan(self.h_upper) and self.h_value() is not None:
-            d["h_value"] = self.h_value()
+        d = {"pi_lower": self.pi_lower, "pi_upper": self.pi_upper,
+             "h_lower": None if np.isnan(self.h_lower) else self.h_lower,
+             "h_upper": None if np.isnan(self.h_upper) else self.h_upper,
+             "methods": dict(self.methods), "indirect": self.indirect}
+        for key, value in (("pi_value", self.pi_value()), ("h_value", self.h_value())):
+            if value is not None:
+                d[key] = value
         return d
+
+
+def _pinched(lower: float, upper: float):
+    """The midpoint of a bracket pinched to within PINCH_TOL, else None (also for NaN)."""
+    return 0.5 * (lower + upper) if upper - lower < PINCH_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -313,91 +316,84 @@ def lower_bound_realignment(op: BipartiteOperator) -> float:
     return nuclear_norm(realign(op))
 
 
-def _witness_quality(mat_small: np.ndarray, y: np.ndarray, use_abs: bool) -> float:
-    """q for coefficient vector y against the compressed matrix M."""
-    num = (y.conj() @ (mat_small @ y)).real if not use_abs else abs(y.conj() @ (mat_small @ y))
-    den = float(np.abs(y).max() ** 2)
-    if den == 0.0:
-        return 0.0
-    return float(num) / den
+_STACK_ELEMENTS = 2**15  # entries of the largest stacked product basis
 
 
-def _rebalance(mat: np.ndarray, shape: BipartiteShape, c: np.ndarray, use_abs: bool):
-    """Best Schmidt-coefficient rebalancing of c at fixed Schmidt bases.
+def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig, use_abs: bool):
+    """Maximize <c|D|c> / a_1(c)^2 by power steps plus Schmidt rebalancing.
+
+    Restart 0 starts from the extremal eigenvector, the others from seeded
+    random vectors, and all advance together as one stack.  A restart stops
+    after two steps in a row that gain no more than ``tol`` (relative), or
+    when D c vanishes.  Its best is the first step that reached its largest
+    q; the best restart wins, ties to the lowest index.
+    """
+    rng = rng_from_seed(config.seed)
+    n = shape.total
+    w, u = np.linalg.eigh(mat)
+    order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
+    zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
+    c = np.array([u[:, order[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
+    best_q, best_c = np.full(len(c), -np.inf), c.copy()
+    prev, stall = np.full(len(c), -np.inf), np.zeros(len(c), dtype=int)
+    active = np.arange(len(c))
+    for _ in range(config.max_iters):
+        q, c_re = _rebalance_rows(mat, shape, c[active], use_abs)
+        better = q > best_q[active]
+        best_q[active[better]], best_c[active[better]] = q[better], c_re[better]
+        flat = q <= prev[active] + config.tol * np.maximum(np.abs(q), 1.0)
+        stall[active] = np.where(flat, stall[active] + 1, 0)
+        prev[active] = q
+        go = stall[active] < 2
+        # one product per row, so no restart's iterates depend on its stack
+        active, nxt = active[go], (mat @ c_re[go, :, None])[:, :, 0]
+        nn = np.linalg.norm(nxt, axis=1)
+        go = nn >= 1e-300
+        active = active[go]
+        c[active] = nxt[go] / nn[go, None]
+        if active.size == 0:
+            break
+    best = int(np.argmax(best_q))
+    return float(best_q[best]), best_c[best]
+
+
+def _rebalance_rows(mat, shape, c, use_abs):
+    """Best Schmidt-coefficient rebalancing of each row of ``c`` at its fixed
+    Schmidt bases: the best q of each row and the rebalanced rows.
 
     Candidates: c itself, and every top-k block with equalized coefficients,
     with phases taken flat or from the extremal eigenvectors of the
     compressed matrix.  Every candidate yields a certified value, so the
     maximum is safe.
     """
-    sf = schmidt_decompose(BipartiteVector(shape, c))
-    s = sf.rank
-    basis = np.column_stack(
-        [np.kron(sf.left_vectors[l], sf.right_vectors[l]) for l in range(s)]
-    )
-    m_small = basis.conj().T @ (mat @ basis)
-    m_small = (m_small + m_small.conj().T) / 2
-
-    candidates = [sf.coefficients.astype(complex)]
-    ones = np.ones(s, dtype=complex)
-    wv, uv = np.linalg.eigh(m_small)
-    phase_sources = [ones, _phases(uv[:, -1])]
-    if use_abs:
-        phase_sources.append(_phases(uv[:, 0]))
-    for phases in phase_sources:
-        for k in range(1, s + 1):
-            y = np.zeros(s, dtype=complex)
-            y[:k] = phases[:k]
-            candidates.append(y)
-
-    best_q, best_y = -np.inf, None
-    for y in candidates:
-        q = _witness_quality(m_small, y, use_abs)
-        if q > best_q:
-            best_q, best_y = q, y
-    return best_q, basis @ best_y
-
-
-def _phases(vec: np.ndarray) -> np.ndarray:
-    out = np.ones(vec.size, dtype=complex)
-    mask = np.abs(vec) > 1e-12
-    out[mask] = vec[mask] / np.abs(vec[mask])
-    return out
-
-
-def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig, use_abs: bool):
-    """Maximize <c|D|c> / a_1(c)^2 by power steps plus Schmidt rebalancing."""
-    rng = rng_from_seed(config.seed)
-    n = shape.total
-    w, u = np.linalg.eigh(mat)
-    order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
-    starts = [u[:, order[0]]]
-    for _ in range(max(config.restarts - 1, 0)):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        starts.append(z / np.linalg.norm(z))
-
-    best_q, best_c = -np.inf, starts[0]
-    for c0 in starts:
-        c = c0
-        prev = -np.inf
-        stall = 0
-        for _ in range(config.max_iters):
-            q, c_re = _rebalance(mat, shape, c, use_abs)
-            if q > best_q:
-                best_q, best_c = q, c_re
-            if q <= prev + config.tol * max(abs(q), 1.0):
-                stall += 1
-                if stall >= 2:
-                    break
-            else:
-                stall = 0
-            prev = q
-            nxt = mat @ c_re
-            nn = np.linalg.norm(nxt)
-            if nn < 1e-300:
-                break
-            c = nxt / nn
-    return float(best_q), best_c
+    dh, dj = shape.dh, shape.dj
+    u, s, vh = np.linalg.svd(c.reshape(-1, dh, dj), full_matrices=False)
+    rank = (s > SCHMIDT_CUTOFF * s[:, :1]).sum(axis=1)
+    # the largest-|.| entry of each left Schmidt vector is made real positive
+    pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
+    ph = pivot / np.abs(pivot)
+    u, vh = u * ph.conj(), vh * ph.transpose(0, 2, 1)
+    q, c_re = np.empty(len(c)), np.empty_like(c)
+    for r in np.unique(rank):
+        same = np.flatnonzero(rank == r)
+        size = max(1, _STACK_ELEMENTS // (dh * dj * r))
+        for g in np.split(same, range(size, same.size, size)):
+            basis = u[g, :, None, :r] * vh[g, None, :r, :].transpose(0, 1, 3, 2)
+            basis = basis.reshape(-1, dh * dj, r)  # columns phi_l (x) psi_l
+            m = basis.conj().transpose(0, 2, 1) @ (mat @ basis)
+            m = (m + m.conj().transpose(0, 2, 1)) / 2
+            ev = np.linalg.eigh(m)[1][:, :, [-1, 0][:1 + use_abs]].transpose(0, 2, 1)
+            ev = np.concatenate([np.ones_like(ev[:, :1]), ev], axis=1)  # flat phases first
+            mag = np.abs(ev)
+            phases = np.divide(ev, mag, out=np.ones_like(ev), where=mag > 1e-12)
+            # after c itself, the top-k blocks of each phase source, k = 1..r
+            y = np.concatenate([s[g, None, :r].astype(complex),
+                                (np.tri(r) * phases[:, :, None, :]).reshape(len(g), -1, r)], axis=1)
+            num = (y.conj() * (y @ m.transpose(0, 2, 1))).sum(axis=-1)
+            val = (np.abs(num) if use_abs else num.real) / np.abs(y).max(axis=-1) ** 2
+            k, i = np.argmax(val, axis=1), np.arange(len(g))
+            q[g], c_re[g] = val[i, k], (basis @ y[i, k, :, None])[:, :, 0]
+    return q, c_re
 
 
 def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
@@ -838,7 +834,7 @@ class _Analysis:
         low = self.lower
         if not self.hermitian:
             split = (_hermitian_split_upper(op), "hermitian_split", None)
-            return _norm_bounds({"pi_lower": low, "pi_upper": split}, indirect=True)
+            return _norm_bounds({"pi_lower": low, "pi_upper": split}, op.shape.total, indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
         ur, dec_r = upper_bound_realignment(op)
@@ -857,14 +853,16 @@ class _Analysis:
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
-        return _norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up})
+        return _norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up},
+                            op.shape.total)
 
 
-def _norm_bounds(winners: dict, indirect: bool = False) -> NormBounds:
-    """NormBounds from the winning (value, method, certificate) of each bound;
-    a bound with no winner (Hermitian bounds of indirect input) reads NaN."""
-    values = {name: float(winners[name][0]) if name in winners else float("nan")
-              for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
+def _norm_bounds(winners: dict, n: int, indirect: bool = False) -> NormBounds:
+    """NormBounds from the winning (value, method, certificate) of each bound,
+    rounded outward for an n-dimensional operator; a bound with no winner
+    (Hermitian bounds of indirect input) reads NaN."""
+    values = {name: outward(winners[name][0], n, up=name.endswith("upper")) if name in winners
+              else float("nan") for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
     return NormBounds(**values, methods={k: p[1] for k, p in winners.items()},
                       certificates={k: p[2] for k, p in winners.items()}, indirect=indirect)
 

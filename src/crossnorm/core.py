@@ -197,6 +197,13 @@ def nuclear_norm(mat) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def outward(value: float, n: int, up: bool) -> float:
+    """A bound computed on an n-dimensional operator, moved up (``up``) or down
+    by 4 n eps relative, capped at 1e-12: a cover for its rounding error."""
+    margin = min(4 * n * np.finfo(float).eps, 1e-12) * abs(value)
+    return float(value + margin if up else value - margin)
+
+
 def _square(op) -> np.ndarray:
     mat = np.asarray(getattr(op, "matrix", op), dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

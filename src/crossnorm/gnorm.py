@@ -16,6 +16,7 @@ from .core import (
     BipartiteVector,
     operator_norm,
     operator_schmidt,
+    outward,
     rng_from_seed,
 )
 
@@ -101,7 +102,8 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     ties broken by the lowest restart index.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
-    vectors, ``upper_bound`` is ||L||_inf.
+    vectors up to rounding, and rounded down to cover it; ``upper_bound``
+    is ||L||_inf.
     """
     mat = L.matrix
     if not np.all(np.isfinite(mat)):
@@ -153,30 +155,16 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
     if abs(obj) > 0.0:
         phi = phi * (obj / abs(obj))  # make the reported objective real nonnegative
-    return GNormEstimate(
-        lower_bound=float(best_val),
-        upper_bound=upper,
-        phi=phi,
-        psi=psi,
-        eta=eta,
-        chi=chi,
-        iterations_used=best_iters,
-        converged=best_converged,
-        best_restart=best_restart,
-        histories=histories,
-    )
+    return GNormEstimate(outward(best_val, L.shape.total, up=False), upper, phi, psi, eta, chi,
+                         iterations_used=best_iters, converged=best_converged,
+                         best_restart=best_restart, histories=histories)
 
 
 def _operator_schmidt_start(L: BipartiteOperator):
     """Deterministic warm start from the top operator-Schmidt factors of L."""
     form = operator_schmidt(L)
     if form.rank == 0:
-        dh, dj = L.shape.dh, L.shape.dj
-        eta = np.zeros(dh, dtype=complex)
-        eta[0] = 1.0
-        chi = np.zeros(dj, dtype=complex)
-        chi[0] = 1.0
-        return eta, chi
+        return np.eye(L.shape.dh, dtype=complex)[0], np.eye(L.shape.dj, dtype=complex)[0]
     g, h = form.left_ops[0], form.right_ops[0]
     _, _, gvh = np.linalg.svd(g)
     _, _, hvh = np.linalg.svd(h)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _Analysis
-from .core import BipartiteOperator, BipartiteShape, BipartiteVector, schmidt_decompose
+from .core import BipartiteOperator, BipartiteShape, BipartiteVector, outward, schmidt_decompose
 from .gnorm import SeeSawConfig
 
 DENSE_CUTOFF = 512
@@ -231,7 +231,7 @@ def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
         if family.shape(n).total <= DENSE_CUTOFF:
             cfg = config if config is not None else SeeSawConfig(seed=0, restarts=4, max_iters=60)
             op = family.dense_operator(n)
-            dense = float(_Analysis(op, cfg).lower[0])
+            dense = outward(_Analysis(op, cfg).lower[0], op.shape.total, up=False)
         rows.append(
             {
                 "N": n,

@@ -222,6 +222,140 @@ def test_witness_rejects_non_psd():
         lower_bound_witness(BipartiteOperator(BipartiteShape(2, 2), m), CFG)
 
 
+def test_witness_seesaw_closed_forms():
+    from crossnorm.bounds import _witness_seesaw
+
+    for d in (2, 3, 4):
+        op = max_entangled(d)
+        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d), use_abs=False)
+        assert abs(q - d) <= 1e-12 * d
+    coeffs = [0.8, 0.5, np.sqrt(0.11)]
+    op = pure_with_schmidt(coeffs).projector()
+    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1), use_abs=False)
+    assert abs(q - sum(coeffs) ** 2) <= 1e-12 * sum(coeffs) ** 2
+    assert witness_value(op, BipartiteVector(op.shape, c)) == pytest.approx(q, rel=1e-12)
+
+
+def _reference_seesaw(mat, shape, config, use_abs):
+    """The see-saw one restart and one candidate at a time, with np.kron."""
+    rng = np.random.default_rng(config.seed)
+    n = shape.total
+    w, u = np.linalg.eigh(mat)
+    starts = [u[:, np.argsort(-np.abs(w) if use_abs else -w)[0]]]
+    for _ in range(config.restarts - 1):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        starts.append(z / np.linalg.norm(z))
+    best_q = -np.inf
+    for c in starts:
+        prev, stall = -np.inf, 0
+        for _ in range(config.max_iters):
+            sf = schmidt_decompose(BipartiteVector(shape, c))
+            pairs = zip(sf.left_vectors, sf.right_vectors)
+            basis = np.column_stack([np.kron(x, y) for x, y in pairs])
+            m = basis.conj().T @ mat @ basis
+            m = (m + m.conj().T) / 2
+            uv = np.linalg.eigh(m)[1]
+            sources = [np.ones(sf.rank), uv[:, -1]] + ([uv[:, 0]] if use_abs else [])
+            cands = [sf.coefficients.astype(complex)]
+            for vec in sources:
+                ph = np.where(np.abs(vec) > 1e-12, vec / np.maximum(np.abs(vec), 1e-300), 1)
+                cands += [np.where(np.arange(sf.rank) < k, ph, 0) for k in range(1, sf.rank + 1)]
+            vals = [(abs(y.conj() @ m @ y) if use_abs else (y.conj() @ m @ y).real)
+                    / np.abs(y).max() ** 2 for y in cands]
+            q = max(vals)
+            best_q = max(best_q, q)
+            stall = stall + 1 if q <= prev + config.tol * max(abs(q), 1.0) else 0
+            if stall >= 2:
+                break
+            prev = q
+            nxt = mat @ (basis @ cands[int(np.argmax(vals))])
+            if np.linalg.norm(nxt) < 1e-300:
+                break
+            c = nxt / np.linalg.norm(nxt)
+    return best_q
+
+
+def test_witness_seesaw_matches_the_loop_reference():
+    from crossnorm.bounds import _witness_seesaw
+
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    ops = [max_entangled(3), pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)]).projector(),
+           isotropic(0.3, 3), BipartiteOperator(BipartiteShape(2, 3), m + m.conj().T)]
+    ops += [random_density(BipartiteShape(dh, dj), 40 + dh) for dh, dj in ((2, 2), (3, 2), (3, 3))]
+    cfg = SeeSawConfig(seed=5, restarts=5, max_iters=60)
+    for op in ops:
+        for use_abs in (False, True):
+            q, _ = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+            # the same steps, summed in another order: agreement to rounding
+            ref = _reference_seesaw(op.matrix, op.shape, cfg, use_abs)
+            assert q == pytest.approx(ref, rel=1e-12)
+
+
+def test_witness_seesaw_is_deterministic():
+    from crossnorm.bounds import _witness_seesaw
+
+    op = random_density(BipartiteShape(3, 3), 12)
+    cfg = SeeSawConfig(seed=9)
+    for use_abs in (False, True):
+        q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+        q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+        assert q1 == q2 and np.array_equal(c1, c2)
+
+
+def test_rebalance_rows_groups_mixed_schmidt_ranks():
+    from crossnorm import bounds
+
+    shape = BipartiteShape(3, 4)
+    op = random_density(shape, 4)
+    rows = np.array([
+        np.kron([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # Schmidt rank 1
+        flat_schmidt_sum(random_pure(shape, 6), 2)[0].entries,  # rank 2
+        random_pure(shape, 5).entries,  # rank 3
+    ], dtype=complex)
+    for use_abs in (False, True):
+        q, c = bounds._rebalance_rows(op.matrix, shape, rows, use_abs)
+        for i, row in enumerate(rows):
+            qi, ci = bounds._rebalance_rows(op.matrix, shape, row[None], use_abs)
+            assert q[i] == pytest.approx(qi[0], rel=1e-12)
+            assert np.allclose(c[i], ci[0], atol=1e-12)
+
+
+def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step(monkeypatch):
+    from crossnorm import bounds
+
+    # a rank-two density: the warm start has Schmidt rank 2, random starts rank 3
+    shape = BipartiteShape(3, 3)
+    e = np.eye(3)
+    v = 0.8 * np.kron(e[0], e[0]) + 0.6 * np.kron(e[1], e[1])
+    w = np.kron(e[2], e[2])
+    op = BipartiteOperator(shape, 0.7 * np.outer(v, v) + 0.3 * np.outer(w, w))
+    ranks_seen = []
+    step = bounds._rebalance_rows
+
+    def recorded(mat, shape, c, use_abs):
+        s = np.linalg.svd(c.reshape(-1, shape.dh, shape.dj), compute_uv=False)
+        ranks_seen.append(set((s > 1e-12 * s[:, :1]).sum(axis=1).tolist()))
+        return step(mat, shape, c, use_abs)
+
+    monkeypatch.setattr(bounds, "_rebalance_rows", recorded)
+    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), use_abs=False)
+    assert any(len(r) > 1 for r in ranks_seen)
+    assert witness_value(op, BipartiteVector(shape, c)) == pytest.approx(q, rel=1e-12)
+
+
+def test_witness_seesaw_more_restarts_never_lower():
+    from crossnorm.bounds import _witness_seesaw
+
+    v = pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)])  # the warm start is v itself
+    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1), False)
+    assert q == pytest.approx(pure_pi_norm(v), rel=1e-12)
+    op = random_density(BipartiteShape(2, 3), 21)
+    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k), False)[0]
+          for k in (1, 2, 5, 16, 32)]
+    assert qs == sorted(qs)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian upper bounds
 
@@ -359,6 +493,25 @@ def test_tiny_operator_keeps_a_valid_upper_certificate():
     assert validate_decomposition(op, nb.certificates["h_upper"]).certifies_h_upper
     assert nb.pi_upper == pytest.approx(2e-16, rel=1e-9)
     assert nb.h_upper == pytest.approx(3e-16, rel=1e-9)
+
+
+def _bracket_inputs():
+    yield from (max_entangled(d) for d in (2, 3, 4))
+    bell = max_entangled(2)
+    yield from (BipartiteOperator(bell.shape, k * bell.matrix) for k in (1e8, 1e-12))
+    yield from (BipartiteOperator(BipartiteShape(d, d), np.eye(d * d) / d**2) for d in (2, 3))
+    yield pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)]).projector()
+    yield isotropic(0.0, 2)
+    yield isotropic(1.0, 2)
+    yield BipartiteOperator(BipartiteShape(1, 1), np.eye(1))
+    yield random_density(BipartiteShape(1, 3), 13)
+
+
+def test_brackets_are_never_inverted():
+    for op in _bracket_inputs():
+        nb = pi_bounds(op, SeeSawConfig(seed=1), include_robustness=False)
+        assert nb.pi_lower <= nb.pi_upper, op.shape
+        assert nb.h_lower <= nb.h_upper, op.shape
 
 
 def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):

@@ -186,3 +186,16 @@ def test_classify_stdout(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["verdict"] == "Entangled"
     assert rep["results"]["detection_value"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [[0.8, 0.6], [0.8, 0.5, np.sqrt(0.11)],
+                                    [0.6, 0.5, 0.5, np.sqrt(0.14)]])
+def test_witness_g_bracket_is_not_inverted(tmp_path, coeffs):
+    state_file = tmp_path / "pure.json"
+    run(["gallery", "pure-schmidt", "--coeffs", ",".join(map(str, coeffs)), "--out", state_file])
+    for n in range(1, len(coeffs) + 1):
+        out = tmp_path / f"w{n}.json"
+        assert run(["witness", state_file, n, "--seed", 1, "--no-timestamp",
+                    "--json-out", out]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["g_norm_seesaw_lower"] <= res["g_norm_certified_upper"]

@@ -1,0 +1,61 @@
+"""Property tests of the projective-norm bracket on seeded small densities."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from crossnorm import (  # noqa: E402
+    BipartiteOperator,
+    BipartiteShape,
+    SeeSawConfig,
+    pi_bounds,
+    random_density,
+)
+
+CFG = SeeSawConfig(seed=17)
+SHAPES = st.sampled_from([(2, 2), (2, 3)])
+SEEDS = st.integers(0, 2**31 - 1)
+PROPERTY = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+
+
+def _density(shape, seed):
+    return random_density(BipartiteShape(*shape), seed)
+
+
+def _unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _bounds(op):
+    return pi_bounds(op, CFG, include_robustness=False)
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, SEEDS)
+def test_pi_lower_is_local_unitary_invariant(shape, seed, frame):
+    op = _density(shape, seed)
+    rng = np.random.default_rng(frame)
+    u = np.kron(_unitary(shape[0], rng), _unitary(shape[1], rng))
+    moved = BipartiteOperator(op.shape, u @ op.matrix @ u.conj().T)
+    assert _bounds(moved).pi_lower == pytest.approx(_bounds(op).pi_lower, rel=1e-9)
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, st.integers(-6, 6))
+def test_pi_lower_scales_with_the_operator(shape, seed, k):
+    op = _density(shape, seed)
+    scaled = BipartiteOperator(op.shape, 10.0**k * op.matrix)
+    assert _bounds(scaled).pi_lower == pytest.approx(10.0**k * _bounds(op).pi_lower, rel=1e-9)
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, st.integers(-6, 6))
+def test_pi_bracket_is_not_inverted(shape, seed, k):
+    op = BipartiteOperator(BipartiteShape(*shape), 10.0**k * _density(shape, seed).matrix)
+    nb = _bounds(op)
+    assert nb.pi_lower <= nb.pi_upper
+    assert nb.h_lower <= nb.h_upper
