@@ -21,6 +21,12 @@ compressed matrices in one stacked ``eigh`` and scores every rebalancing
 candidate at once.  Restarts of one kept Schmidt rank share a stack, and
 stacks are cut so that their product bases stay small at large n.
 
+The product-state ascent that prices the next atom of ``separable_fit``
+and of the robustness search takes a list of matrices; every start of
+every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
+with the same results, bit for bit, as one start at a time.  The searches
+keep each atom's product matrix and fit column once it is added.
+
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
 A ``SignedDecomposition`` sum_k t_k rho_k (x) sigma_k over product
@@ -549,41 +555,50 @@ def _column(atom) -> np.ndarray:
     return _embed_matrix(np.kron(*_densities(atom)))
 
 
-def _max_product_expectation(mat: np.ndarray, shape: BipartiteShape, rng, n_starts=5,
-                             iters=40, extra_starts=()):
-    """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors.
+def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
+                             extra_starts=None) -> list:
+    """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors for
+    each R in ``mats``: one (value, phi, psi) per matrix.
 
-    Alternating eigenvector ascent; monotone in the objective.
+    Alternating eigenvector ascent, monotone in the objective.  Each matrix
+    starts from the leading Schmidt pair of its top eigenvector, then its
+    own ``extra_starts[m]``, then ``n_starts - 1`` random pairs drawn from
+    ``rng`` in matrix order.  All starts of all matrices advance in one
+    stack; a start stops once a step gains no more than 1e-14 (relative).
+    A matrix's best is its first start with the largest value.
     """
     dh, dj = shape.dh, shape.dj
-    t = mat.reshape(dh, dj, dh, dj)
-    w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    lead = schmidt_decompose(BipartiteVector(shape, u[:, -1]))
-    starts = [(lead.left_vectors[0], lead.right_vectors[0])]
-    starts.extend(extra_starts)
-    for _ in range(n_starts - 1):
-        zp = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
-        zq = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
-        starts.append((zp / np.linalg.norm(zp), zq / np.linalg.norm(zq)))
-
-    best = (-np.inf, None, None)
-    for phi, psi in starts:
-        val = -np.inf
-        for _ in range(iters):
-            a = np.einsum("ikjl,k,l->ij", t, psi.conj(), psi)
-            _, ua = np.linalg.eigh((a + a.conj().T) / 2)
-            phi = ua[:, -1]
-            b = np.einsum("ikjl,i,j->kl", t, phi.conj(), phi)
-            wb, ub = np.linalg.eigh((b + b.conj().T) / 2)
-            psi = ub[:, -1]
-            new = float(wb[-1].real)
-            if new <= val + 1e-14 * max(abs(new), 1.0):
-                val = new
-                break
-            val = new
-        if val > best[0]:
-            best = (val, phi, psi)
-    return best
+    mats = np.stack(mats)
+    u = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)[1]
+    owner, phi, psi = [], [], []
+    for m, extra in enumerate(extra_starts or [()] * len(mats)):
+        lead = schmidt_decompose(BipartiteVector(shape, u[m, :, -1]))
+        starts = [(lead.left_vectors[0], lead.right_vectors[0]), *extra]
+        for _ in range(n_starts - 1):
+            zp = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
+            zq = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
+            starts.append((zp / np.linalg.norm(zp), zq / np.linalg.norm(zq)))
+        owner += [m] * len(starts)
+        phi += [p for p, _ in starts]
+        psi += [q for _, q in starts]
+    owner, phi, psi = np.array(owner), np.array(phi, dtype=complex), np.array(psi, dtype=complex)
+    t = mats.reshape(-1, dh, dj, dh, dj)[owner]
+    val = np.full(owner.size, -np.inf)
+    active = np.arange(owner.size)
+    for _ in range(iters):
+        ta, qa = t[active], psi[active]
+        a = np.einsum("bikjl,bk,bl->bij", ta, qa.conj(), qa)
+        pa = phi[active] = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
+        b = np.einsum("bikjl,bi,bj->bkl", ta, pa.conj(), pa)
+        wb, ub = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
+        psi[active], new = ub[:, :, -1], wb[:, -1]
+        done = new <= val[active] + 1e-14 * np.maximum(np.abs(new), 1.0)
+        val[active] = new
+        active = active[~done]
+        if active.size == 0:
+            break
+    best = [np.flatnonzero(owner == m)[np.argmax(val[owner == m])] for m in range(len(mats))]
+    return [(float(val[i]), phi[i], psi[i]) for i in best]
 
 
 def _seed_atoms(op: BipartiteOperator) -> list:
@@ -623,7 +638,8 @@ def separable_fit(
     tn_target = max(trace_norm(target), 1e-300)
     d = _embed_matrix(target)
     atoms = _seed_atoms(op)
-    cols = [_column(a) for a in atoms]
+    prods = [np.kron(*_densities(a)) for a in atoms]  # kept for the residuals
+    cols = [_embed_matrix(p) for p in prods]
 
     weights = np.zeros(len(atoms))
     rounds = 0
@@ -631,7 +647,8 @@ def separable_fit(
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
         weights, _ = nnls(a_mat, d)
-        residual = target - _decomposition_from(atoms, weights, op.shape, cutoff=0.0).reconstruct()
+        residual = target - sum((float(w) * p for w, p in zip(weights, prods) if abs(w) > 0),
+                                np.zeros(target.shape, dtype=complex))
         err = trace_norm(residual) / tn_target
         if err <= tol:
             dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14)
@@ -641,25 +658,23 @@ def separable_fit(
             recent.pop(0)
             if recent[0] <= recent[-1] * 1.01:
                 break  # plateau well above tolerance: target is outside the cone
-        val, phi, psi = _max_product_expectation(residual, op.shape, rng)
+        [(val, phi, psi)] = _max_product_expectation([residual], op.shape, rng)
         if val <= 1e-13 * tn_target:
             break  # no product direction improves: target is outside the cone
-        atoms.append((phi, psi))
-        cols.append(_column(atoms[-1]))
+        fresh = [(phi, psi)]
         if rounds % 3 == 0 and err <= 0.1:
-            for i in np.argsort(-weights)[:12]:
-                if weights[i] <= 1e-12:
-                    break
-                loo = residual + weights[i] * np.kron(*_densities(atoms[i]))
-                _, p2, q2 = _max_product_expectation(
-                    loo, op.shape, rng, n_starts=2, iters=25,
-                    extra_starts=(atoms[i],),
-                )
-                atoms.append((p2, q2))
-                cols.append(_column(atoms[-1]))
+            top = np.argsort(-weights)[:12]
+            top = top[weights[top] > 1e-12]  # sorted: cut at the first light atom
+            if top.size:  # each heavy atom against its leave-one-out residual
+                fresh += [(p2, q2) for _, p2, q2 in _max_product_expectation(
+                    [residual + weights[i] * prods[i] for i in top], op.shape, rng,
+                    n_starts=2, iters=25, extra_starts=[[atoms[i]] for i in top])]
+        atoms += fresh
+        prods += [np.kron(*_densities(a)) for a in fresh]
+        cols += [_embed_matrix(p) for p in prods[-len(fresh):]]
         if len(atoms) > atom_budget:
             padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
-            atoms, cols, weights = _prune(atoms, cols, padded, atom_budget)
+            atoms, prods, cols, weights = _prune(padded, atom_budget, atoms, prods, cols)
     return None, rounds
 
 
@@ -682,15 +697,12 @@ def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarra
     return out
 
 
-def _prune(atoms, cols, weights, budget):
-    """Keep active atoms first, then the most recent, up to the budget."""
-    order = sorted(range(len(atoms)), key=lambda i: (weights[i] <= 1e-14, -i))
+def _prune(weights, budget, *aligned):
+    """Keep active atoms first, then the most recent, up to the budget: the
+    kept entries of each list in ``aligned``, then their weights."""
+    order = sorted(range(len(weights)), key=lambda i: (weights[i] <= 1e-14, -i))
     keep = sorted(order[:budget])
-    return (
-        [atoms[i] for i in keep],
-        [cols[i] for i in keep],
-        np.array([weights[i] for i in keep]),
-    )
+    return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
 
 
 def robustness_upper(
@@ -729,10 +741,11 @@ def robustness_upper(
 
     rng = rng_from_seed(config.seed + 1)
     d = _embed_matrix(op.matrix)
+    cols = [_column(a) for a in atoms]  # one per atom, appended as atoms come
     best = base_dec
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        a_mat = np.column_stack([_column(a) for a in atoms])
+        a_mat = np.column_stack(cols)
         k = a_mat.shape[1]
         res = linprog(
             c=np.ones(2 * k),
@@ -751,12 +764,13 @@ def robustness_upper(
         y = res.eqlin.marginals
         ymat = (y[: n * n] + 1j * y[n * n :]).reshape(n, n)
         ymat = (ymat + ymat.conj().T) / 2
-        vplus, phi_p, psi_p = _max_product_expectation(ymat, shape, rng, n_starts=4)
-        vminus, phi_m, psi_m = _max_product_expectation(-ymat, shape, rng, n_starts=4)
+        (vplus, phi_p, psi_p), (vminus, phi_m, psi_m) = _max_product_expectation(
+            [ymat, -ymat], shape, rng, n_starts=4)
         gain = max(abs(vplus), abs(vminus))
         if gain <= 1.0 + 1e-7:
             break
         atoms.append((phi_p, psi_p) if abs(vplus) >= abs(vminus) else (phi_m, psi_m))
+        cols.append(_column(atoms[-1]))
 
     err = trace_norm(op.matrix - best.reconstruct()) / tn_target
     if err > VALIDATE_TOL:

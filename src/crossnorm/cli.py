@@ -24,6 +24,7 @@ from .core import (
     BipartiteVector,
     ShapeError,
     from_state_dict,
+    outward,
     to_state_dict,
 )
 from .gnorm import SeeSawConfig, g_norm_seesaw
@@ -130,33 +131,33 @@ def _certificate_dicts(bounds) -> dict:
     return certs
 
 
-def _run_on_state(args, computation: str, compute) -> int:
-    """Load the state at ``args.path``, run ``compute(op, config)`` for its
-    (results, certificates) and emit the report."""
+def _run_on_state(args, computation: str, compute, load=load_state) -> int:
+    """Load the state at ``args.path`` with ``load``, run ``compute(state,
+    config)`` for its (results, certificates) and emit the report."""
     t0 = time.perf_counter()
-    state = load_state(args.path)
-    op = _as_operator(state)
+    state = load(args.path)
     cfg = _config(args)
-    results, certs = compute(op, cfg)
+    results, certs = compute(state, cfg)
     _emit(args, _report(args, computation, _digest(state, args.path), results, certs, t0))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    def compute(op, cfg):
-        nb = pi_bounds(op, cfg, include_robustness=not args.no_robustness)
+    def compute(state, cfg):
+        nb = pi_bounds(_as_operator(state), cfg, include_robustness=not args.no_robustness)
         return nb.to_dict(), _certificate_dicts(nb)
 
     return _run_on_state(args, "bounds", compute)
 
 
 def cmd_classify(args) -> int:
-    return _run_on_state(args, "classify", lambda op, cfg: (classify(op, cfg).to_dict(), None))
+    return _run_on_state(args, "classify",
+                         lambda state, cfg: (classify(_as_operator(state), cfg).to_dict(), None))
 
 
 def cmd_gnorm(args) -> int:
-    def compute(op, cfg):
-        est = g_norm_seesaw(op, cfg)
+    def compute(state, cfg):
+        est = g_norm_seesaw(_as_operator(state), cfg)
         results = {
             "g_norm": {
                 "lower": est.lower_bound,
@@ -172,34 +173,37 @@ def cmd_gnorm(args) -> int:
     return _run_on_state(args, "gnorm", compute)
 
 
-def cmd_witness(args) -> int:
-    t0 = time.perf_counter()
-    state = load_state(args.path)
+def _load_vector(path: str) -> BipartiteVector:
+    """The vector state at ``path``; a pure operator becomes its vector."""
+    state = load_state(path)
     if isinstance(state, BipartiteOperator):
         w, u = np.linalg.eigh(state.matrix)
         if w[:-1].max(initial=0.0) > 1e-10 * max(w[-1], 1e-300):
             raise InputError("witness construction needs a vector state or a pure operator")
         state = BipartiteVector(state.shape, u[:, -1] * np.sqrt(max(w[-1], 0.0)))
-    cfg = _config(args)
-    wit = build_witness_EN(state.normalized(), args.N)
-    check = witness_check(wit, state.normalized().projector(), cfg)
-    results = {
-        "construction": wit.construction,
-        "g_norm_certified_upper": wit.g_norm_certified_upper,
-        "g_norm_seesaw_lower": check.g_norm_seesaw_lower,
-        "operator_norm": check.operator_norm,
-        "expectation_on_input": check.expectation,
-        "w1": check.w1,
-        "w2": check.w2,
-    }
-    rep = _report(args, "witness", _digest(state, args.path), results,
-                  {"witness": wit.to_dict()}, t0)
-    _emit(args, rep)
-    if args.witness_out:
-        Path(args.witness_out).write_text(
-            json.dumps(to_state_dict(wit.operator), indent=2, sort_keys=True) + "\n"
-        )
-    return 0
+    return state
+
+
+def cmd_witness(args) -> int:
+    def compute(state, cfg):
+        wit = build_witness_EN(state.normalized(), args.N)
+        check = witness_check(wit, state.normalized().projector(), cfg)
+        if args.witness_out:
+            Path(args.witness_out).write_text(
+                json.dumps(to_state_dict(wit.operator), indent=2, sort_keys=True) + "\n"
+            )
+        results = {
+            "construction": wit.construction,
+            "g_norm_certified_upper": wit.g_norm_certified_upper,
+            "g_norm_seesaw_lower": check.g_norm_seesaw_lower,
+            "operator_norm": check.operator_norm,
+            "expectation_on_input": check.expectation,
+            "w1": check.w1,
+            "w2": check.w2,
+        }
+        return results, {"witness": wit.to_dict()}
+
+    return _run_on_state(args, "witness", compute, load=_load_vector)
 
 
 def cmd_gallery(args) -> int:
@@ -264,7 +268,7 @@ def cmd_sweep(args) -> int:
             rows.append(
                 {
                     "p": p,
-                    "witness_lower": an.witness[0],
+                    "witness_lower": outward(an.witness[0], op.shape.total, up=False),
                     "pi_lower": nb.pi_lower,
                     "pi_upper": nb.pi_upper,
                     "verdict": _classify(an).verdict,

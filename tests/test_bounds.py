@@ -357,6 +357,98 @@ def test_witness_seesaw_more_restarts_never_lower():
 
 
 # ---------------------------------------------------------------------------
+# product-state ascent
+
+
+def _reference_product_ascent(mat, shape, rng, n_starts=5, iters=40, extra_starts=()):
+    """The product ascent one matrix and one start at a time."""
+    dh, dj = shape.dh, shape.dj
+    t = mat.reshape(dh, dj, dh, dj)
+    _, u = np.linalg.eigh((mat + mat.conj().T) / 2)
+    lead = schmidt_decompose(BipartiteVector(shape, u[:, -1]))
+    starts = [(lead.left_vectors[0], lead.right_vectors[0])]
+    starts.extend(extra_starts)
+    for _ in range(n_starts - 1):
+        zp = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
+        zq = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
+        starts.append((zp / np.linalg.norm(zp), zq / np.linalg.norm(zq)))
+    best = (-np.inf, None, None)
+    for phi, psi in starts:
+        val = -np.inf
+        for _ in range(iters):
+            a = np.einsum("ikjl,k,l->ij", t, psi.conj(), psi)
+            phi = np.linalg.eigh((a + a.conj().T) / 2)[1][:, -1]
+            b = np.einsum("ikjl,i,j->kl", t, phi.conj(), phi)
+            wb, ub = np.linalg.eigh((b + b.conj().T) / 2)
+            psi = ub[:, -1]
+            new = float(wb[-1].real)
+            stop = new <= val + 1e-14 * max(abs(new), 1.0)
+            val = new
+            if stop:
+                break
+        if val > best[0]:
+            best = (val, phi, psi)
+    return best
+
+
+def _hermitian(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = shape.total
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2
+
+
+def _assert_same_result(got, ref):
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+
+
+@pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])
+def test_product_ascent_matches_the_loop_reference(dh, dj):
+    from crossnorm.bounds import _max_product_expectation
+
+    shape = BipartiteShape(dh, dj)
+    for seed in (1, 2, 3):
+        mat = _hermitian(shape, seed)
+        extra = (random_pure(BipartiteShape(1, dh), seed).entries,
+                 random_pure(BipartiteShape(1, dj), seed + 9).entries)
+        for extra_starts in ((), (extra,)):
+            ref = _reference_product_ascent(mat, shape, np.random.default_rng(seed),
+                                            extra_starts=extra_starts)
+            [got] = _max_product_expectation([mat], shape, np.random.default_rng(seed),
+                                             extra_starts=[extra_starts])
+            _assert_same_result(got, ref)
+
+
+def test_product_ascent_batch_equals_sequential_calls():
+    from crossnorm.bounds import _max_product_expectation
+
+    shape = BipartiteShape(2, 3)
+    mats = [_hermitian(shape, s) for s in (4, 5, 6)]
+    seq_rng, batch_rng = np.random.default_rng(8), np.random.default_rng(8)
+    seq = [_max_product_expectation([m], shape, seq_rng, n_starts=3)[0] for m in mats]
+    batch = _max_product_expectation(mats, shape, batch_rng, n_starts=3)
+    for got, ref in zip(batch, seq, strict=True):
+        _assert_same_result(got, ref)
+    assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+def test_product_ascent_single_start_and_single_step():
+    from crossnorm.bounds import _max_product_expectation
+
+    shape = BipartiteShape(3, 2)
+    mats = [_hermitian(shape, 10), _hermitian(shape, 11)]
+    for kwargs in ({"n_starts": 1}, {"iters": 1}, {"n_starts": 1, "iters": 1}):
+        got = _max_product_expectation(mats, shape, np.random.default_rng(2), **kwargs)
+        rng = np.random.default_rng(2)
+        for g, m in zip(got, mats, strict=True):
+            _assert_same_result(g, _reference_product_ascent(m, shape, rng, **kwargs))
+            val, phi, psi = g
+            prod = np.kron(phi, psi)
+            assert val == pytest.approx((prod.conj() @ m @ prod).real, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Hermitian upper bounds
 
 
@@ -420,6 +512,63 @@ def test_robustness_bell():
     dec = res.decomposition
     assert dec.weight == pytest.approx(2.0 * dec.alpha - 1.0, abs=1e-8)
     assert dec.weight == pytest.approx(res.value, abs=1e-12)
+
+
+def _record_ascent_calls(monkeypatch):
+    """Route bounds._max_product_expectation through a recorder of
+    (number of matrices, n_starts) per call."""
+    from crossnorm import bounds
+
+    calls = []
+    ascent = bounds._max_product_expectation
+
+    def recorded(mats, *args, **kwargs):
+        calls.append((len(mats), kwargs.get("n_starts", 5)))
+        return ascent(mats, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_max_product_expectation", recorded)
+    return calls
+
+
+def test_one_product_ascent_per_refinement_pass(monkeypatch):
+    from crossnorm.bounds import separable_fit
+
+    calls = _record_ascent_calls(monkeypatch)
+    op, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
+    dec, rounds = separable_fit(op, SeeSawConfig(seed=1))
+    assert dec is not None
+    pricing = [i for i, (_, n_starts) in enumerate(calls) if n_starts == 5]
+    passes = [i for i, (_, n_starts) in enumerate(calls) if n_starts == 2]
+    assert len(pricing) == rounds - 1 and all(calls[i][0] == 1 for i in pricing)
+    assert passes and all(calls[i][0] > 1 for i in passes)
+    # a refinement pass follows the pricing of every third round, once
+    assert all(i >= 1 and calls[i - 1][1] == 5 and pricing.index(i - 1) % 3 == 2 for i in passes)
+
+
+def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch):
+    from crossnorm import bounds
+
+    calls = _record_ascent_calls(monkeypatch)
+    fit, column = bounds.separable_fit, bounds._column
+    phase_two, columns = [], []
+
+    def fit_then_mark(*args, **kwargs):
+        out = fit(*args, **kwargs)
+        phase_two.append(len(calls))  # the ascent calls phase 1 made
+        return out
+
+    def counted_column(atom):
+        columns.append(atom)
+        return column(atom)
+
+    monkeypatch.setattr(bounds, "separable_fit", fit_then_mark)
+    monkeypatch.setattr(bounds, "_column", counted_column)
+    res = bounds.robustness_upper(random_density(BipartiteShape(2, 2), 7), CFG, max_rounds=8)
+    assert res.rounds_used >= 3
+    rounds = calls[phase_two[0]:]
+    assert rounds == [(2, 4)] * len(rounds)  # [ymat, -ymat] together, four starts each
+    assert res.rounds_used - 1 <= len(rounds) <= res.rounds_used
+    assert len({id(a) for a in columns}) == len(columns)  # no atom's column is rebuilt
 
 
 def test_unsuccessful_robustness_result_has_no_value():

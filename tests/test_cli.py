@@ -131,6 +131,25 @@ def test_witness_command_writes_file(tmp_path):
     assert wit.is_hermitian()
 
 
+def test_witness_command_on_operators(tmp_path, capsys):
+    from crossnorm import pure_with_schmidt
+    from crossnorm.separability import isotropic
+
+    pure = tmp_path / "pure_op.json"
+    pure.write_text(json.dumps(to_state_dict(pure_with_schmidt([0.8, 0.6]).projector())))
+    wfile = tmp_path / "witness.json"
+    assert run(["witness", pure, 2, "--seed", 4, "--no-timestamp", "--witness-out", wfile]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["input"]["kind"] == "vector"  # a pure operator is read as its vector
+    assert rep["results"]["expectation_on_input"] == pytest.approx(1.96, abs=1e-9)
+    assert from_state_dict(json.loads(wfile.read_text())).is_hermitian()
+
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(to_state_dict(isotropic(0.5, 2))))
+    assert run(["witness", mixed, 2, "--seed", 4]) == 1
+    assert "needs a vector state or a pure operator" in capsys.readouterr().err
+
+
 def test_sweep_isotropic_csv(tmp_path):
     out = tmp_path / "iso.csv"
     assert run(["sweep", "isotropic", "--d", 2, "--p", "0:1:0.25",
@@ -146,6 +165,17 @@ def test_sweep_isotropic_csv(tmp_path):
             assert r["verdict"] == "Entangled"
         else:
             assert r["verdict"] != "Entangled"
+
+
+def test_sweep_witness_lower_never_above_pi_lower(tmp_path):
+    out = tmp_path / "iso.csv"
+    assert run(["sweep", "isotropic", "--d", 2, "--p", "0:1:0.5", "--seed", 1,
+                "--no-timestamp", "--csv-out", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for r in rows:  # both are certified lower bounds, rounded down alike
+        assert float(r["witness_lower"]) <= float(r["pi_lower"])
 
 
 def test_sweep_divergence_csv(tmp_path):
