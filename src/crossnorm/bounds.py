@@ -27,6 +27,15 @@ every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
 with the same results, bit for bit, as one start at a time.  The searches
 keep each atom's product matrix and fit column once it is added.
 
+Phase 2 of the robustness search is column generation over a dictionary of
+at most ``atom_budget`` product states.  Its linear program has one row per
+real parameter of a Hermitian n x n matrix (n^2, not 2 n^2), and its dual
+is read back as a Hermitian Y with tr(Y X) = y . emb(X).  Every start of the
+product ascent on [Y, -Y] whose local maximum beats 1 + 1e-7 enters in the
+same round, near duplicates removed; before they enter, atoms without LP
+weight are pruned, oldest first.  A round's error comes from the LP columns,
+and the decomposition is built once, from the lightest accurate round.
+
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
 A ``SignedDecomposition`` sum_k t_k rho_k (x) sigma_k over product
@@ -63,6 +72,7 @@ from .gnorm import SeeSawConfig
 
 VALIDATE_TOL = 1e-8
 PINCH_TOL = 1e-6
+PRICING_TOL = 1e-7  # the signed search stops when no product state prices above 1 + this
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +520,17 @@ class RobustnessResult:
 
     Everything but the search record derives from ``decomposition``, which
     is None when the search failed: D = alpha D1 - (alpha-1) D2, with
-    alpha = (1 + value) / 2 for unit-trace targets.
+    alpha = (1 + value) / 2 for unit-trace targets.  ``message`` says which
+    phase found the certificate and why the signed search stopped.
     """
 
-    success: bool
     decomposition: SignedDecomposition | None
     rounds_used: int
     message: str = ""
+
+    @property
+    def success(self) -> bool:
+        return self.decomposition is not None
 
     @property
     def value(self) -> float:
@@ -550,22 +564,40 @@ def _embed_matrix(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
+def _embed_hermitian(mat: np.ndarray) -> np.ndarray:
+    """The n^2 real parameters of a Hermitian matrix: its diagonal, then the
+    real and the imaginary parts of its upper triangle."""
+    upper = mat[np.triu_indices(mat.shape[0], 1)]
+    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+
+
+def _hermitian_from(vec: np.ndarray, n: int, dual: bool = False) -> np.ndarray:
+    """The n x n Hermitian matrix with parameters ``vec``, the inverse of
+    :func:`_embed_hermitian`; with ``dual``, the Y with tr(Y X) = vec . emb(X)."""
+    iu = np.triu_indices(n, 1)
+    m = iu[0].size
+    upper = (vec[n:n + m] + 1j * vec[n + m:]) * (0.5 if dual else 1.0)
+    out = np.diag(vec[:n].astype(complex))
+    out[iu], out[iu[::-1]] = upper, upper.conj()
+    return out
+
+
 def _column(atom) -> np.ndarray:
-    """The atom's product density as a real column for the fits."""
-    return _embed_matrix(np.kron(*_densities(atom)))
+    """The atom's product density as a real column of the signed LP."""
+    v = np.kron(*atom)
+    return _embed_hermitian(np.outer(v, v.conj()))
 
 
-def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
-                             extra_starts=None) -> list:
-    """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors for
-    each R in ``mats``: one (value, phi, psi) per matrix.
+def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None):
+    """Local maxima of <phi (x) psi| R |phi (x) psi> over unit product vectors
+    from every start of every R in ``mats``: arrays (owner, value, phi, psi)
+    with one entry per start, ``owner`` the index of its matrix.
 
     Alternating eigenvector ascent, monotone in the objective.  Each matrix
     starts from the leading Schmidt pair of its top eigenvector, then its
     own ``extra_starts[m]``, then ``n_starts - 1`` random pairs drawn from
     ``rng`` in matrix order.  All starts of all matrices advance in one
     stack; a start stops once a step gains no more than 1e-14 (relative).
-    A matrix's best is its first start with the largest value.
     """
     dh, dj = shape.dh, shape.dj
     mats = np.stack(mats)
@@ -597,6 +629,16 @@ def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters
         active = active[~done]
         if active.size == 0:
             break
+    return owner, val, phi, psi
+
+
+def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
+                             extra_starts=None) -> list:
+    """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors for
+    each R in ``mats``: one (value, phi, psi) per matrix, the first start of
+    :func:`_product_ascent` with the largest value.
+    """
+    owner, val, phi, psi = _product_ascent(mats, shape, rng, n_starts, iters, extra_starts)
     best = [np.flatnonzero(owner == m)[np.argmax(val[owner == m])] for m in range(len(mats))]
     return [(float(val[i]), phi[i], psi[i]) for i in best]
 
@@ -631,7 +673,8 @@ def separable_fit(
     periodic refinement pass re-optimizes the heaviest active atoms against
     their leave-one-out residuals, which repairs the slow tail on curved
     faces of the separable set.  Succeeds when the residual trace norm
-    drops below ``tol`` relative to the target trace norm.
+    drops below ``tol`` relative to the target trace norm; every weight
+    cutoff is relative to that trace norm too, so the fit scales with ``op``.
     """
     rng = rng_from_seed(config.seed)
     target = op.matrix
@@ -651,7 +694,7 @@ def separable_fit(
                                 np.zeros(target.shape, dtype=complex))
         err = trace_norm(residual) / tn_target
         if err <= tol:
-            dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14)
+            dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14 * tn_target)
             return dec, rounds
         recent.append(err)
         if len(recent) > 12:
@@ -664,7 +707,7 @@ def separable_fit(
         fresh = [(phi, psi)]
         if rounds % 3 == 0 and err <= 0.1:
             top = np.argsort(-weights)[:12]
-            top = top[weights[top] > 1e-12]  # sorted: cut at the first light atom
+            top = top[weights[top] > 1e-12 * tn_target]  # sorted: cut at the first light atom
             if top.size:  # each heavy atom against its leave-one-out residual
                 fresh += [(p2, q2) for _, p2, q2 in _max_product_expectation(
                     [residual + weights[i] * prods[i] for i in top], op.shape, rng,
@@ -674,7 +717,8 @@ def separable_fit(
         cols += [_embed_matrix(p) for p in prods[-len(fresh):]]
         if len(atoms) > atom_budget:
             padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
-            atoms, prods, cols, weights = _prune(padded, atom_budget, atoms, prods, cols)
+            atoms, prods, cols, weights = _prune(padded, atom_budget, 1e-14 * tn_target,
+                                                 atoms, prods, cols)
     return None, rounds
 
 
@@ -684,11 +728,11 @@ def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposi
     return SignedDecomposition(terms, shape)
 
 
-def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Least-squares refit on the LP's active support; the LP satisfies the
-    equality constraints only to solver tolerance, the refit restores
-    machine-precision reconstruction without changing the support."""
-    active = np.abs(t) > 1e-10
+def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray, cut: float) -> np.ndarray:
+    """Least-squares refit on the LP's support, the weights above ``cut``; the
+    LP satisfies the equality constraints only to solver tolerance, the refit
+    restores machine-precision reconstruction without changing the support."""
+    active = np.abs(t) > cut
     if not active.any():
         return t
     sol, *_ = np.linalg.lstsq(a_mat[:, active], d, rcond=None)
@@ -697,10 +741,11 @@ def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarra
     return out
 
 
-def _prune(weights, budget, *aligned):
-    """Keep active atoms first, then the most recent, up to the budget: the
-    kept entries of each list in ``aligned``, then their weights."""
-    order = sorted(range(len(weights)), key=lambda i: (weights[i] <= 1e-14, -i))
+def _prune(weights, budget, cut, *aligned):
+    """Keep active atoms (weight above ``cut``) first, then the most recent, up
+    to the budget: the kept entries of each list in ``aligned``, then their
+    weights."""
+    order = sorted(range(len(weights)), key=lambda i: (weights[i] <= cut, -i))
     keep = sorted(order[:budget])
     return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
 
@@ -714,11 +759,18 @@ def robustness_upper(
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
     Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1).
-    Phase 2 performs column generation for the weight-minimizing signed
-    combination: the dictionary starts from the signed decomposition built
-    by :func:`hermitian_upper` (so the result never exceeds that weight),
-    and each round solves the l1-minimal weight linear program and adds the
-    product state with the largest reduced cost taken from the LP dual.
+    Phase 2 is column generation for the weight-minimizing signed
+    combination.  The dictionary starts from the signed decomposition built
+    by :func:`hermitian_upper` (so the result never exceeds that weight) and
+    the local eigenbasis products.  Each round solves the l1-minimal weight
+    linear program over the n^2 real parameters of a Hermitian matrix, then
+    prices product states against its dual Y: every start of the product
+    ascent on [Y, -Y] whose local maximum beats 1 + PRICING_TOL enters,
+    near duplicates removed.  Before they enter, the dictionary is pruned to
+    ``atom_budget``: atoms with LP weight first, then the newest (an atom
+    with weight is never dropped).  It stops when no start beats
+    1 + PRICING_TOL, after ``max_rounds``, or when the LP fails, and its
+    ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
     unsuccessful result instead of raising.
@@ -732,7 +784,7 @@ def robustness_upper(
 
     mixture, rounds1 = separable_fit(op, config, atom_budget, max_rounds)
     if mixture is not None:  # weight equals the trace; 1 for a density
-        return RobustnessResult(True, mixture, rounds1, "nonnegative product mixture found")
+        return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition
     base_dec = an.signed
@@ -740,10 +792,11 @@ def robustness_upper(
     atoms.extend(_seed_atoms(op))
 
     rng = rng_from_seed(config.seed + 1)
-    d = _embed_matrix(op.matrix)
-    cols = [_column(a) for a in atoms]  # one per atom, appended as atoms come
-    best = base_dec
-    rounds = 0
+    d = _embed_hermitian(op.matrix)
+    cols = [_column(a) for a in atoms]  # one per atom, built as it enters
+    cut = 1e-12 * tn_target
+    best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
+    rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
         k = a_mat.shape[1]
@@ -753,30 +806,53 @@ def robustness_upper(
             b_eq=d,
             bounds=(0, None),
             method="highs",
+            options={"presolve": False},
         )
         if not res.success:
+            stop = f"LP failed: {res.message}"
             break
-        t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d)
-        dec = _decomposition_from(atoms, t, shape, cutoff=1e-12)
-        err = trace_norm(op.matrix - dec.reconstruct()) / tn_target
-        if err <= VALIDATE_TOL and dec.weight < best.weight:
-            best = dec
-        y = res.eqlin.marginals
-        ymat = (y[: n * n] + 1j * y[n * n :]).reshape(n, n)
-        ymat = (ymat + ymat.conj().T) / 2
-        (vplus, phi_p, psi_p), (vminus, phi_m, psi_m) = _max_product_expectation(
-            [ymat, -ymat], shape, rng, n_starts=4)
-        gain = max(abs(vplus), abs(vminus))
-        if gain <= 1.0 + 1e-7:
+        t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d, 1e-10 * tn_target)
+        t[np.abs(t) <= cut] = 0.0
+        # summed as SignedDecomposition.weight sums, so it equals the built weight
+        weight = float(sum(abs(float(w)) for w in t[t != 0.0]))
+        if weight < best_weight:
+            err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_target
+            if err <= VALIDATE_TOL:
+                best_weight, best_fit = weight, (list(atoms), t)
+        ymat = _hermitian_from(res.eqlin.marginals, n, dual=True)
+        _, vals, phis, psis = _product_ascent([ymat, -ymat], shape, rng, n_starts=4)
+        gain = float(np.abs(vals).max())
+        if gain <= 1.0 + PRICING_TOL:
+            stop = f"converged: pricing gain {gain:.10f} <= 1 + {PRICING_TOL:g}"
             break
-        atoms.append((phi_p, psi_p) if abs(vplus) >= abs(vminus) else (phi_m, psi_m))
-        cols.append(_column(atoms[-1]))
+        stop = f"max_rounds ({max_rounds}) exhausted, last pricing gain {gain:.10f}"
+        fresh = _distinct_atoms(vals, phis, psis)
+        if len(atoms) + len(fresh) > atom_budget:
+            keep = max(atom_budget - len(fresh), int(np.count_nonzero(t)))
+            atoms, cols, _ = _prune(np.abs(t), keep, 0.0, atoms, cols)
+        atoms += fresh
+        cols += [_column(a) for a in fresh]
 
+    best = base_dec if best_fit is None else _decomposition_from(*best_fit, shape, cutoff=cut)
     err = trace_norm(op.matrix - best.reconstruct()) / tn_target
     if err > VALIDATE_TOL:
-        return RobustnessResult(False, None, rounds,
-                                f"no certificate: residual {err:.3e} above tolerance")
-    return RobustnessResult(True, best, rounds, "signed decomposition found")
+        return RobustnessResult(None, rounds,
+                                f"no certificate: residual {err:.3e} above tolerance; {stop}")
+    return RobustnessResult(best, rounds, f"signed decomposition found; {stop}")
+
+
+def _distinct_atoms(vals, phis, psis) -> list:
+    """The ascent's maxima with |value| > 1 + PRICING_TOL as atoms, largest
+    first, skipping any whose product fidelity with an earlier one exceeds
+    1 - 1e-8."""
+    atoms = []
+    for i in np.argsort(-np.abs(vals), kind="stable"):
+        if abs(vals[i]) <= 1.0 + PRICING_TOL:
+            break
+        if all(abs(np.vdot(p, phis[i])) ** 2 * abs(np.vdot(q, psis[i])) ** 2 <= 1.0 - 1e-8
+               for p, q in atoms):
+            atoms.append((phis[i], psis[i]))
+    return atoms
 
 
 def _atom_from_density(rho: np.ndarray, sig: np.ndarray) -> tuple:

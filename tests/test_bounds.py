@@ -514,19 +514,19 @@ def test_robustness_bell():
     assert dec.weight == pytest.approx(res.value, abs=1e-12)
 
 
-def _record_ascent_calls(monkeypatch):
-    """Route bounds._max_product_expectation through a recorder of
+def _record_ascent_calls(monkeypatch, kernel="_max_product_expectation"):
+    """Route the product ascent ``bounds.<kernel>`` through a recorder of
     (number of matrices, n_starts) per call."""
     from crossnorm import bounds
 
     calls = []
-    ascent = bounds._max_product_expectation
+    ascent = getattr(bounds, kernel)
 
     def recorded(mats, *args, **kwargs):
         calls.append((len(mats), kwargs.get("n_starts", 5)))
         return ascent(mats, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "_max_product_expectation", recorded)
+    monkeypatch.setattr(bounds, kernel, recorded)
     return calls
 
 
@@ -548,7 +548,7 @@ def test_one_product_ascent_per_refinement_pass(monkeypatch):
 def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch):
     from crossnorm import bounds
 
-    calls = _record_ascent_calls(monkeypatch)
+    calls = _record_ascent_calls(monkeypatch, "_product_ascent")
     fit, column = bounds.separable_fit, bounds._column
     phase_two, columns = [], []
 
@@ -572,9 +572,82 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
 
 
 def test_unsuccessful_robustness_result_has_no_value():
-    res = RobustnessResult(False, None, 7, "no certificate")
+    res = RobustnessResult(None, 7, "no certificate")
+    assert not res.success
     assert np.isnan(res.value) and np.isnan(res.alpha)
     assert res.d1 is None and res.d2 is None
+
+
+def _record_lp_and_columns(monkeypatch):
+    """Record phase 2's LP calls, as ("lp", A_eq shape), and its column
+    builds, as ("col", None), in call order."""
+    from crossnorm import bounds
+
+    events = []
+    linprog, column = bounds.linprog, bounds._column
+
+    def recorded_linprog(*args, **kwargs):
+        events.append(("lp", kwargs["A_eq"].shape))
+        return linprog(*args, **kwargs)
+
+    def recorded_column(atom):
+        events.append(("col", None))
+        return column(atom)
+
+    monkeypatch.setattr(bounds, "linprog", recorded_linprog)
+    monkeypatch.setattr(bounds, "_column", recorded_column)
+    return events
+
+
+def test_phase_two_lp_has_hermitian_rows_and_stays_in_budget(monkeypatch):
+    events = _record_lp_and_columns(monkeypatch)
+    op = random_density(BipartiteShape(2, 2), 7)
+    res = robustness_upper(op, CFG, atom_budget=64)
+    assert res.success and validate_decomposition(op, res.decomposition).valid
+    shapes = [shape for kind, shape in events if kind == "lp"]
+    assert len(shapes) >= 3
+    assert all(rows == 16 and cols <= 2 * 64 for rows, cols in shapes)
+    assert max(cols for _, cols in shapes) == 2 * 64  # the budget was reached
+
+
+def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
+    events = _record_lp_and_columns(monkeypatch)
+    robustness_upper(random_density(BipartiteShape(2, 2), 7), CFG)
+    lps = [i for i, (kind, _) in enumerate(events) if kind == "lp"]
+    entered = [b - a - 1 for a, b in zip(lps, lps[1:])]  # columns built between two LPs
+    assert entered and max(entered) > 1
+
+
+def test_phase_two_says_why_it_stopped():
+    op = random_density(BipartiteShape(2, 2), 1)
+    res = robustness_upper(op, SeeSawConfig(seed=7))
+    assert res.success and res.message.startswith("signed decomposition found; converged")
+    gain = float(res.message.split("pricing gain ")[1].split()[0])
+    assert gain <= 1.0 + 1e-7
+    res = robustness_upper(op, SeeSawConfig(seed=7), max_rounds=3)
+    assert res.rounds_used == 3
+    assert "max_rounds (3) exhausted" in res.message and "converged" not in res.message
+
+
+@pytest.mark.parametrize("dh,dj,seed,parent", [(2, 2, 1, 1.0754587), (2, 2, 2, 1.1153842),
+                                               (2, 3, 1, 1.1210)])
+def test_robustness_h_upper_no_looser_than_the_one_column_search(dh, dj, seed, parent):
+    """The one-column-per-round search reached 1.0754587, 1.1153842 and
+    1.12163 here; the 2x3 bound is tightened below 1.1210."""
+    op = random_density(BipartiteShape(dh, dj), seed)
+    nb = pi_bounds(op, SeeSawConfig(seed=7))
+    assert nb.methods["h_upper"] == "robustness" and nb.h_upper <= parent
+    assert validate_decomposition(op, nb.certificates["h_upper"]).valid
+
+
+@pytest.mark.parametrize("scale", [1e10, 1.0, 1e-10, 1e-13, 1e-16])
+def test_separable_certificate_holds_at_every_scale(scale):
+    op, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
+    op = BipartiteOperator(op.shape, op.matrix * scale)
+    nb = pi_bounds(op, SeeSawConfig(seed=1))
+    assert nb.pi_lower <= nb.pi_upper
+    assert nb.pi_upper == pytest.approx(scale, rel=1e-6)
+    assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
 
 
 def test_robustness_maximally_mixed():
