@@ -24,17 +24,25 @@ stacks are cut so that their product bases stay small at large n.
 The product-state ascent that prices the next atom of ``separable_fit``
 and of the robustness search takes a list of matrices; every start of
 every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
-with the same results, bit for bit, as one start at a time.  The searches
-keep each atom's product matrix and fit column once it is added.
+with the same results, bit for bit, as one start at a time.
 
-Phase 2 of the robustness search is column generation over a dictionary of
-at most ``atom_budget`` product states.  Its linear program has one row per
-real parameter of a Hermitian n x n matrix (n^2, not 2 n^2), and its dual
-is read back as a Hermitian Y with tr(Y X) = y . emb(X).  Every start of the
-product ascent on [Y, -Y] whose local maximum beats 1 + 1e-7 enters in the
-same round, near duplicates removed; before they enter, atoms without LP
-weight are pruned, oldest first.  A round's error comes from the LP columns,
-and the decomposition is built once, from the lightest accurate round.
+Both searches share one column format and one budget.  An atom's product
+density enters as the n^2 real parameters of a Hermitian matrix, with the
+upper triangle scaled by sqrt(2) so that emb(X) . emb(Y) = tr(X Y): the
+NNLS fit minimizes the Frobenius error, and the inverse map also reads the
+LP dual back as a Hermitian Y.  Residuals come from the columns, d - A w,
+so no product matrix is kept.  Each dictionary holds at most
+max(64, n^2 + 32) atoms, and either search returns a mixture only after
+it reconstructs the target to VALIDATE_TOL in trace norm.
+
+Phase 2 of the robustness search is column generation.  Its linear
+program fits D / 2^k, 2^k the power of two nearest ||D||_1, because the
+solver's tolerances are absolute.  Every start of the product ascent on
+[Y, -Y] whose local maximum beats 1 + 1e-7 enters in the same round, near
+duplicates removed; before they enter, atoms without LP weight are
+pruned, oldest first.  The first LP still holds the whole starting
+dictionary, which can exceed the budget.  The decomposition is built once,
+from the lightest accurate round.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -342,11 +350,15 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     random vectors, and all advance together as one stack.  A restart stops
     after two steps in a row that gain no more than ``tol`` (relative), or
     when D c vanishes.  Its best is the first step that reached its largest
-    q; the best restart wins, ties to the lowest index.
+    q; the best restart wins, ties to the lowest index.  It runs on D / 2^k,
+    2^k the power of two nearest to ||D||_1, so that no step overflows or
+    underflows, and scales q back; the scaling is exact, and k = 0 for densities.
     """
     rng = rng_from_seed(config.seed)
     n = shape.total
     w, u = np.linalg.eigh(mat)
+    scale = _power_of_two_near(np.abs(w).sum())
+    mat = mat / scale
     order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
     zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
     c = np.array([u[:, order[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
@@ -370,7 +382,12 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
         if active.size == 0:
             break
     best = int(np.argmax(best_q))
-    return float(best_q[best]), best_c[best]
+    return float(best_q[best]) * scale, best_c[best]
+
+
+def _power_of_two_near(x: float) -> float:
+    """2^k with k the integer nearest to log2(x); 1 for x = 0 or inf."""
+    return 2.0 ** round(np.log2(x)) if 0 < x < np.inf else 1.0
 
 
 def _rebalance_rows(mat, shape, c, use_abs):
@@ -559,31 +576,28 @@ class RobustnessResult:
         return SignedDecomposition(terms, self.decomposition.shape) if total > 0 else None
 
 
-def _embed_matrix(mat: np.ndarray) -> np.ndarray:
-    flat = mat.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
-
-
 def _embed_hermitian(mat: np.ndarray) -> np.ndarray:
     """The n^2 real parameters of a Hermitian matrix: its diagonal, then the
-    real and the imaginary parts of its upper triangle."""
-    upper = mat[np.triu_indices(mat.shape[0], 1)]
+    real and the imaginary parts of its upper triangle times sqrt(2).  The
+    embedding is an isometry, emb(X) . emb(Y) = tr(X Y) for Hermitian X, Y."""
+    upper = mat[np.triu_indices(mat.shape[0], 1)] * np.sqrt(2.0)
     return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
 
 
-def _hermitian_from(vec: np.ndarray, n: int, dual: bool = False) -> np.ndarray:
+def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
     """The n x n Hermitian matrix with parameters ``vec``, the inverse of
-    :func:`_embed_hermitian`; with ``dual``, the Y with tr(Y X) = vec . emb(X)."""
+    :func:`_embed_hermitian`; read from an LP dual y it is the Y with
+    tr(Y X) = y . emb(X)."""
     iu = np.triu_indices(n, 1)
     m = iu[0].size
-    upper = (vec[n:n + m] + 1j * vec[n + m:]) * (0.5 if dual else 1.0)
+    upper = (vec[n:n + m] + 1j * vec[n + m:]) / np.sqrt(2.0)
     out = np.diag(vec[:n].astype(complex))
     out[iu], out[iu[::-1]] = upper, upper.conj()
     return out
 
 
 def _column(atom) -> np.ndarray:
-    """The atom's product density as a real column of the signed LP."""
+    """The atom's product density as a real column of both searches."""
     v = np.kron(*atom)
     return _embed_hermitian(np.outer(v, v.conj()))
 
@@ -658,31 +672,30 @@ def _seed_atoms(op: BipartiteOperator) -> list:
     return atoms
 
 
-def separable_fit(
-    op: BipartiteOperator,
-    config: SeeSawConfig,
-    atom_budget: int = 64,
-    max_rounds: int = 200,
-    tol: float = VALIDATE_TOL,
-):
+def _atom_budget(n: int) -> int:
+    """Dictionary size of both product-state searches for an n x n target."""
+    return max(64, n * n + 32)
+
+
+def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200):
     """Nonnegative product-mixture fit of a (candidate separable) operator.
 
     Fully corrective Frank-Wolfe: each round refits all weights by
-    nonnegative least squares, then grows the dictionary with the product
-    state most aligned with the residual.  Once the residual is small, a
-    periodic refinement pass re-optimizes the heaviest active atoms against
-    their leave-one-out residuals, which repairs the slow tail on curved
-    faces of the separable set.  Succeeds when the residual trace norm
-    drops below ``tol`` relative to the target trace norm; every weight
-    cutoff is relative to that trace norm too, so the fit scales with ``op``.
+    nonnegative least squares, min ||sum_k w_k P_k - D||_F, then grows the
+    dictionary with the product state most aligned with the residual.  Once
+    the residual is small, a periodic refinement pass re-optimizes the
+    heaviest active atoms against their leave-one-out residuals, which
+    repairs the slow tail on curved faces of the separable set.  Succeeds
+    when the mixture reconstructs ``op`` to VALIDATE_TOL in trace norm,
+    relative to the target's; every weight cutoff is relative to it too.
     """
     rng = rng_from_seed(config.seed)
-    target = op.matrix
-    tn_target = max(trace_norm(target), 1e-300)
-    d = _embed_matrix(target)
+    n = op.shape.total
+    budget = _atom_budget(n)
+    tn_target = max(trace_norm(op.matrix), 1e-300)
+    d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
-    prods = [np.kron(*_densities(a)) for a in atoms]  # kept for the residuals
-    cols = [_embed_matrix(p) for p in prods]
+    cols = [_column(a) for a in atoms]
 
     weights = np.zeros(len(atoms))
     rounds = 0
@@ -690,11 +703,13 @@ def separable_fit(
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
         weights, _ = nnls(a_mat, d)
-        residual = target - sum((float(w) * p for w, p in zip(weights, prods) if abs(w) > 0),
-                                np.zeros(target.shape, dtype=complex))
+        gap = d - a_mat @ weights
+        residual = _hermitian_from(gap, n)
         err = trace_norm(residual) / tn_target
-        if err <= tol:
+        if err <= VALIDATE_TOL:
             dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14 * tn_target)
+            if _reconstruction_error(op, dec, tn_target) > VALIDATE_TOL:
+                dec = None  # a part of the target the Hermitian columns cannot see
             return dec, rounds
         recent.append(err)
         if len(recent) > 12:
@@ -710,16 +725,20 @@ def separable_fit(
             top = top[weights[top] > 1e-12 * tn_target]  # sorted: cut at the first light atom
             if top.size:  # each heavy atom against its leave-one-out residual
                 fresh += [(p2, q2) for _, p2, q2 in _max_product_expectation(
-                    [residual + weights[i] * prods[i] for i in top], op.shape, rng,
+                    [_hermitian_from(gap + weights[i] * cols[i], n) for i in top], op.shape, rng,
                     n_starts=2, iters=25, extra_starts=[[atoms[i]] for i in top])]
         atoms += fresh
-        prods += [np.kron(*_densities(a)) for a in fresh]
-        cols += [_embed_matrix(p) for p in prods[-len(fresh):]]
-        if len(atoms) > atom_budget:
+        cols += [_column(a) for a in fresh]
+        if len(atoms) > budget:
             padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
-            atoms, prods, cols, weights = _prune(padded, atom_budget, 1e-14 * tn_target,
-                                                 atoms, prods, cols)
+            atoms, cols, weights = _prune(padded, budget, 1e-14 * tn_target, atoms, cols)
     return None, rounds
+
+
+def _reconstruction_error(op: BipartiteOperator, dec, tn_target: float) -> float:
+    """||op - dec.reconstruct()||_1 relative to the target's trace norm, which
+    sees what the Hermitian columns cannot: an anti-Hermitian part of op."""
+    return trace_norm(op.matrix - dec.reconstruct()) / tn_target
 
 
 def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
@@ -750,12 +769,8 @@ def _prune(weights, budget, cut, *aligned):
     return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
 
 
-def robustness_upper(
-    op: BipartiteOperator,
-    config: SeeSawConfig,
-    atom_budget: int = 64,
-    max_rounds: int = 200,
-) -> RobustnessResult:
+def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
+                     max_rounds: int = 200) -> RobustnessResult:
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
     Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1).
@@ -767,7 +782,7 @@ def robustness_upper(
     prices product states against its dual Y: every start of the product
     ascent on [Y, -Y] whose local maximum beats 1 + PRICING_TOL enters,
     near duplicates removed.  Before they enter, the dictionary is pruned to
-    ``atom_budget``: atoms with LP weight first, then the newest (an atom
+    :func:`_atom_budget`: atoms with LP weight first, then the newest (an atom
     with weight is never dropped).  It stops when no start beats
     1 + PRICING_TOL, after ``max_rounds``, or when the LP fails, and its
     ``message`` says which.
@@ -782,7 +797,7 @@ def robustness_upper(
     n = shape.total
     tn_target = max(an.trace_norm, 1e-300)
 
-    mixture, rounds1 = separable_fit(op, config, atom_budget, max_rounds)
+    mixture, rounds1 = separable_fit(op, config, max_rounds)
     if mixture is not None:  # weight equals the trace; 1 for a density
         return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
@@ -792,10 +807,14 @@ def robustness_upper(
     atoms.extend(_seed_atoms(op))
 
     rng = rng_from_seed(config.seed + 1)
-    d = _embed_hermitian(op.matrix)
+    # HiGHS's tolerances are absolute: the LP fits D / 2^k, 2^k near ||D||_1
+    scale = _power_of_two_near(tn_target)
+    tn_lp = tn_target / scale
+    d = _embed_hermitian(op.matrix) / scale
     cols = [_column(a) for a in atoms]  # one per atom, built as it enters
-    cut = 1e-12 * tn_target
-    best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
+    cut = 1e-12 * tn_lp
+    budget = _atom_budget(n)
+    best_weight, best_fit = base_dec.weight / scale, None  # the fit is (atoms, weights)
     rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
@@ -811,15 +830,15 @@ def robustness_upper(
         if not res.success:
             stop = f"LP failed: {res.message}"
             break
-        t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d, 1e-10 * tn_target)
+        t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d, 1e-10 * tn_lp)
         t[np.abs(t) <= cut] = 0.0
         # summed as SignedDecomposition.weight sums, so it equals the built weight
         weight = float(sum(abs(float(w)) for w in t[t != 0.0]))
         if weight < best_weight:
-            err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_target
+            err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_lp
             if err <= VALIDATE_TOL:
-                best_weight, best_fit = weight, (list(atoms), t)
-        ymat = _hermitian_from(res.eqlin.marginals, n, dual=True)
+                best_weight, best_fit = weight, (list(atoms), t * scale)
+        ymat = _hermitian_from(res.eqlin.marginals, n)
         _, vals, phis, psis = _product_ascent([ymat, -ymat], shape, rng, n_starts=4)
         gain = float(np.abs(vals).max())
         if gain <= 1.0 + PRICING_TOL:
@@ -827,14 +846,15 @@ def robustness_upper(
             break
         stop = f"max_rounds ({max_rounds}) exhausted, last pricing gain {gain:.10f}"
         fresh = _distinct_atoms(vals, phis, psis)
-        if len(atoms) + len(fresh) > atom_budget:
-            keep = max(atom_budget - len(fresh), int(np.count_nonzero(t)))
+        if len(atoms) + len(fresh) > budget:
+            keep = max(budget - len(fresh), int(np.count_nonzero(t)))
             atoms, cols, _ = _prune(np.abs(t), keep, 0.0, atoms, cols)
         atoms += fresh
         cols += [_column(a) for a in fresh]
 
-    best = base_dec if best_fit is None else _decomposition_from(*best_fit, shape, cutoff=cut)
-    err = trace_norm(op.matrix - best.reconstruct()) / tn_target
+    best = (base_dec if best_fit is None
+            else _decomposition_from(*best_fit, shape, cutoff=cut * scale))
+    err = _reconstruction_error(op, best, tn_target)
     if err > VALIDATE_TOL:
         return RobustnessResult(None, rounds,
                                 f"no certificate: residual {err:.3e} above tolerance; {stop}")
@@ -917,7 +937,7 @@ class _Analysis:
     def signed(self) -> SignedDecomposition:
         return _signed_decomposition(self.spectral, self.op.shape)
 
-    def bounds(self, include_robustness: bool = True, atom_budget: int | None = None,
+    def bounds(self, include_robustness: bool = True,
                extra_decompositions: tuple = ()) -> NormBounds:
         """The brackets :func:`pi_bounds` reports, from the provider lists."""
         op = self.op
@@ -931,8 +951,7 @@ class _Analysis:
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
         if include_robustness and self.psd:
-            budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
-            rb = robustness_upper(op, self.config, atom_budget=budget)
+            rb = robustness_upper(op, self.config)
             if rb.success:
                 ups.append((rb.value, "robustness", rb.decomposition))
         for dec in extra_decompositions:
@@ -973,7 +992,6 @@ def pi_bounds(
     op: BipartiteOperator,
     config: SeeSawConfig,
     include_robustness: bool = True,
-    atom_budget: int | None = None,
     extra_decompositions: tuple = (),
 ) -> NormBounds:
     """Certified projective / Hermitian-norm brackets for an operator.
@@ -986,7 +1004,7 @@ def pi_bounds(
     same lower bounds; its upper bound splits it into Hermitian parts,
     bounded by the triangle inequality, and is flagged ``indirect``.
     """
-    return _Analysis(op, config).bounds(include_robustness, atom_budget, extra_decompositions)
+    return _Analysis(op, config).bounds(include_robustness, extra_decompositions)
 
 
 def ent(op: BipartiteOperator, config: SeeSawConfig, **kwargs) -> NormBounds:
@@ -1066,7 +1084,7 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
             messages=["unknown decomposition type"],
         )
 
-    recon_err = trace_norm(target.matrix - dec.reconstruct()) / tn_target
+    recon_err = _reconstruction_error(target, dec, tn_target)
     if recon_err > VALIDATE_TOL:
         messages.append(f"reconstruction error {recon_err:.3e} above tolerance")
     valid = not messages

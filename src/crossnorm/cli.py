@@ -264,14 +264,16 @@ def cmd_sweep(args) -> int:
         for p in _parse_grid(_require(args.p, "--p")):
             op = isotropic(p, d)
             an = _Analysis(op, cfg)  # one witness see-saw serves all three columns
-            nb = an.bounds(include_robustness=False)
+            cls = _classify(an)  # Undecided carries its bounds; Separable's mixture certifies 1
+            mixture = (cls.certificate,) if cls.verdict == "Separable" else ()
+            nb = cls.bounds or an.bounds(include_robustness=False, extra_decompositions=mixture)
             rows.append(
                 {
                     "p": p,
                     "witness_lower": outward(an.witness[0], op.shape.total, up=False),
                     "pi_lower": nb.pi_lower,
                     "pi_upper": nb.pi_upper,
-                    "verdict": _classify(an).verdict,
+                    "verdict": cls.verdict,
                     "ppt_min_eigenvalue": ppt_oracle(op).min_eigenvalue,
                 }
             )

@@ -191,12 +191,7 @@ def _certify_g_upper(op: BipartiteOperator):
 # classification
 
 
-def classify(
-    op: BipartiteOperator,
-    config: SeeSawConfig,
-    atom_budget: int | None = None,
-    max_rounds: int = 200,
-) -> Classification:
+def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200) -> Classification:
     """Extended Cross Norm Criterion verdict with certificate.
 
     Entangled is tried first (cheap certified lower bounds, witness
@@ -204,11 +199,10 @@ def classify(
     weight one), otherwise Undecided carrying the norm bounds.  Verdicts
     are never guessed inside the PINCH_TOL band around one.
     """
-    return _classify(_Analysis(op, config), atom_budget, max_rounds)
+    return _classify(_Analysis(op, config), max_rounds)
 
 
-def _classify(an: _Analysis, atom_budget: int | None = None,
-              max_rounds: int = 200) -> Classification:
+def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     """:func:`classify` over an analysis the caller may read further; the
     witness, the realignment bound and the Undecided bounds all come from it."""
     op, config = an.op, an.config
@@ -234,8 +228,7 @@ def _classify(an: _Analysis, atom_budget: int | None = None,
         message = (f"realignment bound {realign_low:.12g} proves entanglement "
                    "but no witness certificate was found")
     else:
-        budget = atom_budget if atom_budget is not None else max(64, op.shape.total**2 + 32)
-        mixture, rounds = separable_fit(op, config, atom_budget=budget, max_rounds=max_rounds)
+        mixture, rounds = separable_fit(op, config, max_rounds=max_rounds)
         if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
             return Classification(
                 verdict="Separable",

@@ -237,10 +237,13 @@ def test_witness_seesaw_closed_forms():
 
 
 def _reference_seesaw(mat, shape, config, use_abs):
-    """The see-saw one restart and one candidate at a time, with np.kron."""
+    """The see-saw one restart and one candidate at a time, with np.kron, on
+    mat / 2^k with 2^k the power of two nearest to the sum of |eigenvalues|."""
     rng = np.random.default_rng(config.seed)
     n = shape.total
     w, u = np.linalg.eigh(mat)
+    scale = 2.0 ** round(np.log2(np.abs(w).sum()))
+    mat = mat / scale
     starts = [u[:, np.argsort(-np.abs(w) if use_abs else -w)[0]]]
     for _ in range(config.restarts - 1):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -272,7 +275,7 @@ def _reference_seesaw(mat, shape, config, use_abs):
             if np.linalg.norm(nxt) < 1e-300:
                 break
             c = nxt / np.linalg.norm(nxt)
-    return best_q
+    return best_q * scale
 
 
 def test_witness_seesaw_matches_the_loop_reference():
@@ -484,6 +487,53 @@ def test_separable_mixture_certifies_unit_h_norm():
     assert nb.h_upper <= 1.0 + 1e-8
 
 
+def _random_hermitian(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (z + z.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_hermitian_embedding_is_an_isometry_with_its_inverse(n):
+    from crossnorm.bounds import _embed_hermitian, _hermitian_from
+
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x, y = _random_hermitian(n, rng), _random_hermitian(n, rng)
+        assert _embed_hermitian(x).size == n * n
+        assert _embed_hermitian(x) @ _embed_hermitian(y) == pytest.approx(
+            np.trace(x @ y).real, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(_hermitian_from(_embed_hermitian(x), n), x,
+                                   rtol=0, atol=1e-15 * np.abs(x).max())
+
+
+def test_separable_fit_runs_nnls_on_hermitian_rows(monkeypatch):
+    from crossnorm import bounds
+
+    rows, nnls = [], bounds.nnls
+
+    def recorded(a_mat, d):
+        rows.append((a_mat.shape[0], d.size))
+        return nnls(a_mat, d)
+
+    monkeypatch.setattr(bounds, "nnls", recorded)
+    op, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
+    dec, rounds = bounds.separable_fit(op, SeeSawConfig(seed=1))
+    assert dec is not None and validate_decomposition(op, dec).valid
+    assert len(rows) == rounds and set(rows) == {(36, 36)}
+
+
+def test_separable_fit_refuses_an_anti_hermitian_part():
+    """The n^2 Hermitian columns cannot see 1e-3 (U - U^T), U the strictly
+    upper ones; the reconstruction check before the exit does."""
+    from crossnorm.bounds import separable_fit
+
+    op, _ = random_separable(BipartiteShape(2, 2), 5, seed=11)
+    upper = np.triu(np.ones((4, 4)), 1)
+    skewed = BipartiteOperator(op.shape, op.matrix + 1e-3 * (upper - upper.T))
+    dec, _ = separable_fit(skewed, SeeSawConfig(seed=1))
+    assert dec is None
+
+
 # ---------------------------------------------------------------------------
 # robustness search
 
@@ -602,7 +652,7 @@ def _record_lp_and_columns(monkeypatch):
 def test_phase_two_lp_has_hermitian_rows_and_stays_in_budget(monkeypatch):
     events = _record_lp_and_columns(monkeypatch)
     op = random_density(BipartiteShape(2, 2), 7)
-    res = robustness_upper(op, CFG, atom_budget=64)
+    res = robustness_upper(op, CFG)
     assert res.success and validate_decomposition(op, res.decomposition).valid
     shapes = [shape for kind, shape in events if kind == "lp"]
     assert len(shapes) >= 3
@@ -647,6 +697,27 @@ def test_separable_certificate_holds_at_every_scale(scale):
     nb = pi_bounds(op, SeeSawConfig(seed=1))
     assert nb.pi_lower <= nb.pi_upper
     assert nb.pi_upper == pytest.approx(scale, rel=1e-6)
+    assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e12])
+def test_robustness_bound_holds_away_from_unit_scale(scale):
+    """At scale 1 phase 2 reaches 1.0754587 here; an LP on the unscaled
+    target lost it (1.9763 at 1e-12, 1.3340 at 1e-6, 1.0895 at 1e12)."""
+    op = random_density(BipartiteShape(2, 2), 1)
+    op = BipartiteOperator(op.shape, op.matrix * scale)
+    res = robustness_upper(op, SeeSawConfig(seed=1))
+    assert res.success and res.value / scale <= 1.0755
+    assert validate_decomposition(op, res.decomposition).valid
+
+
+def test_witness_bracket_of_bell_at_1e200():
+    """The see-saw's vector norm overflowed here, and pi_bounds raised."""
+    op = BipartiteOperator(BipartiteShape(2, 2), max_entangled(2).matrix * 1e200)
+    nb = pi_bounds(op, CFG)
+    assert nb.pi_lower == pytest.approx(2e200, rel=1e-9)
+    assert nb.pi_upper == pytest.approx(2e200, rel=1e-9)
+    assert nb.methods["pi_lower"] == "witness"
     assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
 
 

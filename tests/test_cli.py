@@ -165,6 +165,8 @@ def test_sweep_isotropic_csv(tmp_path):
             assert r["verdict"] == "Entangled"
         else:
             assert r["verdict"] != "Entangled"
+        if r["verdict"] == "Separable":  # its weight-one mixture certifies the upper bound
+            assert float(r["pi_upper"]) <= 1.0 + 1e-12
 
 
 def test_sweep_witness_lower_never_above_pi_lower(tmp_path):
