@@ -14,12 +14,10 @@ supplied decompositions.  Every bound carries a certificate that can be
 re-checked independently of how it was produced, and every reported bound
 is rounded outward by 4 n eps (relative) to cover floating-point error.
 
-The witness see-saw advances all its restarts together.  Each step makes
-one stacked SVD of the restarts' (d_h, d_j) reshapes, builds their product
-Schmidt bases by broadcasting, compresses D onto them, diagonalizes the
-compressed matrices in one stacked ``eigh`` and scores every rebalancing
-candidate at once.  Restarts of one kept Schmidt rank share a stack, and
-stacks are cut so that their product bases stay small at large n.
+The witness see-saw is projected power iteration on co-isometries, where
+its objective reaches its maximum: each step replaces every restart's c by
+the polar factor U V^dag of the (d_h, d_j) reshape of D c, all restarts in
+one stacked SVD.  For PSD D the objective is convex, so no step lowers it.
 
 The product-state ascent that prices the next atom of ``separable_fit``
 and of the robustness search takes a list of matrices; every start of
@@ -57,12 +55,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog, nnls
 
 from .core import (
     EPS_HERM,
     EPS_PSD,
-    SCHMIDT_CUTOFF,
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
@@ -227,6 +225,8 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
     b = block.shape[1]
     if b < 2:
         return block
+    # start from the block's projections of e_i (x) f_k, largest first, made orthonormal
+    block = block @ qr(block.conj().T, pivoting=True, mode="economic")[0]
     dh, dj = shape.dh, shape.dj
     cols = [block[:, j].copy() for j in range(b)]
     sums = [_schmidt_sum(c, dh, dj) for c in cols]
@@ -340,18 +340,23 @@ def lower_bound_realignment(op: BipartiteOperator) -> float:
     return nuclear_norm(realign(op))
 
 
-_STACK_ELEMENTS = 2**15  # entries of the largest stacked product basis
+_STALL_STEPS = 4  # a witness restart stops after this many steps in a row that gain at most tol
 
 
 def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig, use_abs: bool):
-    """Maximize <c|D|c> / a_1(c)^2 by power steps plus Schmidt rebalancing.
+    """Maximize <c|D|c> / a_1(c)^2 by projected power iteration on co-isometries.
 
+    Each step replaces c by the polar factor of D c, the maximizer of
+    Re <D c, x> over a_1(x) <= 1; for PSD D the objective is convex, so q
+    never falls.  With ``use_abs`` the step ascends the PSD matrix
+    (e^{-i theta} D + e^{i theta} D^dag) / 2 + ||D||_inf, theta the phase of
+    <c|D|c>, so |<c|D|c>| never falls either.
     Restart 0 starts from the extremal eigenvector, the others from seeded
     random vectors, and all advance together as one stack.  A restart stops
-    after two steps in a row that gain no more than ``tol`` (relative), or
-    when D c vanishes.  Its best is the first step that reached its largest
-    q; the best restart wins, ties to the lowest index.  It runs on D / 2^k,
-    2^k the power of two nearest to ||D||_1, so that no step overflows or
+    after _STALL_STEPS steps in a row that gain no more than ``tol``
+    (relative).  Its best is the first step that reached its largest q; the
+    best restart wins, ties to the lowest index.  It runs on D / 2^k, 2^k the
+    power of two nearest to ||D||_1, so that no step overflows or
     underflows, and scales q back; the scaling is exact, and k = 0 for densities.
     """
     rng = rng_from_seed(config.seed)
@@ -362,71 +367,43 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
     zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
     c = np.array([u[:, order[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
+    shift = np.linalg.norm(mat, 2) if use_abs else 0.0
+    # one product per row, so no restart's iterates depend on its stack
+    dc = (mat @ c[:, :, None])[:, :, 0]
     best_q, best_c = np.full(len(c), -np.inf), c.copy()
     prev, stall = np.full(len(c), -np.inf), np.zeros(len(c), dtype=int)
     active = np.arange(len(c))
     for _ in range(config.max_iters):
-        q, c_re = _rebalance_rows(mat, shape, c[active], use_abs)
+        x, g = c[active], dc[active]
+        if use_abs:
+            ph = np.exp(-1j * np.angle((x.conj() * g).sum(axis=1)))[:, None]
+            g = (ph * g + ph.conj() * (mat.conj().T @ x[:, :, None])[:, :, 0]) / 2 + shift * x
+        c[active] = x = _polar_rows(g, shape)
+        dc[active] = g = (mat @ x[:, :, None])[:, :, 0]
+        val = (x.conj() * g).sum(axis=1)
+        q = np.abs(val) if use_abs else val.real
         better = q > best_q[active]
-        best_q[active[better]], best_c[active[better]] = q[better], c_re[better]
+        best_q[active[better]], best_c[active[better]] = q[better], x[better]
         flat = q <= prev[active] + config.tol * np.maximum(np.abs(q), 1.0)
         stall[active] = np.where(flat, stall[active] + 1, 0)
         prev[active] = q
-        go = stall[active] < 2
-        # one product per row, so no restart's iterates depend on its stack
-        active, nxt = active[go], (mat @ c_re[go, :, None])[:, :, 0]
-        nn = np.linalg.norm(nxt, axis=1)
-        go = nn >= 1e-300
-        active = active[go]
-        c[active] = nxt[go] / nn[go, None]
+        active = active[stall[active] < _STALL_STEPS]
         if active.size == 0:
             break
     best = int(np.argmax(best_q))
     return float(best_q[best]) * scale, best_c[best]
 
 
+def _polar_rows(g: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """The polar factor U V^dag of each row's (d_h, d_j) reshape: a
+    co-isometry, every Schmidt coefficient 1, maximizing Re <g, x> over a_1(x) <= 1."""
+    u, _, vh = np.linalg.svd(g.reshape(-1, shape.dh, shape.dj), full_matrices=False)
+    return (u @ vh).reshape(len(g), -1)
+
+
 def _power_of_two_near(x: float) -> float:
     """2^k with k the integer nearest to log2(x); 1 for x = 0 or inf."""
     return 2.0 ** round(np.log2(x)) if 0 < x < np.inf else 1.0
-
-
-def _rebalance_rows(mat, shape, c, use_abs):
-    """Best Schmidt-coefficient rebalancing of each row of ``c`` at its fixed
-    Schmidt bases: the best q of each row and the rebalanced rows.
-
-    Candidates: c itself, and every top-k block with equalized coefficients,
-    with phases taken flat or from the extremal eigenvectors of the
-    compressed matrix.  Every candidate yields a certified value, so the
-    maximum is safe.
-    """
-    dh, dj = shape.dh, shape.dj
-    u, s, vh = np.linalg.svd(c.reshape(-1, dh, dj), full_matrices=False)
-    rank = (s > SCHMIDT_CUTOFF * s[:, :1]).sum(axis=1)
-    # the largest-|.| entry of each left Schmidt vector is made real positive
-    pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
-    ph = pivot / np.abs(pivot)
-    u, vh = u * ph.conj(), vh * ph.transpose(0, 2, 1)
-    q, c_re = np.empty(len(c)), np.empty_like(c)
-    for r in np.unique(rank):
-        same = np.flatnonzero(rank == r)
-        size = max(1, _STACK_ELEMENTS // (dh * dj * r))
-        for g in np.split(same, range(size, same.size, size)):
-            basis = u[g, :, None, :r] * vh[g, None, :r, :].transpose(0, 1, 3, 2)
-            basis = basis.reshape(-1, dh * dj, r)  # columns phi_l (x) psi_l
-            m = basis.conj().transpose(0, 2, 1) @ (mat @ basis)
-            m = (m + m.conj().transpose(0, 2, 1)) / 2
-            ev = np.linalg.eigh(m)[1][:, :, [-1, 0][:1 + use_abs]].transpose(0, 2, 1)
-            ev = np.concatenate([np.ones_like(ev[:, :1]), ev], axis=1)  # flat phases first
-            mag = np.abs(ev)
-            phases = np.divide(ev, mag, out=np.ones_like(ev), where=mag > 1e-12)
-            # after c itself, the top-k blocks of each phase source, k = 1..r
-            y = np.concatenate([s[g, None, :r].astype(complex),
-                                (np.tri(r) * phases[:, :, None, :]).reshape(len(g), -1, r)], axis=1)
-            num = (y.conj() * (y @ m.transpose(0, 2, 1))).sum(axis=-1)
-            val = (np.abs(num) if use_abs else num.real) / np.abs(y).max(axis=-1) ** 2
-            k, i = np.argmax(val, axis=1), np.arange(len(g))
-            q[g], c_re[g] = val[i, k], (basis @ y[i, k, :, None])[:, :, 0]
-    return q, c_re
 
 
 def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):

@@ -103,9 +103,8 @@ class BipartiteOperator:
         return BipartiteOperator(self.shape, self.matrix.conj().T)
 
     def scale(self) -> float:
-        """Magnitude used to make tolerance checks relative."""
-        s = float(np.abs(self.matrix).max(initial=0.0))
-        return max(s, 1.0)
+        """Magnitude used to make tolerance checks relative: the largest |entry|."""
+        return float(np.abs(self.matrix).max(initial=0.0))
 
     def is_hermitian(self, tol: float = EPS_HERM) -> bool:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol * self.scale())
@@ -117,7 +116,8 @@ class BipartiteOperator:
         return bool(w.min(initial=0.0) >= -tol * self.scale())
 
     def is_density(self, tol_trace: float = EPS_TRACE, tol_psd: float = EPS_PSD) -> bool:
-        return self.is_psd(tol_psd) and abs(self.trace() - 1.0) <= tol_trace * self.scale()
+        # the trace target is absolute, so its tolerance is too
+        return self.is_psd(tol_psd) and abs(self.trace() - 1.0) <= tol_trace
 
 
 @dataclass(frozen=True, eq=False)

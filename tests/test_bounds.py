@@ -128,6 +128,15 @@ def test_spectral_density_capped_by_m():
         assert val <= min(dh, dj) + 1e-8
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 1e300, 1e-300])
+def test_spectral_bound_of_isotropic_state_at_every_scale(scale):
+    # the 8-fold degenerate block starts from its product projections: the
+    # bound is 3 (5/9) + (1/18) (6 + 2 + 8/3) = 61/27 whatever basis eigh returns
+    op = isotropic(0.5, 3)
+    value, _ = upper_bound_spectral(BipartiteOperator(op.shape, op.matrix * scale))
+    assert value / scale <= 61 / 27 + 1e-12
+
+
 def test_spectral_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.0
@@ -237,8 +246,10 @@ def test_witness_seesaw_closed_forms():
 
 
 def _reference_seesaw(mat, shape, config, use_abs):
-    """The see-saw one restart and one candidate at a time, with np.kron, on
-    mat / 2^k with 2^k the power of two nearest to the sum of |eigenvalues|."""
+    """An independent oracle: power steps plus the best rebalancing of the
+    Schmidt coefficients at fixed Schmidt bases, one restart and one
+    candidate at a time, with np.kron, on mat / 2^k with 2^k the power of
+    two nearest to the sum of |eigenvalues|."""
     rng = np.random.default_rng(config.seed)
     n = shape.total
     w, u = np.linalg.eigh(mat)
@@ -278,21 +289,99 @@ def _reference_seesaw(mat, shape, config, use_abs):
     return best_q * scale
 
 
-def test_witness_seesaw_matches_the_loop_reference():
-    from crossnorm.bounds import _witness_seesaw
+def _reference_polar(mat, shape, config, use_abs):
+    """The polar ascent one restart at a time, with the kernel's starts and
+    stop rule: c becomes the polar factor U V^dag of the reshape of D c (of
+    the shifted, phase-aligned Hermitian part of D with ``use_abs``)."""
+    from crossnorm.bounds import _STALL_STEPS
 
+    rng = np.random.default_rng(config.seed)
+    n = shape.total
+    w, u = np.linalg.eigh(mat)
+    scale = 2.0 ** round(np.log2(np.abs(w).sum()))
+    mat = mat / scale
+    shift = np.linalg.svd(mat, compute_uv=False)[0]
+    starts = [u[:, np.argsort(-np.abs(w) if use_abs else -w)[0]]]
+    for _ in range(config.restarts - 1):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        starts.append(z / np.linalg.norm(z))
+    best_q = -np.inf
+    for c in starts:
+        prev, stall = -np.inf, 0
+        for _ in range(config.max_iters):
+            g = mat @ c
+            if use_abs:
+                ph = np.exp(-1j * np.angle(np.vdot(c, g)))
+                g = (ph * g + np.conj(ph) * (mat.conj().T @ c)) / 2 + shift * c
+            uu, _, vh = np.linalg.svd(g.reshape(shape.dh, shape.dj), full_matrices=False)
+            c = (uu @ vh).reshape(-1)
+            val = np.vdot(c, mat @ c)
+            q = abs(val) if use_abs else val.real
+            best_q = max(best_q, q)
+            stall = stall + 1 if q <= prev + config.tol * max(abs(q), 1.0) else 0
+            prev = q
+            if stall >= _STALL_STEPS:
+                break
+    return best_q * scale
+
+
+def _seesaw_test_operators():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     ops = [max_entangled(3), pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)]).projector(),
            isotropic(0.3, 3), BipartiteOperator(BipartiteShape(2, 3), m + m.conj().T)]
-    ops += [random_density(BipartiteShape(dh, dj), 40 + dh) for dh, dj in ((2, 2), (3, 2), (3, 3))]
+    return ops + [random_density(BipartiteShape(dh, dj), 40 + dh)
+                  for dh, dj in ((2, 2), (3, 2), (3, 3))]
+
+
+def test_witness_seesaw_matches_the_loop_reference():
+    from crossnorm.bounds import _witness_seesaw
+
     cfg = SeeSawConfig(seed=5, restarts=5, max_iters=60)
-    for op in ops:
+    for op in _seesaw_test_operators():
         for use_abs in (False, True):
             q, _ = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
             # the same steps, summed in another order: agreement to rounding
-            ref = _reference_seesaw(op.matrix, op.shape, cfg, use_abs)
+            ref = _reference_polar(op.matrix, op.shape, cfg, use_abs)
             assert q == pytest.approx(ref, rel=1e-12)
+
+
+def test_witness_seesaw_reaches_the_schmidt_rebalancing_search():
+    from crossnorm.bounds import _witness_seesaw
+
+    cfg = SeeSawConfig(seed=5)
+    for op in _seesaw_test_operators():
+        for use_abs in (False, True):
+            q, _ = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+            ref = _reference_seesaw(op.matrix, op.shape, cfg, use_abs)
+            # the ascent is monotone only where the objective is convex
+            rel = 1e-12 if op.is_psd() and not use_abs else 1e-9
+            assert q >= ref - rel * abs(ref)
+
+
+def test_witness_seesaw_modulus_on_non_hermitian_input():
+    from crossnorm.bounds import _witness_seesaw
+
+    shape = BipartiteShape(3, 3)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        op = BipartiteOperator(shape, rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        cfg = SeeSawConfig(seed=seed)
+        q, c = _witness_seesaw(op.matrix, shape, cfg, use_abs=True)
+        assert q >= _reference_seesaw(op.matrix, shape, cfg, use_abs=True)
+        a1 = np.linalg.svd(c.reshape(3, 3), compute_uv=False)[0]
+        assert q == pytest.approx(abs(np.vdot(c, op.matrix @ c)) / a1**2, rel=1e-12)
+
+
+def test_witness_seesaw_returns_a_co_isometry():
+    from crossnorm.bounds import _witness_seesaw
+
+    cfg = SeeSawConfig(seed=4, restarts=4, max_iters=40)
+    for op in _seesaw_test_operators():
+        for use_abs in (False, True):
+            _, c = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+            s = np.linalg.svd(c.reshape(op.shape.dh, op.shape.dj), compute_uv=False)
+            assert np.allclose(s, 1.0, rtol=0, atol=1e-12)
 
 
 def test_witness_seesaw_is_deterministic():
@@ -306,25 +395,7 @@ def test_witness_seesaw_is_deterministic():
         assert q1 == q2 and np.array_equal(c1, c2)
 
 
-def test_rebalance_rows_groups_mixed_schmidt_ranks():
-    from crossnorm import bounds
-
-    shape = BipartiteShape(3, 4)
-    op = random_density(shape, 4)
-    rows = np.array([
-        np.kron([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # Schmidt rank 1
-        flat_schmidt_sum(random_pure(shape, 6), 2)[0].entries,  # rank 2
-        random_pure(shape, 5).entries,  # rank 3
-    ], dtype=complex)
-    for use_abs in (False, True):
-        q, c = bounds._rebalance_rows(op.matrix, shape, rows, use_abs)
-        for i, row in enumerate(rows):
-            qi, ci = bounds._rebalance_rows(op.matrix, shape, row[None], use_abs)
-            assert q[i] == pytest.approx(qi[0], rel=1e-12)
-            assert np.allclose(c[i], ci[0], atol=1e-12)
-
-
-def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step(monkeypatch):
+def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step():
     from crossnorm import bounds
 
     # a rank-two density: the warm start has Schmidt rank 2, random starts rank 3
@@ -333,18 +404,10 @@ def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step(monkeypatch):
     v = 0.8 * np.kron(e[0], e[0]) + 0.6 * np.kron(e[1], e[1])
     w = np.kron(e[2], e[2])
     op = BipartiteOperator(shape, 0.7 * np.outer(v, v) + 0.3 * np.outer(w, w))
-    ranks_seen = []
-    step = bounds._rebalance_rows
-
-    def recorded(mat, shape, c, use_abs):
-        s = np.linalg.svd(c.reshape(-1, shape.dh, shape.dj), compute_uv=False)
-        ranks_seen.append(set((s > 1e-12 * s[:, :1]).sum(axis=1).tolist()))
-        return step(mat, shape, c, use_abs)
-
-    monkeypatch.setattr(bounds, "_rebalance_rows", recorded)
     q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), use_abs=False)
-    assert any(len(r) > 1 for r in ranks_seen)
     assert witness_value(op, BipartiteVector(shape, c)) == pytest.approx(q, rel=1e-12)
+    # c = I: 0.7 (0.8 + 0.6)^2 + 0.3
+    assert q == pytest.approx(1.672, rel=1e-12)
 
 
 def test_witness_seesaw_more_restarts_never_lower():
@@ -775,6 +838,19 @@ def test_pi_bounds_indirect_non_hermitian():
     assert nb.indirect
     assert nb.pi_lower <= nb.pi_upper + 1e-8
     assert trace_norm(m) <= nb.pi_lower + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+def test_small_negative_operator_is_not_taken_for_psd(monkeypatch, scale):
+    from crossnorm import bounds
+
+    op = isotropic(0.5, 3)
+    neg = BipartiteOperator(op.shape, -op.matrix * scale)
+    assert not neg.is_psd()
+    calls = []
+    monkeypatch.setattr(bounds, "robustness_upper", lambda *a, **k: calls.append(a))
+    pi_bounds(neg, SeeSawConfig(seed=1))
+    assert calls == []
 
 
 def test_tiny_operator_keeps_a_valid_upper_certificate():
