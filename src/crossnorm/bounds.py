@@ -3,16 +3,23 @@
 Each call wraps its operator in one private ``_Analysis`` that computes the
 shared work at most once, on first use: the Hermitian and PSD flags, trace
 norm, realignment bound, witness see-saw, spectral-Schmidt expansion and
-signed decomposition.  Nothing is kept on the operator or between calls.
+its signed atoms.  Nothing is kept on the operator or between calls.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm, the
 realignment (computable cross norm) inequality and a rank-one witness whose
 injective norm is exactly one.  Upper: the spectral-Schmidt and
 operator-Schmidt expansions, a signed decomposition over product densities,
 a robustness-style search for affine combinations of separable states, and
-supplied decompositions.  Every bound carries a certificate that can be
-re-checked independently of how it was produced, and every reported bound
-is rounded outward by 4 n eps (relative) to cover floating-point error.
+supplied decompositions; non-Hermitian input is bounded through its two
+Hermitian parts.  Every bound carries a certificate that can be re-checked
+independently of how it was produced, and every reported bound is rounded
+outward by 4 n eps (relative) to cover floating-point error.
+
+The signed decomposition is closed form: each Schmidt term of an
+eigenvector is one or eight pure product atoms, which also start the
+robustness search.  Degenerate eigenblocks and operator-Schmidt runs are
+rotated to their projections of the product basis, so both expansions
+scale with the operator.
 
 The witness see-saw is projected power iteration on co-isometries, where
 its objective reaches its maximum: each step replaces every restart's c by
@@ -65,9 +72,9 @@ from .core import (
     BipartiteShape,
     BipartiteVector,
     eigh_blocks,
+    equal_runs,
     nuclear_norm,
     outward,
-    positive_negative_split,
     realign,
     rng_from_seed,
     operator_schmidt,
@@ -225,8 +232,7 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
     b = block.shape[1]
     if b < 2:
         return block
-    # start from the block's projections of e_i (x) f_k, largest first, made orthonormal
-    block = block @ qr(block.conj().T, pivoting=True, mode="economic")[0]
+    block = block @ _pivoted_rotation(block)
     dh, dj = shape.dh, shape.dj
     cols = [block[:, j].copy() for j in range(b)]
     sums = [_schmidt_sum(c, dh, dj) for c in cols]
@@ -255,6 +261,14 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
         if not improved:
             break
     return np.column_stack(cols)
+
+
+def _pivoted_rotation(block: np.ndarray) -> np.ndarray:
+    """The unitary that takes orthonormal columns to their span's
+    projections of the unit vectors, largest first, made orthonormal
+    (pivoted QR).  The rotated basis is the same, up to column phases,
+    whichever basis of the span comes in, so it does not move with scale."""
+    return qr(block.conj().T, pivoting=True, mode="economic")[0]
 
 
 def _require_hermitian(op: BipartiteOperator, who: str):
@@ -315,12 +329,19 @@ def upper_bound_realignment(op: BipartiteOperator):
 
     op = sum_k sigma_k (G_k (x) H_k) gives the certified weight
     sum_k sigma_k ||G_k||_1 ||H_k||_1 after renormalizing the factors to
-    unit trace-norm product.
+    unit trace-norm product.  Each run of equal sigma_k is rotated so that
+    its G_k are the run's projections of the matrix units (see
+    :func:`_pivoted_rotation`), whatever basis the SVD returned.
     """
     form = operator_schmidt(op)
+    sv, gs, hs = form.singular_values, np.array(form.left_ops), np.array(form.right_ops)
+    for run in equal_runs(sv):
+        if run.stop - run.start > 1:  # G -> G Q, H -> Q^dag H keeps sum_k G_k (x) H_k
+            q = _pivoted_rotation(gs[run].reshape(run.stop - run.start, -1).T)
+            gs[run], hs[run] = np.tensordot(q.T, gs[run], 1), np.tensordot(q.conj().T, hs[run], 1)
     terms = []
     value = 0.0
-    for s, g, h in zip(form.singular_values, form.left_ops, form.right_ops):
+    for s, g, h in zip(sv, gs, hs):
         ng, nh = trace_norm(g), trace_norm(h)
         if ng * nh == 0.0:
             continue
@@ -351,17 +372,19 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     never falls.  With ``use_abs`` the step ascends the PSD matrix
     (e^{-i theta} D + e^{i theta} D^dag) / 2 + ||D||_inf, theta the phase of
     <c|D|c>, so |<c|D|c>| never falls either.
-    Restart 0 starts from the extremal eigenvector, the others from seeded
-    random vectors, and all advance together as one stack.  A restart stops
-    after _STALL_STEPS steps in a row that gain no more than ``tol``
-    (relative).  Its best is the first step that reached its largest q; the
-    best restart wins, ties to the lowest index.  It runs on D / 2^k, 2^k the
-    power of two nearest to ||D||_1, so that no step overflows or
-    underflows, and scales q back; the scaling is exact, and k = 0 for densities.
+    Restart 0 starts from the extremal eigenvector of the Hermitian part
+    (D + D^dag) / 2, the others from seeded random vectors, and all advance
+    together as one stack.  A restart stops after _STALL_STEPS steps in a row
+    that gain no more than ``tol`` (relative).  Its best is the first step
+    that reached its largest q; the best restart wins, ties to the lowest
+    index.  It runs on D / 2^k, 2^k the power of two nearest to the trace
+    norm of the Hermitian part (||D||_1 for Hermitian D), so that no step
+    overflows or underflows, and scales q back; the scaling is exact, and
+    k = 0 for densities.
     """
     rng = rng_from_seed(config.seed)
     n = shape.total
-    w, u = np.linalg.eigh(mat)
+    w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
     scale = _power_of_two_near(np.abs(w).sum())
     mat = mat / scale
     order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
@@ -439,73 +462,45 @@ def witness_value(op: BipartiteOperator, c: BipartiteVector) -> float:
 def hermitian_upper(op: BipartiteOperator):
     """Hermitian-projective-norm upper bound via a signed decomposition.
 
-    The spectral-Schmidt expansion is converted into real combinations of
-    product densities: diagonal Schmidt terms stay as pure (x) pure;
-    each off-diagonal Hermitian pair splits as
-    2 a_k a_l (X_R (x) Y_R - X_I (x) Y_I) followed by positive/negative
-    parts.  For a unit pure state the weight is 2 (sum_l a_l)^2 - 1.
+    The spectral-Schmidt expansion is written as a real combination of pure
+    product densities, see :func:`_signed_atoms`.  For a unit pure state
+    the weight is 2 (sum_l a_l)^2 - 1.
     """
     _require_hermitian(op, "hermitian_upper")
-    dec = _signed_decomposition(_spectral_schmidt(op), op.shape)
+    dec = _decomposition_from(*_signed_atoms(_spectral_schmidt(op)), op.shape, cutoff=0.0)
     return dec.weight, dec
 
 
-def _signed_decomposition(spectral: list, shape: BipartiteShape) -> SignedDecomposition:
-    """Signed decomposition of a spectral-Schmidt expansion; terms negligible
-    next to the largest eigenvalue are dropped, so the cutoff scales."""
-    scale = max((abs(lam) for lam, _ in spectral), default=0.0)
-    terms = []
+def _signed_atoms(spectral: list) -> tuple:
+    """A spectral-Schmidt expansion as real weights on pure product atoms.
+
+    A diagonal Schmidt term lam a_k^2 is the atom (u_k, v_k).  For
+    orthonormal Schmidt vectors an off-diagonal pair,
+    2 lam a_k a_l (X_R (x) Y_R - X_I (x) Y_I), is exactly the eight atoms
+    ((u_k + s phi u_l) / sqrt 2, (v_k + t phi v_l) / sqrt 2), s, t = +-1 and
+    phi in {1, i}, each of weight lam a_k a_l / 2 times s t for phi = 1 and
+    -s t for phi = i.  Returns (atoms, weights) without the weights at most
+    1e-15 max|lam|, so the cutoff scales with the operator.
+    """
+    cut = 1e-15 * max((abs(lam) for lam, _ in spectral), default=0.0)
+    atoms, weights = [], []
     for lam, sf in spectral:
-        a = sf.coefficients
-        lv, rv = sf.left_vectors, sf.right_vectors
-        for k in range(sf.rank):
-            rho = np.outer(lv[k], lv[k].conj())
-            sig = np.outer(rv[k], rv[k].conj())
-            terms.append((lam * a[k] ** 2, rho, sig))
+        a, lv, rv = sf.coefficients, sf.left_vectors, sf.right_vectors
+        atoms += zip(lv, rv)
+        weights += [lam * ak**2 for ak in a]
         for k in range(sf.rank):
             for l in range(k + 1, sf.rank):
-                coeff = 2.0 * lam * a[k] * a[l]
-                x = np.outer(lv[k], lv[l].conj())
-                y = np.outer(rv[k], rv[l].conj())
-                for xmat, ymat, sgn in (
-                    ((x + x.conj().T) / 2, (y + y.conj().T) / 2, 1.0),
-                    ((x - x.conj().T) / 2j, (y - y.conj().T) / 2j, -1.0),
-                ):
-                    _append_signed_product(terms, sgn * coeff, xmat, ymat)
-    terms = [(t, r, s) for t, r, s in terms if abs(t) > 1e-15 * scale]
-    return SignedDecomposition(terms, shape)
-
-
-def _append_signed_product(terms: list, coeff: float, x: np.ndarray, y: np.ndarray):
-    """Expand coeff * (X (x) Y) with Hermitian X, Y over product densities.
-
-    X and Y come from unit Schmidt vectors and the operator's scale only
-    from ``coeff``, so a part is dropped relative to its factor's trace norm.
-    """
-    xp, xm = positive_negative_split(x)
-    yp, ym = positive_negative_split(y)
-    xcut = 1e-15 * float(np.trace(xp + xm).real)
-    ycut = 1e-15 * float(np.trace(yp + ym).real)
-    for xmat, xsgn in ((xp, 1.0), (xm, -1.0)):
-        tx = float(np.trace(xmat).real)
-        if tx <= xcut:
-            continue
-        for ymat, ysgn in ((yp, 1.0), (ym, -1.0)):
-            ty = float(np.trace(ymat).real)
-            if ty <= ycut:
-                continue
-            terms.append((coeff * xsgn * ysgn * tx * ty, xmat / tx, ymat / ty))
+                for phi, sign in ((1.0, 1.0), (1j, -1.0)):
+                    for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                        atoms.append(((lv[k] + s * phi * lv[l]) / np.sqrt(2.0),
+                                      (rv[k] + t * phi * rv[l]) / np.sqrt(2.0)))
+                        weights.append(sign * s * t * lam * a[k] * a[l] / 2)
+    keep = [i for i, w in enumerate(weights) if abs(w) > cut]
+    return [atoms[i] for i in keep], np.array([weights[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------
 # robustness-style decomposition search
-
-
-def _densities(atom) -> tuple:
-    """The factors |phi><phi|, |psi><psi| of an atom: a pair (phi, psi) of unit
-    vectors standing for the pure product state |phi><phi| (x) |psi><psi|."""
-    phi, psi = atom
-    return np.outer(phi, phi.conj()), np.outer(psi, psi.conj())
 
 
 @dataclass(eq=False)
@@ -719,8 +714,10 @@ def _reconstruction_error(op: BipartiteOperator, dec, tn_target: float) -> float
 
 
 def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
-    """sum_k w_k (rho_k (x) sigma_k) over the atoms whose |w_k| exceeds ``cutoff``."""
-    terms = [(float(w), *_densities(a)) for w, a in zip(weights, atoms) if abs(w) > cutoff]
+    """sum_k w_k |phi_k><phi_k| (x) |psi_k><psi_k| over the atoms (phi_k, psi_k),
+    pairs of unit vectors, whose |w_k| exceeds ``cutoff``."""
+    terms = [(float(w), np.outer(p, p.conj()), np.outer(q, q.conj()))
+             for w, (p, q) in zip(weights, atoms) if abs(w) > cutoff]
     return SignedDecomposition(terms, shape)
 
 
@@ -752,17 +749,17 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
 
     Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1).
     Phase 2 is column generation for the weight-minimizing signed
-    combination.  The dictionary starts from the signed decomposition built
-    by :func:`hermitian_upper` (so the result never exceeds that weight) and
-    the local eigenbasis products.  Each round solves the l1-minimal weight
-    linear program over the n^2 real parameters of a Hermitian matrix, then
-    prices product states against its dual Y: every start of the product
-    ascent on [Y, -Y] whose local maximum beats 1 + PRICING_TOL enters,
-    near duplicates removed.  Before they enter, the dictionary is pruned to
-    :func:`_atom_budget`: atoms with LP weight first, then the newest (an atom
-    with weight is never dropped).  It stops when no start beats
-    1 + PRICING_TOL, after ``max_rounds``, or when the LP fails, and its
-    ``message`` says which.
+    combination.  The dictionary starts from the atoms of the signed
+    decomposition of :func:`hermitian_upper` (so the result never exceeds
+    its weight), then the local eigenbasis products.  Each round solves the
+    l1-minimal weight linear program over the n^2 real parameters of a
+    Hermitian matrix, then prices product states against its dual Y: every
+    start of the product ascent on [Y, -Y] whose local maximum beats
+    1 + PRICING_TOL enters, near duplicates removed.  Before they enter, the
+    dictionary is pruned to :func:`_atom_budget`: atoms with LP weight
+    first, then the newest (an atom with weight is never dropped).  It stops
+    when no start beats 1 + PRICING_TOL, after ``max_rounds``, or when the
+    LP fails, and its ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
     unsuccessful result instead of raising.
@@ -778,10 +775,9 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     if mixture is not None:  # weight equals the trace; 1 for a density
         return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
-    # phase 2: signed search seeded with the constructive decomposition
+    # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
-    atoms = [_atom_from_density(rho, sig) for _, rho, sig in base_dec.terms]
-    atoms.extend(_seed_atoms(op))
+    atoms = an.signed_atoms[0] + _seed_atoms(op)
 
     rng = rng_from_seed(config.seed + 1)
     # HiGHS's tolerances are absolute: the LP fits D / 2^k, 2^k near ||D||_1
@@ -852,14 +848,6 @@ def _distinct_atoms(vals, phis, psis) -> list:
     return atoms
 
 
-def _atom_from_density(rho: np.ndarray, sig: np.ndarray) -> tuple:
-    """Nearest pure-product atom when the factors are (nearly) pure; kept
-    exact for the rank-one factors produced by hermitian_upper."""
-    _, ur = np.linalg.eigh(rho)
-    _, us = np.linalg.eigh(sig)
-    return ur[:, -1].copy(), us[:, -1].copy()
-
-
 # ---------------------------------------------------------------------------
 # combined bounds
 
@@ -911,8 +899,13 @@ class _Analysis:
         return _spectral_schmidt(self.op)
 
     @cached_property
+    def signed_atoms(self) -> tuple:
+        """The spectral-Schmidt expansion as (atoms, weights) over pure products."""
+        return _signed_atoms(self.spectral)
+
+    @cached_property
     def signed(self) -> SignedDecomposition:
-        return _signed_decomposition(self.spectral, self.op.shape)
+        return _decomposition_from(*self.signed_atoms, self.op.shape, cutoff=0.0)
 
     def bounds(self, include_robustness: bool = True,
                extra_decompositions: tuple = ()) -> NormBounds:
@@ -920,7 +913,8 @@ class _Analysis:
         op = self.op
         low = self.lower
         if not self.hermitian:
-            split = (_hermitian_split_upper(op), "hermitian_split", None)
+            value, dec = _hermitian_split_upper(op)
+            split = (value, "hermitian_split", dec)
             return _norm_bounds({"pi_lower": low, "pi_upper": split}, op.shape.total, indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
@@ -953,16 +947,20 @@ def _norm_bounds(winners: dict, n: int, indirect: bool = False) -> NormBounds:
                       certificates={k: p[2] for k, p in winners.items()}, indirect=indirect)
 
 
-def _hermitian_split_upper(op: BipartiteOperator) -> float:
-    """Triangle-inequality upper bound for non-Hermitian input via Hermitian parts."""
+def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
+    """Triangle-inequality upper bound for non-Hermitian input: D = A + iB
+    with A, B Hermitian, each bounded by the lighter of its spectral and
+    realignment certificates.  The certificate joins the two, B's X factors
+    times i."""
     mat = op.matrix
-    up = 0.0
-    for part in ((mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j):
+    up, terms = 0.0, []
+    for phase, part in ((1.0, (mat + mat.conj().T) / 2), (1j, (mat - mat.conj().T) / 2j)):
         hop = BipartiteOperator(op.shape, part)
-        us, _ = upper_bound_spectral(hop)
-        ur, _ = upper_bound_realignment(hop)
-        up += min(us, ur)
-    return up
+        value, dec = min(upper_bound_spectral(hop), upper_bound_realignment(hop),
+                         key=lambda p: p[0])
+        up += value
+        terms += [(r, phase * x, y) for r, x, y in dec.terms]
+    return up, StandardDecomposition(terms, op.shape)
 
 
 def pi_bounds(

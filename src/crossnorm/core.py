@@ -352,13 +352,6 @@ def jordan_split4(op):
     return s1, s2, s3, s4
 
 
-def positive_negative_split(mat: np.ndarray):
-    """Hermitian A = P - N with P, N >= 0 and PN = 0."""
-    a = (np.asarray(mat, dtype=complex) + np.asarray(mat, dtype=complex).conj().T) / 2
-    absa = herm_abs(a)
-    return (absa + a) / 2, (absa - a) / 2
-
-
 def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):
     """Eigendecomposition with eigenvalues grouped into degenerate blocks.
 
@@ -368,16 +361,20 @@ def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):
     """
     w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
     order = np.argsort(-w)
-    w = w[order]
-    u = u[:, order]
-    scale = max(float(np.abs(w).max(initial=0.0)), 1e-300)
-    blocks = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or abs(w[i] - w[start]) > rel_tol * scale:
-            blocks.append(slice(start, i))
+    w, u = w[order], u[:, order]
+    return w, u, equal_runs(w, rel_tol)
+
+
+def equal_runs(values: np.ndarray, rel_tol: float = 1e-9) -> list:
+    """Index slices of the runs of a sorted array whose entries lie within
+    ``rel_tol``, relative to the largest |entry|, of the run's first."""
+    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
+    runs, start = [], 0
+    for i in range(1, values.size + 1):
+        if i == values.size or abs(values[i] - values[start]) > rel_tol * scale:
+            runs.append(slice(start, i))
             start = i
-    return w, u, blocks
+    return runs
 
 
 # ---------------------------------------------------------------------------

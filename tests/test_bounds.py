@@ -135,6 +135,11 @@ def test_spectral_bound_of_isotropic_state_at_every_scale(scale):
     op = isotropic(0.5, 3)
     value, _ = upper_bound_spectral(BipartiteOperator(op.shape, op.matrix * scale))
     assert value / scale <= 61 / 27 + 1e-12
+    # the run of eight operator-Schmidt coefficients 1/15 is rotated to the
+    # matrix units: 1 + (6 + 8/3 + 2) / 15 = 77/45 whatever basis the SVD returns
+    op = isotropic(0.2, 3)
+    value, _ = upper_bound_realignment(BipartiteOperator(op.shape, op.matrix * scale))
+    assert value / scale == pytest.approx(77 / 45, rel=1e-12)
 
 
 def test_spectral_rejects_non_hermitian():
@@ -373,6 +378,27 @@ def test_witness_seesaw_modulus_on_non_hermitian_input():
         assert q == pytest.approx(abs(np.vdot(c, op.matrix @ c)) / a1**2, rel=1e-12)
 
 
+def test_witness_seesaw_starts_non_hermitian_input_from_its_hermitian_part():
+    from crossnorm.bounds import _witness_seesaw
+
+    shape = BipartiteShape(2, 3)
+    rng = np.random.default_rng(8)
+    d = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    q, c = _witness_seesaw(d, shape, SeeSawConfig(seed=1, restarts=1, max_iters=1), use_abs=True)
+    # one polar step from the extremal eigenvector of (D + D^dag) / 2, on D / 2^k
+    w, u = np.linalg.eigh((d + d.conj().T) / 2)
+    scale = 2.0 ** round(np.log2(np.abs(w).sum()))
+    mat = d / scale
+    c0 = u[:, np.argmax(np.abs(w))]
+    g = mat @ c0
+    ph = np.exp(-1j * np.angle(np.vdot(c0, g)))
+    g = (ph * g + np.conj(ph) * (mat.conj().T @ c0)) / 2 + np.linalg.norm(mat, 2) * c0
+    uu, _, vh = np.linalg.svd(g.reshape(2, 3), full_matrices=False)
+    c1 = (uu @ vh).reshape(-1)
+    assert np.allclose(c, c1, rtol=0, atol=1e-12)
+    assert q == pytest.approx(abs(np.vdot(c1, d @ c1)), rel=1e-12)
+
+
 def test_witness_seesaw_returns_a_co_isometry():
     from crossnorm.bounds import _witness_seesaw
 
@@ -539,6 +565,73 @@ def test_hermitian_upper_pure_closed_form():
         v = random_pure(BipartiteShape(3, 3), rng)
         val, _ = hermitian_upper(v.projector())
         assert val == pytest.approx(2.0 * pure_pi_norm(v) - 1.0, abs=1e-8)
+
+
+def _eigh_split_signed(spectral, shape):
+    """The signed decomposition built by eigendecomposition: each Hermitian
+    pair X_R (x) Y_R, X_I (x) Y_I split into positive and negative parts,
+    every part with trace above 1e-15 of its factor's trace norm kept, and
+    terms at most 1e-15 max|lambda| dropped."""
+    from crossnorm.core import herm_abs
+
+    def split(a):
+        absa = herm_abs(a)
+        return (absa + a) / 2, (absa - a) / 2
+
+    scale = max((abs(lam) for lam, _ in spectral), default=0.0)
+    terms = []
+    for lam, sf in spectral:
+        a, lv, rv = sf.coefficients, sf.left_vectors, sf.right_vectors
+        for k in range(sf.rank):
+            terms.append((lam * a[k] ** 2, np.outer(lv[k], lv[k].conj()),
+                          np.outer(rv[k], rv[k].conj())))
+        for k in range(sf.rank):
+            for l in range(k + 1, sf.rank):
+                x, y = np.outer(lv[k], lv[l].conj()), np.outer(rv[k], rv[l].conj())
+                for xm, ym, sgn in (((x + x.conj().T) / 2, (y + y.conj().T) / 2, 1.0),
+                                    ((x - x.conj().T) / 2j, (y - y.conj().T) / 2j, -1.0)):
+                    xs, ys = split(xm), split(ym)
+                    xcut = 1e-15 * float(np.trace(xs[0] + xs[1]).real)
+                    ycut = 1e-15 * float(np.trace(ys[0] + ys[1]).real)
+                    for xp, xsgn in zip(xs, (1.0, -1.0)):
+                        tx = float(np.trace(xp).real)
+                        for yp, ysgn in zip(ys, (1.0, -1.0)):
+                            ty = float(np.trace(yp).real)
+                            if tx > xcut and ty > ycut:
+                                terms.append((2.0 * sgn * lam * a[k] * a[l] * xsgn * ysgn * tx * ty,
+                                              xp / tx, yp / ty))
+    return [(t, r, s) for t, r, s in terms if abs(t) > 1e-15 * scale]
+
+
+def _signed_test_operators(dh, dj):
+    """A random indefinite Hermitian operator, a rank-deficient one and the
+    isotropic state (a degenerate block) when dh = dj."""
+    rng = np.random.default_rng(10 * dh + dj)
+    n = dh * dj
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    ops = [z + z.conj().T, v @ np.diag([1.0, -0.5]) @ v.conj().T]
+    if dh == dj:
+        ops.append(isotropic(0.4, dh).matrix)
+    return [BipartiteOperator(BipartiteShape(dh, dj), m) for m in ops]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])
+def test_hermitian_upper_matches_the_eigh_split_construction(dh, dj, scale):
+    from crossnorm.bounds import _spectral_schmidt
+
+    for base in _signed_test_operators(dh, dj):
+        op = BipartiteOperator(base.shape, base.matrix * scale)
+        value, dec = hermitian_upper(op)
+        ref = _eigh_split_signed(_spectral_schmidt(op), op.shape)
+        assert len(dec.terms) == len(ref)
+        for (t, rho, sig), (tr, rhor, sigr) in zip(dec.terms, ref):
+            assert t == pytest.approx(tr, rel=1e-12)
+            assert np.allclose(rho, rhor, rtol=0, atol=1e-12)
+            assert np.allclose(sig, sigr, rtol=0, atol=1e-12)
+        assert value == pytest.approx(sum(abs(t) for t, _, _ in ref), rel=1e-12)
+        assert validate_decomposition(op, dec).certifies_h_upper
 
 
 def test_separable_mixture_certifies_unit_h_norm():
@@ -723,6 +816,24 @@ def test_phase_two_lp_has_hermitian_rows_and_stays_in_budget(monkeypatch):
     assert max(cols for _, cols in shapes) == 2 * 64  # the budget was reached
 
 
+def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch):
+    from crossnorm import bounds
+
+    first = []
+    linprog = bounds.linprog
+
+    def recorded_linprog(*args, **kwargs):
+        first.append(first[0] if first else kwargs["A_eq"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "linprog", recorded_linprog)
+    op = random_density(BipartiteShape(2, 2), 7)
+    robustness_upper(op, CFG, max_rounds=1)
+    atoms = bounds._Analysis(op, CFG).signed_atoms[0] + bounds._seed_atoms(op)
+    a_mat = np.column_stack([bounds._column(a) for a in atoms])
+    assert np.array_equal(first[0], np.hstack([a_mat, -a_mat]))
+
+
 def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
     events = _record_lp_and_columns(monkeypatch)
     robustness_upper(random_density(BipartiteShape(2, 2), 7), CFG)
@@ -838,6 +949,18 @@ def test_pi_bounds_indirect_non_hermitian():
     assert nb.indirect
     assert nb.pi_lower <= nb.pi_upper + 1e-8
     assert trace_norm(m) <= nb.pi_lower + 1e-9
+
+
+def test_indirect_upper_bound_has_a_valid_certificate():
+    rng = np.random.default_rng(47)
+    for shape in (BipartiteShape(2, 2), BipartiteShape(2, 3), BipartiteShape(3, 3)):
+        n = shape.total
+        op = BipartiteOperator(shape, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        nb = pi_bounds(op, CFG)
+        assert nb.methods["pi_upper"] == "hermitian_split"
+        rep = validate_decomposition(op, nb.certificates["pi_upper"])
+        assert rep.valid and rep.certifies_pi_upper and rep.kind == "standard"
+        assert rep.weight == pytest.approx(nb.pi_upper, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
