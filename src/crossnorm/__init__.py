@@ -59,7 +59,6 @@ from .gnorm import (
     g_norm_product,
     g_norm_rank_one,
     g_norm_seesaw,
-    g_norm_upper,
 )
 from .separability import (
     Classification,

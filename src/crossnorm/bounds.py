@@ -75,6 +75,7 @@ from .core import (
     equal_runs,
     nuclear_norm,
     outward,
+    power_of_two_near,
     realign,
     rng_from_seed,
     operator_schmidt,
@@ -385,7 +386,7 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     rng = rng_from_seed(config.seed)
     n = shape.total
     w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    scale = _power_of_two_near(np.abs(w).sum())
+    scale = power_of_two_near(np.abs(w).sum())
     mat = mat / scale
     order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
     zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
@@ -422,11 +423,6 @@ def _polar_rows(g: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     co-isometry, every Schmidt coefficient 1, maximizing Re <g, x> over a_1(x) <= 1."""
     u, _, vh = np.linalg.svd(g.reshape(-1, shape.dh, shape.dj), full_matrices=False)
     return (u @ vh).reshape(len(g), -1)
-
-
-def _power_of_two_near(x: float) -> float:
-    """2^k with k the integer nearest to log2(x); 1 for x = 0 or inf."""
-    return 2.0 ** round(np.log2(x)) if 0 < x < np.inf else 1.0
 
 
 def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
@@ -781,7 +777,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
 
     rng = rng_from_seed(config.seed + 1)
     # HiGHS's tolerances are absolute: the LP fits D / 2^k, 2^k near ||D||_1
-    scale = _power_of_two_near(tn_target)
+    scale = power_of_two_near(tn_target)
     tn_lp = tn_target / scale
     d = _embed_hermitian(op.matrix) / scale
     cols = [_column(a) for a in atoms]  # one per atom, built as it enters

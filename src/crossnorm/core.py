@@ -204,6 +204,12 @@ def outward(value: float, n: int, up: bool) -> float:
     return float(value + margin if up else value - margin)
 
 
+def power_of_two_near(x: float) -> float:
+    """2^k with k the integer nearest to log2(x), 1 for x = 0 or inf: a search on
+    X / 2^k runs near unit scale, and its results scale back exactly."""
+    return 2.0 ** round(np.log2(x)) if 0 < x < np.inf else 1.0
+
+
 def _square(op) -> np.ndarray:
     mat = np.asarray(getattr(op, "matrix", op), dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

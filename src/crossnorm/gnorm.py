@@ -2,7 +2,8 @@
 
 ||L||_G = sup |<phi (x) psi, L (eta (x) chi)>| over unit product vectors.
 Exact closed forms for simple tensors and rank-one operators; alternating
-(see-saw) ascent with certified upper bound ||L||_inf otherwise.
+(see-saw) ascent with certified upper bound ||L||_inf otherwise, all its
+restarts advanced as one stack: one stacked matvec and ``svd`` per half-step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     operator_norm,
     operator_schmidt,
     outward,
+    power_of_two_near,
     rng_from_seed,
 )
 
@@ -75,20 +77,13 @@ def g_norm_rank_one(c: BipartiteVector) -> float:
     return float(s[0] ** 2)
 
 
-def g_norm_upper(L: BipartiteOperator) -> float:
-    """Operator norm of L: always a valid upper bound on ||L||_G."""
-    return operator_norm(L.matrix)
-
-
-def _leading_pair(w: np.ndarray, dh: int, dj: int):
-    """Top Schmidt pair (phi, psi) of a bipartite vector and its coefficient."""
-    u, s, vh = np.linalg.svd(w.reshape(dh, dj))
-    return u[:, 0], vh[0, :], float(s[0])
-
-
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _half_step(mat: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Each row's top Schmidt pair (phi, psi) and coefficient of mat (left_r (x)
+    right_r), one product per row so that no restart's iterates depend on its stack."""
+    n_r, dh, dj = len(left), left.shape[1], right.shape[1]
+    w = mat @ (left[:, :, None] * right[:, None, :]).reshape(n_r, -1, 1)
+    u, s, vh = np.linalg.svd(w.reshape(n_r, dh, dj))
+    return u[:, :, 0], vh[:, 0, :], s[:, 0]
 
 
 def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
@@ -98,8 +93,13 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     L(eta (x) chi); fixing (phi, psi), the optimal (eta, chi) is the leading
     Schmidt pair of L^*(phi (x) psi).  The objective never decreases across
     half-steps.  Restart 0 starts from the leading operator-Schmidt pair of
-    L, the rest from seeded random product vectors; the best restart wins,
-    ties broken by the lowest restart index.
+    L, the rest from seeded random product vectors, and all advance together
+    as one stack.  A restart stops when its value after a full step is
+    within ``tol`` (relative) of its values one and two steps earlier.  The
+    best restart wins, ties broken by the lowest restart index.  The search
+    runs on L / 2^k, 2^k the power of two nearest to ||L||_inf, and scales
+    the values and ``histories`` back; the scaling is exact, so no step
+    overflows or underflows.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
     vectors up to rounding, and rounded down to cover it; ``upper_bound``
@@ -111,53 +111,48 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     dh, dj = L.shape.dh, L.shape.dj
     rng = rng_from_seed(config.seed)
     upper = operator_norm(mat)
+    scale = power_of_two_near(upper)
+    mat = mat / scale
+    adj = mat.conj().T
 
-    best_val = -1.0
-    best_vecs = None
-    best_restart = 0
-    best_iters = 0
-    best_converged = False
-    histories = []
+    n_r = config.restarts
+    draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+             for _ in range(n_r - 1) for d in (dh, dj)]
+    eta0, chi0 = _operator_schmidt_start(L)
+    eta = np.array([eta0] + [z / np.linalg.norm(z) for z in draws[0::2]], dtype=complex)
+    chi = np.array([chi0] + [z / np.linalg.norm(z) for z in draws[1::2]], dtype=complex)
+    history = []  # one (restarts, 2) array of half-step values per step
+    iters, converged = np.zeros(n_r, dtype=int), np.zeros(n_r, dtype=bool)
+    prev, prev2 = np.full(n_r, -1.0), np.full(n_r, -1.0)  # each row's last two full-step values
+    active = np.arange(n_r)
+    for it in range(1, config.max_iters + 1):
+        step = np.zeros((n_r, 2))
+        history.append(step)
+        phi, psi, step[active, 0] = _half_step(mat, eta[active], chi[active])
+        eta[active], chi[active], val = _half_step(adj, phi, psi)
+        step[active, 1] = val
+        iters[active] = it
+        cut = config.tol * np.maximum(val, 1e-300)
+        done = (np.abs(val - prev[active]) < cut) & (np.abs(val - prev2[active]) < cut)
+        converged[active] = done
+        prev2[active], prev[active] = prev[active], val
+        active = active[~done]
+        if active.size == 0:
+            break
 
-    for r in range(config.restarts):
-        if r == 0:
-            eta, chi = _operator_schmidt_start(L)
-        else:
-            eta, chi = _random_unit(rng, dh), _random_unit(rng, dj)
-        phi, psi = eta, chi
-        history = []
-        prev, prev2 = -1.0, -1.0
-        converged = False
-        iters = 0
-        for iters in range(1, config.max_iters + 1):
-            phi, psi, val = _leading_pair(mat @ np.kron(eta, chi), dh, dj)
-            history.append(val)
-            eta, chi, val = _leading_pair(mat.conj().T @ np.kron(phi, psi), dh, dj)
-            history.append(val)
-            scale = max(val, 1e-300)
-            if abs(val - prev) < config.tol * scale and abs(val - prev2) < config.tol * scale:
-                converged = True
-                break
-            prev2, prev = prev, val
-        histories.append(history)
-        final = history[-1] if history else 0.0
-        if final > best_val:
-            best_val = final
-            best_vecs = (phi, psi, eta, chi)
-            best_restart = r
-            best_iters = iters
-            best_converged = converged
-
-    phi, psi, eta, chi = best_vecs
+    best = int(np.argmax(prev))
     # one more half-step keeps (phi, psi) consistent with the final (eta, chi)
-    phi, psi, val = _leading_pair(mat @ np.kron(eta, chi), dh, dj)
-    best_val = max(best_val, val)
+    phi, psi, val = _half_step(mat, eta[best:best + 1], chi[best:best + 1])
+    best_val = max(prev[best], val[0]) * scale
+    phi, psi, eta, chi = phi[0], psi[0], eta[best], chi[best]
     obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
     if abs(obj) > 0.0:
         phi = phi * (obj / abs(obj))  # make the reported objective real nonnegative
+    history = np.array(history) * scale
+    histories = [history[:iters[r], r].ravel().tolist() for r in range(n_r)]
     return GNormEstimate(outward(best_val, L.shape.total, up=False), upper, phi, psi, eta, chi,
-                         iterations_used=best_iters, converged=best_converged,
-                         best_restart=best_restart, histories=histories)
+                         iterations_used=int(iters[best]), converged=bool(converged[best]),
+                         best_restart=best, histories=histories)
 
 
 def _operator_schmidt_start(L: BipartiteOperator):

@@ -172,13 +172,14 @@ def witness_check(E: Witness | BipartiteOperator, state: BipartiteOperator | Non
 
 
 def _certify_g_upper(op: BipartiteOperator):
-    """Exact injective norm for rank-one / simple-tensor forms, else ||.||_inf."""
-    w, u = np.linalg.eigh((op.matrix + op.matrix.conj().T) / 2)
-    nz = np.abs(w) > 1e-12 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
-    if nz.sum() == 1 and w[nz][0] > 0:
-        lam = float(w[nz][0])
-        vec = BipartiteVector(op.shape, u[:, nz][:, 0])
-        return lam * g_norm_rank_one(vec), lam * g_norm_rank_one(vec)
+    """Exact injective norm for Hermitian rank-one operators and simple tensors, else ||.||_inf."""
+    if op.is_hermitian(EPS_HERM):
+        w, u = np.linalg.eigh((op.matrix + op.matrix.conj().T) / 2)
+        nz = np.abs(w) > 1e-12 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
+        if nz.sum() == 1 and w[nz][0] > 0:
+            lam = float(w[nz][0])
+            vec = BipartiteVector(op.shape, u[:, nz][:, 0])
+            return lam * g_norm_rank_one(vec), lam * g_norm_rank_one(vec)
     form = operator_schmidt(op)
     if form.rank == 1:  # a simple tensor: its injective norm factorizes
         s = float(form.singular_values[0])

@@ -11,13 +11,14 @@ from crossnorm import (
     g_norm_product,
     g_norm_rank_one,
     g_norm_seesaw,
-    g_norm_upper,
     kron,
     max_entangled_vector,
     operator_norm,
     random_pure,
     schmidt_decompose,
 )
+from crossnorm.core import outward, rng_from_seed
+from crossnorm.gnorm import _operator_schmidt_start
 
 CFG = SeeSawConfig(seed=101, restarts=8, max_iters=120)
 CHEAP = SeeSawConfig(seed=103, restarts=3, max_iters=30)
@@ -93,7 +94,9 @@ def test_adjoint_symmetry_certified_quantities():
         g_norm_product(a.conj().T, b.conj().T), abs=1e-10
     )
     L = kron(a, b)
-    assert g_norm_upper(L) == pytest.approx(g_norm_upper(L.dagger()), abs=1e-10)
+    assert g_norm_seesaw(L, CHEAP).upper_bound == pytest.approx(
+        g_norm_seesaw(L.dagger(), CHEAP).upper_bound, abs=1e-10
+    )
     # |c><c| is self-adjoint: the see-saw value agrees with the closed form
     c = random_pure(BipartiteShape(3, 3), rng)
     est = g_norm_seesaw(c.projector(), CFG)
@@ -171,7 +174,8 @@ def test_product_values():
 
 
 def test_upper_values_and_witness_gap():
-    assert g_norm_upper(BipartiteOperator(BipartiteShape(2, 3), np.eye(6, dtype=complex))) == pytest.approx(1.0)
+    eye = BipartiteOperator(BipartiteShape(2, 3), np.eye(6, dtype=complex))
+    assert g_norm_seesaw(eye, CHEAP).upper_bound == pytest.approx(1.0)
     # flat Schmidt sum witness: operator norm N while the injective norm is 1
     n = 3
     c = np.zeros(9, dtype=complex)
@@ -180,12 +184,14 @@ def test_upper_values_and_witness_gap():
         e[l] = 1.0
         c += np.kron(e, e)
     en = BipartiteOperator(BipartiteShape(3, 3), np.outer(c, c.conj()))
-    assert g_norm_upper(en) == pytest.approx(n, abs=1e-12)
+    assert g_norm_seesaw(en, CHEAP).upper_bound == pytest.approx(n, abs=1e-12)
     assert g_norm_rank_one(BipartiteVector(BipartiteShape(3, 3), c)) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(23)
     a = rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2))
-    assert g_norm_upper(kron(a, b)) == pytest.approx(operator_norm(a) * operator_norm(b), abs=1e-12)
+    assert operator_norm(kron(a, b)) == pytest.approx(
+        operator_norm(a) * operator_norm(b), abs=1e-12
+    )
 
 
 def test_seesaw_deterministic():
@@ -204,3 +210,111 @@ def test_seesaw_rejects_bad_input():
         g_norm_seesaw(BipartiteOperator(BipartiteShape(2, 2), m), CHEAP)
     with pytest.raises(ValueError):
         SeeSawConfig(seed=1, restarts=0)
+
+
+def _reference_g_norm_seesaw(L, config):
+    """The see-saw run one restart at a time: the oracle for the stacked kernel."""
+    mat = L.matrix
+    dh, dj = L.shape.dh, L.shape.dj
+    rng = rng_from_seed(config.seed)
+
+    def leading_pair(w):
+        u, s, vh = np.linalg.svd(w.reshape(dh, dj))
+        return u[:, 0], vh[0, :], float(s[0])
+
+    def random_unit(d):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return z / np.linalg.norm(z)
+
+    best_val, best = -1.0, None
+    histories = []
+    for r in range(config.restarts):
+        if r == 0:
+            eta, chi = _operator_schmidt_start(L)
+        else:
+            eta, chi = random_unit(dh), random_unit(dj)
+        history = []
+        prev, prev2 = -1.0, -1.0
+        converged = False
+        for iters in range(1, config.max_iters + 1):
+            phi, psi, val = leading_pair(mat @ np.kron(eta, chi))
+            history.append(val)
+            eta, chi, val = leading_pair(mat.conj().T @ np.kron(phi, psi))
+            history.append(val)
+            scale = max(val, 1e-300)
+            if abs(val - prev) < config.tol * scale and abs(val - prev2) < config.tol * scale:
+                converged = True
+                break
+            prev2, prev = prev, val
+        histories.append(history)
+        if history[-1] > best_val:
+            best_val, best = history[-1], (eta, chi, r, iters, converged)
+
+    eta, chi, r, iters, converged = best
+    phi, psi, val = leading_pair(mat @ np.kron(eta, chi))
+    best_val = max(best_val, val)
+    obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
+    if abs(obj) > 0.0:
+        phi = phi * (obj / abs(obj))
+    return dict(lower_bound=outward(best_val, L.shape.total, up=False), phi=phi, psi=psi,
+                eta=eta, chi=chi, best_restart=r, iterations_used=iters, converged=converged,
+                histories=histories)
+
+
+def _operator(kind, dh, dj, rng):
+    n = dh * dj
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        m = (m + m.conj().T) / 2
+    elif kind == "rank-one":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = np.outer(v, v.conj())
+    elif kind == "zero":
+        m = np.zeros((n, n), dtype=complex)
+    return BipartiteOperator(BipartiteShape(dh, dj), m)
+
+
+@pytest.mark.parametrize("dh,dj", [(1, 1), (1, 3), (2, 3), (5, 5)])
+@pytest.mark.parametrize("kind", ["hermitian", "rank-one", "zero", "general"])
+def test_stacked_seesaw_matches_the_per_restart_loop(dh, dj, kind):
+    rng = np.random.default_rng(31 + 7 * dh + dj)
+    L = _operator(kind, dh, dj, rng)
+    for seed, restarts, max_iters in [(1, 1, 1), (2, 5, 7), (3, 32, 200)]:
+        cfg = SeeSawConfig(seed=seed, restarts=restarts, max_iters=max_iters)
+        est, ref = g_norm_seesaw(L, cfg), _reference_g_norm_seesaw(L, cfg)
+        assert (est.best_restart, est.iterations_used, est.converged) == (
+            ref["best_restart"], ref["iterations_used"], ref["converged"])
+        assert [len(h) for h in est.histories] == [len(h) for h in ref["histories"]]
+        scale = max(ref["lower_bound"], 1e-300)
+        assert abs(est.lower_bound - ref["lower_bound"]) <= 1e-12 * scale
+        for got, want in zip(est.histories, ref["histories"]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        for name in ("phi", "psi", "eta", "chi"):
+            np.testing.assert_allclose(getattr(est, name), ref[name], rtol=1e-12, atol=1e-12)
+
+
+def test_restarts_do_not_depend_on_the_stack():
+    L = _operator("general", 2, 3, np.random.default_rng(37))
+    full = g_norm_seesaw(L, SeeSawConfig(seed=9, restarts=32, max_iters=200))
+    for k in (1, 2, 7):
+        part = g_norm_seesaw(L, SeeSawConfig(seed=9, restarts=k, max_iters=200))
+        assert part.histories == full.histories[:k]
+
+
+@pytest.mark.parametrize("k", [-300, -200, 0, 200, 300])
+def test_seesaw_at_every_scale(k):
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m /= np.linalg.norm(m)  # unit Frobenius norm, so the values at 1e-300 lie below 1e-300
+    cfg = SeeSawConfig(seed=1)
+    base = g_norm_seesaw(BipartiteOperator(BipartiteShape(3, 3), m), cfg)
+    s = 10.0**k
+    L = BipartiteOperator(BipartiteShape(3, 3), m * s)
+    est = g_norm_seesaw(L, cfg)
+    assert est.lower_bound / s == pytest.approx(base.lower_bound, rel=1e-12)
+    assert (est.best_restart, est.iterations_used) == (base.best_restart, base.iterations_used)
+    assert all(np.all(np.isfinite(v)) for v in (est.phi, est.psi, est.eta, est.chi))
+    val = est.objective(L)
+    assert abs(abs(val) - est.lower_bound) <= 1e-12 * est.lower_bound
+    assert abs(val.imag) <= 1e-12 * est.lower_bound
+

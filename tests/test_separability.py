@@ -101,6 +101,18 @@ def test_witness_check_identity_is_not_a_witness():
     assert not rep.w1 and not rep.w2
 
 
+def test_witness_check_reads_no_rank_one_form_off_a_non_hermitian_operator():
+    # the Hermitian part of |c><c| + i I is the rank-one |c><c|, but the
+    # operator's injective norm is |1 + i|
+    c = np.kron([1.0, 0.0], [1.0, 0.0])
+    op = BipartiteOperator(BipartiteShape(2, 2), np.outer(c, c) + 1j * np.eye(4))
+    rep = witness_check(op, None, CFG)
+    assert rep.g_norm_exact is None
+    assert rep.g_norm_certified_upper == pytest.approx(np.sqrt(2), rel=1e-12)
+    assert rep.g_norm_seesaw_lower <= rep.g_norm_certified_upper
+    assert rep.g_norm_seesaw_lower == pytest.approx(np.sqrt(2), rel=1e-10)
+
+
 def test_witness_en_bell_matrix_pattern():
     wit = build_witness_EN(max_entangled_vector(2), 2)
     mat = wit.operator.matrix
