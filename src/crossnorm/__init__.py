@@ -40,12 +40,12 @@ from .core import (
     SchmidtForm,
     ShapeError,
     from_state_dict,
-    jordan_split4,
     kron,
     nuclear_norm,
     operator_norm,
     operator_schmidt,
     partial_trace,
+    partial_transpose,
     random_density,
     random_pure,
     realign,
@@ -70,7 +70,6 @@ from .separability import (
     isotropic,
     max_entangled,
     max_entangled_vector,
-    partial_transpose,
     ppt_oracle,
     product_state,
     pure_with_schmidt,

@@ -1,9 +1,11 @@
 """Certified bounds on the projective and Hermitian projective norms.
 
 Each call wraps its operator in one private ``_Analysis`` that computes the
-shared work at most once, on first use: the Hermitian and PSD flags, trace
-norm, realignment bound, witness see-saw, spectral-Schmidt expansion and
-its signed atoms.  Nothing is kept on the operator or between calls.
+shared work at most once, on first use: the Hermitian, PSD and negative
+partial transpose (NPT) flags, trace norm, realignment bound, witness
+see-saw, spectral-Schmidt expansion and its signed atoms; the robustness
+search reads the same analysis.  Nothing is kept on the operator or between
+calls.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm, the
 realignment (computable cross norm) inequality and a rank-one witness whose
@@ -19,7 +21,8 @@ The signed decomposition is closed form: each Schmidt term of an
 eigenvector is one or eight pure product atoms, which also start the
 robustness search.  Degenerate eigenblocks and operator-Schmidt runs are
 rotated to their projections of the product basis, so both expansions
-scale with the operator.
+scale with the operator; eigenblocks are then productized by Jacobi
+rotations, all grid rotations of a pair scored in one stacked SVD.
 
 The witness see-saw is projected power iteration on co-isometries, where
 its objective reaches its maximum: each step replaces every restart's c by
@@ -71,10 +74,13 @@ from .core import (
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
+    complex_to_pairs,
     eigh_blocks,
     equal_runs,
     nuclear_norm,
     outward,
+    partial_trace,
+    partial_transpose,
     power_of_two_near,
     realign,
     rng_from_seed,
@@ -116,8 +122,6 @@ class StandardDecomposition:
         return acc
 
     def to_dict(self) -> dict:
-        from .core import complex_to_pairs
-
         kw, kx, ky = self._term_keys
         return {
             "kind": self.kind,
@@ -220,13 +224,19 @@ def _schmidt_sum(vec: np.ndarray, dh: int, dj: int) -> float:
 
 _JACOBI_THETAS = tuple(np.pi * k / 16 for k in range(1, 8))
 _JACOBI_PHASES = tuple(np.pi * k / 4 for k in range(8))
+# (p, q) -> (ct p + e st q, -conj(e) st p + ct q) over the grid, theta outer: three columns
+_JACOBI_CT, _JACOBI_EST, _JACOBI_NEST = (np.array(c)[:, None] for c in zip(*[
+    (np.cos(th), np.exp(1j * ph) * np.sin(th), -np.conj(np.exp(1j * ph)) * np.sin(th))
+    for th in _JACOBI_THETAS for ph in _JACOBI_PHASES]))
 
 
 def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int = 50) -> np.ndarray:
     """Rotate a degenerate eigenblock to reduce sum_j (sum_l a_l(v_j))^2.
 
     Greedy two-vector Jacobi-style rotations over a fixed angle/phase grid,
-    deterministic sweep order.  Any basis of the block yields a valid
+    deterministic sweep order; the first grid point that lowers a pair's sum
+    by more than 1e-12 below the best so far wins.  All rotations of a pair
+    are scored by one stacked SVD.  Any basis of the block yields a valid
     certificate; this only tightens it (e.g. picks product bases over Bell
     bases inside maximally mixed blocks).
     """
@@ -241,23 +251,18 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
         improved = False
         for p in range(b):
             for q in range(p + 1, b):
-                base = sums[p] ** 2 + sums[q] ** 2
-                best = (None, base)
-                for th in _JACOBI_THETAS:
-                    ct, st = np.cos(th), np.sin(th)
-                    for ph in _JACOBI_PHASES:
-                        e = np.exp(1j * ph)
-                        vp = ct * cols[p] + e * st * cols[q]
-                        vq = -np.conj(e) * st * cols[p] + ct * cols[q]
-                        sp = _schmidt_sum(vp, dh, dj)
-                        sq = _schmidt_sum(vq, dh, dj)
-                        val = sp**2 + sq**2
-                        if val < best[1] - 1e-12:
-                            best = ((vp, vq, sp, sq), val)
-                if best[0] is not None:
-                    vp, vq, sp, sq = best[0]
-                    cols[p], cols[q] = vp, vq
-                    sums[p], sums[q] = sp, sq
+                vp = _JACOBI_CT * cols[p] + _JACOBI_EST * cols[q]
+                vq = _JACOBI_NEST * cols[p] + _JACOBI_CT * cols[q]
+                sv = np.linalg.svd(np.stack([vp, vq], axis=1).reshape(-1, 2, dh, dj),
+                                   compute_uv=False).sum(axis=-1)
+                vals = sv[:, 0] ** 2 + sv[:, 1] ** 2
+                best, best_val = None, sums[p] ** 2 + sums[q] ** 2
+                for k, val in enumerate(vals):
+                    if val < best_val - 1e-12:
+                        best, best_val = k, val
+                if best is not None:
+                    cols[p], cols[q] = vp[best], vq[best]
+                    sums[p], sums[q] = float(sv[best, 0]), float(sv[best, 1])
                     improved = True
         if not improved:
             break
@@ -627,17 +632,12 @@ def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters
 
 def _seed_atoms(op: BipartiteOperator) -> list:
     """Products of the local eigenbases of the partial traces."""
-    from .core import partial_trace
-
     ph = partial_trace(op, "j")
     pj = partial_trace(op, "h")
     _, uh = np.linalg.eigh((ph + ph.conj().T) / 2)
     _, uj = np.linalg.eigh((pj + pj.conj().T) / 2)
-    atoms = []
-    for i in range(uh.shape[1]):
-        for k in range(uj.shape[1]):
-            atoms.append((uh[:, i].copy(), uj[:, k].copy()))
-    return atoms
+    return [(uh[:, i].copy(), uj[:, k].copy())
+            for i in range(uh.shape[1]) for k in range(uj.shape[1])]
 
 
 def _atom_budget(n: int) -> int:
@@ -739,15 +739,16 @@ def _prune(weights, budget, cut, *aligned):
     return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
 
 
-def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
-                     max_rounds: int = 200) -> RobustnessResult:
+def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200,
+                     analysis: _Analysis | None = None) -> RobustnessResult:
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
-    Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1).
-    Phase 2 is column generation for the weight-minimizing signed
-    combination.  The dictionary starts from the atoms of the signed
-    decomposition of :func:`hermitian_upper` (so the result never exceeds
-    its weight), then the local eigenbasis products.  Each round solves the
+    Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1),
+    unless ``_Analysis.npt`` rules such a mixture out.  Phase 2 is column
+    generation for the weight-minimizing signed combination.  The dictionary
+    starts from the atoms of the signed decomposition of
+    :func:`hermitian_upper` (so the result never exceeds its weight), then
+    the local eigenbasis products.  Each round solves the
     l1-minimal weight linear program over the n^2 real parameters of a
     Hermitian matrix, then prices product states against its dual Y: every
     start of the product ascent on [Y, -Y] whose local maximum beats
@@ -758,18 +759,20 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     LP fails, and its ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
-    unsuccessful result instead of raising.
+    unsuccessful result instead of raising.  ``analysis`` is the caller's
+    analysis of ``op`` under ``config``, whose factorizations are reused.
     """
     if not op.is_psd(EPS_PSD):
         raise ValueError("robustness_upper expects a (near-)density operator")
-    an = _Analysis(op, config)
+    an = _Analysis(op, config) if analysis is None else analysis
     shape = op.shape
     n = shape.total
     tn_target = max(an.trace_norm, 1e-300)
 
-    mixture, rounds1 = separable_fit(op, config, max_rounds)
-    if mixture is not None:  # weight equals the trace; 1 for a density
-        return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
+    if not an.npt:
+        mixture, rounds1 = separable_fit(op, config, max_rounds)
+        if mixture is not None:  # weight equals the trace; 1 for a density
+            return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
@@ -872,6 +875,15 @@ class _Analysis:
         return trace_norm(self.op.matrix)
 
     @cached_property
+    def npt(self) -> bool:
+        """lambda_min(H^Gamma) < -2 VALIDATE_TOL ||D||_1, H = (D + D^dag) / 2: then no
+        product mixture S passes :func:`separable_fit`, which needs S^Gamma >= 0 and
+        ||(H - S)^Gamma||_inf <= ||D - S||_1 <= VALIDATE_TOL ||D||_1 (x2: rounding)."""
+        pt = partial_transpose(self.op)
+        lam = np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]
+        return bool(lam < -2 * VALIDATE_TOL * self.trace_norm)
+
+    @cached_property
     def realignment_lower(self) -> float:
         return lower_bound_realignment(self.op)
 
@@ -918,7 +930,7 @@ class _Analysis:
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
         if include_robustness and self.psd:
-            rb = robustness_upper(op, self.config)
+            rb = robustness_upper(op, self.config, analysis=self)
             if rb.success:
                 ups.append((rb.value, "robustness", rb.decomposition))
         for dec in extra_decompositions:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra over a bipartite tensor-product space.
 
 Shapes, tensor products, traces, spectral/SVD factorizations, Schmidt
-decomposition, realignment and Jordan-type splittings for operators and
+decomposition, realignment and the partial transpose for operators and
 vectors on H (x) J.  The composite index convention is row-major throughout:
 the basis vector e_i (x) f_k sits at flat index ``i * d_j + k``, which is
 exactly the ordering produced by ``numpy.kron``.
@@ -258,6 +258,17 @@ def partial_trace(op: BipartiteOperator, side: str = "j") -> np.ndarray:
     raise ValueError(f"side must be 'h' or 'j', got {side!r}")
 
 
+def partial_transpose(op: BipartiteOperator, side: str = "j") -> np.ndarray:
+    """Transpose one tensor factor; both conventions share a spectrum."""
+    dh, dj = op.shape.dh, op.shape.dj
+    t = op.matrix.reshape(dh, dj, dh, dj)
+    if side == "j":
+        return t.transpose(0, 3, 2, 1).reshape(dh * dj, dh * dj)
+    if side == "h":
+        return t.transpose(2, 1, 0, 3).reshape(dh * dj, dh * dj)
+    raise ValueError(f"side must be 'h' or 'j', got {side!r}")
+
+
 def realign(op: BipartiteOperator) -> np.ndarray:
     """Realignment map: entry (i*d_h + j, k*d_j + l) is <e_i f_k|op|e_j f_l>.
 
@@ -332,30 +343,6 @@ def operator_schmidt(op: BipartiteOperator, cutoff: float = SCHMIDT_CUTOFF) -> O
         lefts.append(g.reshape(dh, dh))
         rights.append(h.reshape(dj, dj))
     return OperatorSchmidtForm(s, lefts, rights, op.shape)
-
-
-def herm_abs(mat: np.ndarray) -> np.ndarray:
-    """|A| = sqrt(A^2) of a Hermitian matrix, via its eigendecomposition."""
-    w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    return (u * np.abs(w)) @ u.conj().T
-
-
-def jordan_split4(op):
-    """Split S into four positive matrices with S = S1 - S2 + i(S3 - S4).
-
-    S1 S2 = 0 = S3 S4; for Hermitian input S3 = S4 = 0 and
-    tr(S1) + tr(S2) = trace_norm(S).
-    """
-    mat = _square(op)
-    re = mat + mat.conj().T
-    im = mat - mat.conj().T
-    abs_re = herm_abs(re)
-    abs_im = herm_abs(-1j * im)
-    s1 = (abs_re + re) / 4
-    s2 = (abs_re - re) / 4
-    s3 = (abs_im - 1j * im) / 4
-    s4 = (abs_im + 1j * im) / 4
-    return s1, s2, s3, s4
 
 
 def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):

@@ -5,8 +5,9 @@ classifier hunts for one of two certificates: a rank-one witness whose
 injective norm is exactly one and whose expectation exceeds one
 (Entangled), or a weight-one nonnegative product mixture reconstructing
 the state (Separable).  States yielding neither within budget stay
-Undecided; the partial-transpose oracle is test plumbing for shapes where
-PPT is decisive.
+Undecided.  A state whose partial transpose is not positive (Peres) has no
+product mixture, so the search is skipped for it; the partial-transpose
+oracle is test plumbing for shapes where PPT is decisive.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     kron,
     operator_norm,
     operator_schmidt,
+    partial_transpose,
     random_density,
     rng_from_seed,
     schmidt_decompose,
@@ -197,7 +199,8 @@ def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200)
 
     Entangled is tried first (cheap certified lower bounds, witness
     certificate re-verified), then Separable (product-mixture search with
-    weight one), otherwise Undecided carrying the norm bounds.  Verdicts
+    weight one, skipped when realignment or the partial transpose rules a
+    mixture out), otherwise Undecided carrying the norm bounds.  Verdicts
     are never guessed inside the PINCH_TOL band around one.
     """
     return _classify(_Analysis(op, config), max_rounds)
@@ -222,12 +225,15 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
                 message=f"witness expectation {detection:.12g} exceeds 1",
             )
 
-    # realignment above one proves entanglement, so the decomposition search
-    # cannot succeed; without a rank-one witness the verdict stays Undecided
+    # realignment above one or a negative partial transpose proves
+    # entanglement, so the decomposition search cannot succeed; without a
+    # rank-one witness the verdict stays Undecided
     realign_low = an.realignment_lower
     if realign_low > 1.0 + PINCH_TOL:
         message = (f"realignment bound {realign_low:.12g} proves entanglement "
                    "but no witness certificate was found")
+    elif an.npt:
+        message = "partial transpose is not PSD, so no product mixture exists"
     else:
         mixture, rounds = separable_fit(op, config, max_rounds=max_rounds)
         if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
@@ -247,17 +253,6 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
 # partial transpose oracle (test plumbing, decisive only at 2x2 and 2x3)
 
 
-def partial_transpose(op: BipartiteOperator, side: str = "j") -> np.ndarray:
-    """Transpose one tensor factor; both conventions share a spectrum."""
-    dh, dj = op.shape.dh, op.shape.dj
-    t = op.matrix.reshape(dh, dj, dh, dj)
-    if side == "j":
-        return t.transpose(0, 3, 2, 1).reshape(dh * dj, dh * dj)
-    if side == "h":
-        return t.transpose(2, 1, 0, 3).reshape(dh * dj, dh * dj)
-    raise ValueError(f"side must be 'h' or 'j', got {side!r}")
-
-
 @dataclass(frozen=True)
 class PPTResult:
     min_eigenvalue: float
@@ -275,8 +270,7 @@ def ppt_oracle(op: BipartiteOperator) -> PPTResult:
     """
     w = np.linalg.eigvalsh(partial_transpose(op, "j"))
     min_eig = float(w.min())
-    scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
-    is_ppt = min_eig >= -1e-10 * scale
+    is_ppt = min_eig >= -1e-10 * float(np.abs(w).max())  # relative: scale-free
     decisive = {op.shape.dh, op.shape.dj} in ({2}, {2, 3}) and op.shape.total <= 6
     if not is_ppt:
         verdict = "entangled"

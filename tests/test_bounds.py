@@ -142,6 +142,68 @@ def test_spectral_bound_of_isotropic_state_at_every_scale(scale):
     assert value / scale == pytest.approx(77 / 45, rel=1e-12)
 
 
+def _productize_block_per_candidate(block, shape, max_sweeps=50):
+    """Block productization with one SVD per candidate rotation and vector:
+    the reference the stacked scan of ``bounds._productize_block`` must match
+    bit for bit."""
+    from crossnorm import bounds
+
+    b = block.shape[1]
+    if b < 2:
+        return block
+    block = block @ bounds._pivoted_rotation(block)
+    dh, dj = shape.dh, shape.dj
+    cols = [block[:, j].copy() for j in range(b)]
+    sums = [bounds._schmidt_sum(c, dh, dj) for c in cols]
+    for _ in range(max_sweeps):
+        improved = False
+        for p in range(b):
+            for q in range(p + 1, b):
+                best = (None, sums[p] ** 2 + sums[q] ** 2)
+                for th in bounds._JACOBI_THETAS:
+                    ct, st = np.cos(th), np.sin(th)
+                    for ph in bounds._JACOBI_PHASES:
+                        e = np.exp(1j * ph)
+                        vp = ct * cols[p] + e * st * cols[q]
+                        vq = -np.conj(e) * st * cols[p] + ct * cols[q]
+                        sp = bounds._schmidt_sum(vp, dh, dj)
+                        sq = bounds._schmidt_sum(vq, dh, dj)
+                        val = sp**2 + sq**2
+                        if val < best[1] - 1e-12:
+                            best = ((vp, vq, sp, sq), val)
+                if best[0] is not None:
+                    cols[p], cols[q], sums[p], sums[q] = best[0]
+                    improved = True
+        if not improved:
+            break
+    return np.column_stack(cols)
+
+
+def _maximally_mixed(d):
+    return BipartiteOperator(BipartiteShape(d, d), np.eye(d * d, dtype=complex) / (d * d))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _maximally_mixed(3), lambda: _maximally_mixed(4), lambda: _maximally_mixed(5),
+    lambda: isotropic(0.2, 3), lambda: isotropic(0.5, 3), lambda: isotropic(0.3, 4),
+    lambda: max_entangled(3),
+], ids=["max-mixed-3", "max-mixed-4", "max-mixed-5", "isotropic-0.2-3", "isotropic-0.5-3",
+        "isotropic-0.3-4", "bell-3"])
+def test_stacked_productization_matches_the_per_candidate_loop(monkeypatch, make):
+    from crossnorm import bounds
+
+    op = make()
+    ours = bounds._spectral_schmidt(op)
+    monkeypatch.setattr(bounds, "_productize_block", _productize_block_per_candidate)
+    ref = bounds._spectral_schmidt(op)
+    assert len(ours) == len(ref)
+    for (lam, sf), (lam_ref, sf_ref) in zip(ours, ref):
+        assert lam == lam_ref
+        assert np.array_equal(sf.coefficients, sf_ref.coefficients)
+        assert np.array_equal(sf.left_vectors, sf_ref.left_vectors)
+        assert np.array_equal(sf.right_vectors, sf_ref.right_vectors)
+
+
 def test_spectral_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.0
@@ -572,10 +634,9 @@ def _eigh_split_signed(spectral, shape):
     pair X_R (x) Y_R, X_I (x) Y_I split into positive and negative parts,
     every part with trace above 1e-15 of its factor's trace norm kept, and
     terms at most 1e-15 max|lambda| dropped."""
-    from crossnorm.core import herm_abs
-
     def split(a):
-        absa = herm_abs(a)
+        w, u = np.linalg.eigh((a + a.conj().T) / 2)
+        absa = (u * np.abs(w)) @ u.conj().T
         return (absa + a) / 2, (absa - a) / 2
 
     scale = max((abs(lam) for lam, _ in spectral), default=0.0)
@@ -755,26 +816,91 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
     from crossnorm import bounds
 
     calls = _record_ascent_calls(monkeypatch, "_product_ascent")
-    fit, column = bounds.separable_fit, bounds._column
-    phase_two, columns = [], []
+    fit, linprog, column = bounds.separable_fit, bounds.linprog, bounds._column
+    fits, phase_two, columns = [], [], []
 
-    def fit_then_mark(*args, **kwargs):
-        out = fit(*args, **kwargs)
-        phase_two.append(len(calls))  # the ascent calls phase 1 made
-        return out
+    def counted_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    def lp_then_mark(*args, **kwargs):
+        if not phase_two:
+            phase_two.append(len(calls))  # the ascent calls before the first LP
+        return linprog(*args, **kwargs)
 
     def counted_column(atom):
         columns.append(atom)
         return column(atom)
 
-    monkeypatch.setattr(bounds, "separable_fit", fit_then_mark)
+    monkeypatch.setattr(bounds, "separable_fit", counted_fit)
+    monkeypatch.setattr(bounds, "linprog", lp_then_mark)
     monkeypatch.setattr(bounds, "_column", counted_column)
-    res = bounds.robustness_upper(random_density(BipartiteShape(2, 2), 7), CFG, max_rounds=8)
+    op = random_density(BipartiteShape(2, 2), 7)
+    res = bounds.robustness_upper(op, CFG, max_rounds=8)
+    assert bounds._Analysis(op, CFG).npt
+    assert fits == []  # phase 1 is skipped: no product mixture of an NPT state exists
     assert res.rounds_used >= 3
     rounds = calls[phase_two[0]:]
     assert rounds == [(2, 4)] * len(rounds)  # [ymat, -ymat] together, four starts each
     assert res.rounds_used - 1 <= len(rounds) <= res.rounds_used
     assert len({id(a) for a in columns}) == len(columns)  # no atom's column is rebuilt
+
+
+# ---------------------------------------------------------------------------
+# negative partial transpose screen
+
+
+@pytest.mark.parametrize("dh,dj,seed", [(2, 2, 7), (2, 3, 100), (3, 3, 202)])
+def test_npt_flag_is_set_where_no_product_mixture_fits(dh, dj, seed):
+    from crossnorm import bounds
+
+    op = random_density(BipartiteShape(dh, dj), seed)
+    assert bounds._Analysis(op, CFG).npt
+    dec, _ = bounds.separable_fit(op, SeeSawConfig(seed=1))
+    assert dec is None  # so skipping the search changes no outcome
+
+
+def _separable_gallery():
+    rng = np.random.default_rng(5)
+    states = [isotropic(1 / (d + 1), d) for d in (2, 3, 4, 5)]
+    states += [isotropic(0.1, 3), _maximally_mixed(3), max_entangled(1)]
+    states.append(kron(random_density(BipartiteShape(2, 1), rng).matrix,
+                       random_density(BipartiteShape(3, 1), rng).matrix))
+    for (dh, dj), k in (((2, 2), 6), ((2, 3), 5), ((3, 3), 4), ((3, 4), 9), ((4, 4), 2)):
+        for seed in (11, 12):
+            states.append(random_separable(BipartiteShape(dh, dj), k, seed)[0])
+    return states
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_npt_flag_is_never_set_on_a_separable_state(scale):
+    from crossnorm import bounds
+
+    for op in _separable_gallery():
+        assert not bounds._Analysis(BipartiteOperator(op.shape, op.matrix * scale), CFG).npt
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_npt_flag_does_not_move_with_scale(scale):
+    from crossnorm import bounds
+
+    for op, npt in ((random_density(BipartiteShape(2, 2), 7), True), (max_entangled(3), True),
+                    (isotropic(0.26, 3), True), (isotropic(0.25, 3), False),
+                    (random_density(BipartiteShape(3, 3), 3), True),
+                    (random_separable(BipartiteShape(2, 3), 5, 11)[0], False)):
+        assert bounds._Analysis(BipartiteOperator(op.shape, op.matrix * scale), CFG).npt is npt
+
+
+def test_robustness_gets_the_analysis_of_pi_bounds(monkeypatch):
+    from crossnorm import bounds
+
+    builds = []
+    spectral = bounds._spectral_schmidt
+    monkeypatch.setattr(bounds, "_spectral_schmidt", lambda op: builds.append(op) or spectral(op))
+    op = random_density(BipartiteShape(2, 2), 7)
+    nb = pi_bounds(op, CFG)
+    assert len(builds) == 1  # one spectral-Schmidt expansion per call
+    assert nb.h_upper == pytest.approx(robustness_upper(op, CFG).value, rel=1e-12)
 
 
 def test_unsuccessful_robustness_result_has_no_value():

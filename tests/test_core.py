@@ -1,8 +1,7 @@
-"""Bipartite linear-algebra layer: shapes, factorizations, splittings."""
+"""Bipartite linear-algebra layer: shapes, factorizations, tensor bookkeeping."""
 
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
 
 from crossnorm import (
     BipartiteOperator,
@@ -10,7 +9,6 @@ from crossnorm import (
     BipartiteVector,
     ShapeError,
     from_state_dict,
-    jordan_split4,
     kron,
     operator_norm,
     operator_schmidt,
@@ -322,68 +320,6 @@ def test_operator_schmidt_reconstruction_and_hs_orthonormality():
                     assert abs(hs - (1.0 if i == j else 0.0)) <= 1e-9
         svals = np.linalg.svd(realign(op), compute_uv=False)
         assert np.allclose(form.singular_values, svals[: form.rank], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Jordan-type splitting
-
-
-def jordan_oracle(m):
-    """Independent evaluation of the four-positive-part formulas via sqrtm."""
-    re = m + m.conj().T
-    im = m - m.conj().T
-    abs_re = np.real_if_close(sqrtm(re @ re.conj().T), tol=1e6).astype(complex)
-    abs_im = sqrtm((-1j * im) @ (-1j * im).conj().T).astype(complex)
-    s1 = (abs_re + re) / 4
-    s2 = (abs_re - re) / 4
-    s3 = (abs_im - 1j * im) / 4
-    s4 = (abs_im + 1j * im) / 4
-    return s1, s2, s3, s4
-
-
-def test_jordan_psd_input():
-    rng = np.random.default_rng(59)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = g @ g.conj().T
-    s1, s2, s3, s4 = jordan_split4(p)
-    assert np.allclose(s1, p, atol=1e-10)
-    for s in (s2, s3, s4):
-        assert np.abs(s).max() <= 1e-10 * np.abs(p).max()
-
-
-def test_jordan_diag():
-    s1, s2, s3, s4 = jordan_split4(np.diag([1.0, -1.0]))
-    assert np.allclose(s1, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(s2, np.diag([0.0, 1.0]), atol=1e-12)
-    assert np.abs(s3).max() <= 1e-12 and np.abs(s4).max() <= 1e-12
-
-
-def test_jordan_nilpotent_matches_displayed_formulas():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    ours = jordan_split4(m)
-    oracle = jordan_oracle(m)
-    for a, b in zip(ours, oracle):
-        assert np.allclose(a, b, atol=1e-10)
-
-
-def test_jordan_random_invariants():
-    rng = np.random.default_rng(61)
-    for i in range(100):
-        d = int(rng.integers(2, 5))
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if i % 4 == 0:
-            m = (m + m.conj().T) / 2
-        s1, s2, s3, s4 = jordan_split4(m)
-        scale = max(np.abs(m).max(), 1.0)
-        recon = s1 - s2 + 1j * (s3 - s4)
-        assert np.abs(recon - m).max() <= 1e-10 * scale
-        assert np.linalg.norm(s1 @ s2) <= 1e-9 * scale**2
-        assert np.linalg.norm(s3 @ s4) <= 1e-9 * scale**2
-        for s in (s1, s2, s3, s4):
-            assert np.linalg.eigvalsh((s + s.conj().T) / 2).min() >= -1e-10 * scale
-        if np.allclose(m, m.conj().T, atol=1e-12):
-            assert np.abs(s3).max() <= 1e-12 * scale
-            assert abs(np.trace(s1 + s2).real - trace_norm(m)) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,19 @@ def test_classify_requires_density():
         classify(BipartiteOperator(BipartiteShape(2, 2), np.eye(4, dtype=complex)), CFG)
 
 
+@pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3)])
+def test_classify_skips_the_product_search_on_an_npt_state(monkeypatch, dh, dj):
+    from crossnorm import separability
+
+    fits = []
+    monkeypatch.setattr(separability, "separable_fit", lambda *a, **k: fits.append(a))
+    op = random_density(BipartiteShape(dh, dj), 0)  # no witness or realignment detects it
+    cls = classify(op, CFG)
+    assert cls.verdict == "Undecided"
+    assert cls.message == "partial transpose is not PSD, so no product mixture exists"
+    assert fits == []
+
+
 def test_classify_2x2_consistency_smoke():
     # soundness on a small batch; the acceptance suite runs 500
     for i in range(40):
@@ -194,6 +207,16 @@ def test_ppt_decisive_shapes():
     res = ppt_oracle(op)
     assert not res.decisive
     assert res.verdict in ("entangled", "inconclusive")
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_ppt_verdict_does_not_move_with_scale(scale):
+    for op in (random_density(BipartiteShape(2, 2), 5), random_density(BipartiteShape(2, 3), 3),
+               isotropic(1 / 3, 2), isotropic(0.2, 2), max_entangled(2)):
+        res = ppt_oracle(BipartiteOperator(op.shape, op.matrix * scale))
+        ref = ppt_oracle(op)
+        assert (res.is_ppt, res.verdict) == (ref.is_ppt, ref.verdict)
+        assert res.min_eigenvalue / scale == pytest.approx(ref.min_eigenvalue, rel=1e-9, abs=1e-15)
 
 
 def test_partial_transpose_conventions_share_spectrum():
