@@ -29,19 +29,21 @@ its objective reaches its maximum: each step replaces every restart's c by
 the polar factor U V^dag of the (d_h, d_j) reshape of D c, all restarts in
 one stacked SVD.  For PSD D the objective is convex, so no step lowers it.
 
-The product-state ascent that prices the next atom of ``separable_fit``
+The product-state ascent that prices the next atoms of ``separable_fit``
 and of the robustness search takes a list of matrices; every start of
 every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
-with the same results, bit for bit, as one start at a time.
+with the same results, bit for bit, as one start at a time.  Both searches
+admit every distinct start above their floor (:func:`_distinct_atoms`).
 
-Both searches share one column format and one budget.  An atom's product
-density enters as the n^2 real parameters of a Hermitian matrix, with the
-upper triangle scaled by sqrt(2) so that emb(X) . emb(Y) = tr(X Y): the
-NNLS fit minimizes the Frobenius error, and the inverse map also reads the
-LP dual back as a Hermitian Y.  Residuals come from the columns, d - A w,
-so no product matrix is kept.  Each dictionary holds at most
-max(64, n^2 + 32) atoms, and either search returns a mixture only after
-it reconstructs the target to VALIDATE_TOL in trace norm.
+Both searches share one column format.  An atom's product density enters
+as the n^2 real parameters of a Hermitian matrix, with the upper triangle
+scaled by sqrt(2) so that emb(X) . emb(Y) = tr(X Y): the NNLS fit
+minimizes the Frobenius error, and the inverse map also reads the LP dual
+back as a Hermitian Y.  Residuals come from the columns, d - A w, so no
+product matrix is kept.  The fit drops the atoms NNLS leaves without
+weight every round, which keeps it to at most n^2 + 17 atoms; the robustness
+search holds at most max(64, n^2 + 32).  Either search returns a mixture
+only after it reconstructs the target to VALIDATE_TOL in trace norm.
 
 Phase 2 of the robustness search is column generation.  Its linear
 program fits D / 2^k, 2^k the power of two nearest ||D||_1, because the
@@ -575,7 +577,8 @@ def _column(atom) -> np.ndarray:
     return _embed_hermitian(np.outer(v, v.conj()))
 
 
-def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None):
+def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None,
+                    scale=1.0):
     """Local maxima of <phi (x) psi| R |phi (x) psi> over unit product vectors
     from every start of every R in ``mats``: arrays (owner, value, phi, psi)
     with one entry per start, ``owner`` the index of its matrix.
@@ -584,7 +587,9 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     starts from the leading Schmidt pair of its top eigenvector, then its
     own ``extra_starts[m]``, then ``n_starts - 1`` random pairs drawn from
     ``rng`` in matrix order.  All starts of all matrices advance in one
-    stack; a start stops once a step gains no more than 1e-14 (relative).
+    stack; a start stops once a step gains no more than
+    1e-14 max(|value|, ``scale``), so the stop moves with the matrices when
+    ``scale`` does (their trace norm, say).
     """
     dh, dj = shape.dh, shape.dj
     mats = np.stack(mats)
@@ -611,7 +616,7 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
         b = np.einsum("bikjl,bi,bj->bkl", ta, pa.conj(), pa)
         wb, ub = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
         psi[active], new = ub[:, :, -1], wb[:, -1]
-        done = new <= val[active] + 1e-14 * np.maximum(np.abs(new), 1.0)
+        done = new <= val[active] + 1e-14 * np.maximum(np.abs(new), scale)
         val[active] = new
         active = active[~done]
         if active.size == 0:
@@ -620,12 +625,13 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
 
 
 def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
-                             extra_starts=None) -> list:
+                             extra_starts=None, scale=1.0) -> list:
     """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors for
     each R in ``mats``: one (value, phi, psi) per matrix, the first start of
     :func:`_product_ascent` with the largest value.
     """
-    owner, val, phi, psi = _product_ascent(mats, shape, rng, n_starts, iters, extra_starts)
+    owner, val, phi, psi = _product_ascent(mats, shape, rng, n_starts=n_starts, iters=iters,
+                                           extra_starts=extra_starts, scale=scale)
     best = [np.flatnonzero(owner == m)[np.argmax(val[owner == m])] for m in range(len(mats))]
     return [(float(val[i]), phi[i], psi[i]) for i in best]
 
@@ -641,36 +647,47 @@ def _seed_atoms(op: BipartiteOperator) -> list:
 
 
 def _atom_budget(n: int) -> int:
-    """Dictionary size of both product-state searches for an n x n target."""
+    """Dictionary size of robustness phase 2 for an n x n target; the drop
+    step keeps :func:`separable_fit` below it."""
     return max(64, n * n + 32)
+
+
+# separable_fit's first rounds admit only the best atom: with every improving
+# atom from the start, the fit of isotropic(1/3, 2) at seed 2 stalls at a
+# relative error of 1.02e-8, just above VALIDATE_TOL
+_SINGLE_ATOM_ROUNDS = 5
 
 
 def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200):
     """Nonnegative product-mixture fit of a (candidate separable) operator.
 
-    Fully corrective Frank-Wolfe: each round refits all weights by
-    nonnegative least squares, min ||sum_k w_k P_k - D||_F, then grows the
-    dictionary with the product state most aligned with the residual.  Once
-    the residual is small, a periodic refinement pass re-optimizes the
-    heaviest active atoms against their leave-one-out residuals, which
-    repairs the slow tail on curved faces of the separable set.  Succeeds
-    when the mixture reconstructs ``op`` to VALIDATE_TOL in trace norm,
-    relative to the target's; every weight cutoff is relative to it too.
+    Fully corrective Frank-Wolfe with drop steps.  Each round refits all
+    weights by nonnegative least squares, min ||sum_k w_k P_k - D||_F, and
+    drops the atoms it leaves without weight.  Then every distinct local
+    maximum of the product ascent on the residual above 1e-13 ||D||_1
+    enters, largest first (only the best one in the first
+    _SINGLE_ATOM_ROUNDS rounds).  NNLS keeps linearly independent columns,
+    so the dictionary never holds more than n^2 atoms plus one round's
+    fresh ones, within :func:`_atom_budget`.  Once the residual is small, a
+    periodic refinement pass re-optimizes the heaviest active atoms against
+    their leave-one-out residuals, which repairs the slow tail on curved
+    faces of the separable set.  Succeeds when the mixture reconstructs
+    ``op`` to VALIDATE_TOL in trace norm, relative to the target's; every
+    weight cutoff is relative to it too.
     """
     rng = rng_from_seed(config.seed)
     n = op.shape.total
-    budget = _atom_budget(n)
     tn_target = max(trace_norm(op.matrix), 1e-300)
     d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
     cols = [_column(a) for a in atoms]
 
-    weights = np.zeros(len(atoms))
     rounds = 0
     recent = []
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
-        weights, _ = nnls(a_mat, d)
+        # scipy's default of 3 iterations per column can run out on degenerate targets
+        weights, _ = nnls(a_mat, d, maxiter=50 * a_mat.shape[1])
         gap = d - a_mat @ weights
         residual = _hermitian_from(gap, n)
         err = trace_norm(residual) / tn_target
@@ -684,22 +701,23 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
             recent.pop(0)
             if recent[0] <= recent[-1] * 1.01:
                 break  # plateau well above tolerance: target is outside the cone
-        [(val, phi, psi)] = _max_product_expectation([residual], op.shape, rng)
-        if val <= 1e-13 * tn_target:
+        _, vals, phis, psis = _product_ascent([residual], op.shape, rng, scale=tn_target)
+        fresh = _distinct_atoms(vals, phis, psis, 1e-13 * tn_target)
+        if not fresh:
             break  # no product direction improves: target is outside the cone
-        fresh = [(phi, psi)]
+        if rounds <= _SINGLE_ATOM_ROUNDS:
+            fresh = fresh[:1]
         if rounds % 3 == 0 and err <= 0.1:
             top = np.argsort(-weights)[:12]
             top = top[weights[top] > 1e-12 * tn_target]  # sorted: cut at the first light atom
             if top.size:  # each heavy atom against its leave-one-out residual
                 fresh += [(p2, q2) for _, p2, q2 in _max_product_expectation(
                     [_hermitian_from(gap + weights[i] * cols[i], n) for i in top], op.shape, rng,
-                    n_starts=2, iters=25, extra_starts=[[atoms[i]] for i in top])]
-        atoms += fresh
-        cols += [_column(a) for a in fresh]
-        if len(atoms) > budget:
-            padded = np.concatenate([weights, np.full(len(atoms) - weights.size, np.inf)])
-            atoms, cols, weights = _prune(padded, budget, 1e-14 * tn_target, atoms, cols)
+                    n_starts=2, iters=25, extra_starts=[[atoms[i]] for i in top],
+                    scale=tn_target)]
+        kept = np.flatnonzero(weights > 1e-14 * tn_target)  # the drop step
+        atoms = [atoms[i] for i in kept] + fresh
+        cols = [cols[i] for i in kept] + [_column(a) for a in fresh]
     return None, rounds
 
 
@@ -817,7 +835,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
             stop = f"converged: pricing gain {gain:.10f} <= 1 + {PRICING_TOL:g}"
             break
         stop = f"max_rounds ({max_rounds}) exhausted, last pricing gain {gain:.10f}"
-        fresh = _distinct_atoms(vals, phis, psis)
+        fresh = _distinct_atoms(np.abs(vals), phis, psis, 1.0 + PRICING_TOL)
         if len(atoms) + len(fresh) > budget:
             keep = max(budget - len(fresh), int(np.count_nonzero(t)))
             atoms, cols, _ = _prune(np.abs(t), keep, 0.0, atoms, cols)
@@ -833,13 +851,12 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     return RobustnessResult(best, rounds, f"signed decomposition found; {stop}")
 
 
-def _distinct_atoms(vals, phis, psis) -> list:
-    """The ascent's maxima with |value| > 1 + PRICING_TOL as atoms, largest
-    first, skipping any whose product fidelity with an earlier one exceeds
-    1 - 1e-8."""
+def _distinct_atoms(vals, phis, psis, floor: float) -> list:
+    """The ascent's maxima with value above ``floor`` as atoms, largest first,
+    skipping any whose product fidelity with an earlier one exceeds 1 - 1e-8."""
     atoms = []
-    for i in np.argsort(-np.abs(vals), kind="stable"):
-        if abs(vals[i]) <= 1.0 + PRICING_TOL:
+    for i in np.argsort(-vals, kind="stable"):
+        if vals[i] <= floor:
             break
         if all(abs(np.vdot(p, phis[i])) ** 2 * abs(np.vdot(q, psis[i])) ** 2 <= 1.0 - 1e-8
                for p, q in atoms):

@@ -6,8 +6,9 @@ injective norm is exactly one and whose expectation exceeds one
 (Entangled), or a weight-one nonnegative product mixture reconstructing
 the state (Separable).  States yielding neither within budget stay
 Undecided.  A state whose partial transpose is not positive (Peres) has no
-product mixture, so the search is skipped for it; the partial-transpose
-oracle is test plumbing for shapes where PPT is decisive.
+product mixture, so the search is skipped for it; on every other state it
+runs before the witness search.  The partial-transpose oracle is test
+plumbing for shapes where PPT is decisive.
 """
 
 from __future__ import annotations
@@ -197,11 +198,11 @@ def _certify_g_upper(op: BipartiteOperator):
 def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200) -> Classification:
     """Extended Cross Norm Criterion verdict with certificate.
 
-    Entangled is tried first (cheap certified lower bounds, witness
-    certificate re-verified), then Separable (product-mixture search with
-    weight one, skipped when realignment or the partial transpose rules a
-    mixture out), otherwise Undecided carrying the norm bounds.  Verdicts
-    are never guessed inside the PINCH_TOL band around one.
+    Separable is tried first (product-mixture search with weight one),
+    unless realignment or the partial transpose rules a mixture out; then
+    Entangled (witness certificate re-verified); otherwise Undecided
+    carrying the norm bounds.  Verdicts are never guessed inside the
+    PINCH_TOL band around one.
     """
     return _classify(_Analysis(op, config), max_rounds)
 
@@ -212,6 +213,21 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     op, config = an.op, an.config
     if not op.is_density():
         raise ValueError("classify expects a density operator")
+
+    # realignment above one or a negative partial transpose proves
+    # entanglement, so no product mixture exists.  Otherwise the mixture is
+    # tried first: a validated one and a witness above one cannot both
+    # exist, and on separable states the mixture skips the witness search
+    realign_low = an.realignment_lower
+    if not an.npt and realign_low <= 1.0 + PINCH_TOL:
+        mixture, rounds = separable_fit(op, config, max_rounds=max_rounds)
+        if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
+            return Classification(
+                verdict="Separable",
+                certificate=mixture,
+                detection_value=None,
+                message=f"weight-one product mixture found in {rounds} rounds",
+            )
 
     q, c = an.witness
     if q > 1.0 + PINCH_TOL:
@@ -225,24 +241,13 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
                 message=f"witness expectation {detection:.12g} exceeds 1",
             )
 
-    # realignment above one or a negative partial transpose proves
-    # entanglement, so the decomposition search cannot succeed; without a
-    # rank-one witness the verdict stays Undecided
-    realign_low = an.realignment_lower
+    # without a rank-one witness the verdict stays Undecided
     if realign_low > 1.0 + PINCH_TOL:
         message = (f"realignment bound {realign_low:.12g} proves entanglement "
                    "but no witness certificate was found")
     elif an.npt:
         message = "partial transpose is not PSD, so no product mixture exists"
     else:
-        mixture, rounds = separable_fit(op, config, max_rounds=max_rounds)
-        if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
-            return Classification(
-                verdict="Separable",
-                certificate=mixture,
-                detection_value=None,
-                message=f"weight-one product mixture found in {rounds} rounds",
-            )
         message = "no certificate within budget"
 
     bounds = an.bounds(include_robustness=False)

@@ -728,9 +728,9 @@ def test_separable_fit_runs_nnls_on_hermitian_rows(monkeypatch):
 
     rows, nnls = [], bounds.nnls
 
-    def recorded(a_mat, d):
+    def recorded(a_mat, d, **kwargs):
         rows.append((a_mat.shape[0], d.size))
-        return nnls(a_mat, d)
+        return nnls(a_mat, d, **kwargs)
 
     monkeypatch.setattr(bounds, "nnls", recorded)
     op, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
@@ -749,6 +749,114 @@ def test_separable_fit_refuses_an_anti_hermitian_part():
     skewed = BipartiteOperator(op.shape, op.matrix + 1e-3 * (upper - upper.T))
     dec, _ = separable_fit(skewed, SeeSawConfig(seed=1))
     assert dec is None
+
+
+def test_distinct_atoms_keeps_distinct_maxima_above_the_floor():
+    from crossnorm.bounds import _distinct_atoms
+
+    rng = np.random.default_rng(3)
+    phis = np.array([random_pure(BipartiteShape(1, 3), rng).entries for _ in range(5)])
+    psis = np.array([random_pure(BipartiteShape(1, 2), rng).entries for _ in range(5)])
+    phis[3], psis[3] = 1j * phis[1], -psis[1]  # the atom of start 1, up to phases
+    vals = np.array([0.5, 3.0, 2.0, 2.5, 0.1])
+    atoms = _distinct_atoms(vals, phis, psis, 0.5)
+    assert len(atoms) == 2
+    for (p, q), i in zip(atoms, (1, 2)):
+        assert np.array_equal(p, phis[i]) and np.array_equal(q, psis[i])
+    assert _distinct_atoms(vals, phis, psis, 3.0) == []
+
+
+def _record_separable_fit_rounds(monkeypatch):
+    """Record the number of columns of each NNLS call, and each admission of
+    priced atoms as (values, phis, floor, admitted atoms)."""
+    from crossnorm import bounds
+
+    columns, admissions = [], []
+    nnls, distinct = bounds.nnls, bounds._distinct_atoms
+
+    def recorded_nnls(a_mat, d, **kwargs):
+        columns.append(a_mat.shape[1])
+        return nnls(a_mat, d, **kwargs)
+
+    def recorded_distinct(vals, phis, psis, floor):
+        atoms = distinct(vals, phis, psis, floor)
+        admissions.append((vals, phis, floor, list(atoms)))  # the caller extends it
+        return atoms
+
+    monkeypatch.setattr(bounds, "nnls", recorded_nnls)
+    monkeypatch.setattr(bounds, "_distinct_atoms", recorded_distinct)
+    return columns, admissions
+
+
+@pytest.mark.parametrize("dh,dj,k", [(3, 3, 4), (4, 4, 4)])
+def test_separable_fit_admits_every_distinct_improving_start(monkeypatch, dh, dj, k):
+    """A round admits at most one atom per start, each above the floor and no
+    near duplicate; the drop step keeps the dictionary within n^2 + 17: at
+    most n^2 atoms with NNLS weight, five priced and twelve refined ones.
+    With one atom per round the 4x4 state ran out of 200 rounds."""
+    from crossnorm.bounds import separable_fit
+
+    columns, admissions = _record_separable_fit_rounds(monkeypatch)
+    op, _ = random_separable(BipartiteShape(dh, dj), k, seed=11)
+    dec, rounds = separable_fit(op, SeeSawConfig(seed=1))
+    assert dec is not None and validate_decomposition(op, dec).valid
+    n = dh * dj
+    assert len(columns) == rounds and max(columns) <= n * n + 17
+    assert len(admissions) == rounds - 1 and max(len(a[3]) for a in admissions) > 1
+    for vals, phis, floor, atoms in admissions:
+        assert len(atoms) <= vals.size == 5
+        for p, _ in atoms:
+            [i] = [i for i in range(vals.size) if np.array_equal(phis[i], p)]
+            assert vals[i] > floor
+        for j, (p, q) in enumerate(atoms):
+            for p2, q2 in atoms[:j]:
+                assert abs(np.vdot(p2, p)) ** 2 * abs(np.vdot(q2, q)) ** 2 <= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_separable_fit_certifies_the_isotropic_qubit_boundary_state(seed):
+    """Admitting every improving atom from the first round lost seed 2."""
+    from crossnorm.bounds import separable_fit
+
+    op = isotropic(1 / 3, 2)
+    dec, _ = separable_fit(op, SeeSawConfig(seed=seed))
+    assert dec is not None and validate_decomposition(op, dec).valid
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_separable_fit_does_not_raise_on_a_degenerate_target(seed):
+    """NNLS at scipy's default iteration limit raised RuntimeError in rounds
+    34, 56 and 60 on this state at seeds 1-3."""
+    from crossnorm.bounds import separable_fit
+
+    dec, rounds = separable_fit(isotropic(0.25, 3), SeeSawConfig(seed=seed), max_rounds=60)
+    assert rounds == 60 or dec is not None
+
+
+def test_product_ascent_stop_is_scale_free(monkeypatch):
+    """The same search, step for step, on R x 1e-6, R and R x 1e6; with an
+    absolute floor of 1 on the stop it took 51, 83 and 87 eigh calls."""
+    from crossnorm.bounds import _product_ascent
+    from crossnorm.core import rng_from_seed
+
+    op = random_density(BipartiteShape(3, 3), 1)
+    base = op.matrix - np.eye(9) / 9
+    eigh, counts, values = np.linalg.eigh, [], []
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for scale in (1e-6, 1.0, 1e6):
+        counts.append(0)
+        mat = base * scale
+        tn = trace_norm(mat)
+        _, vals, _, _ = _product_ascent([mat], op.shape, rng_from_seed(1), iters=200, scale=tn)
+        values.append(vals / tn)
+    assert counts[0] == counts[1] == counts[2]
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
+    np.testing.assert_allclose(values[2], values[1], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -781,19 +889,19 @@ def test_robustness_bell():
     assert dec.weight == pytest.approx(res.value, abs=1e-12)
 
 
-def _record_ascent_calls(monkeypatch, kernel="_max_product_expectation"):
-    """Route the product ascent ``bounds.<kernel>`` through a recorder of
-    (number of matrices, n_starts) per call."""
+def _record_ascent_calls(monkeypatch):
+    """Route the product ascent ``bounds._product_ascent`` through a recorder
+    of (number of matrices, n_starts) per call."""
     from crossnorm import bounds
 
     calls = []
-    ascent = getattr(bounds, kernel)
+    ascent = bounds._product_ascent
 
     def recorded(mats, *args, **kwargs):
         calls.append((len(mats), kwargs.get("n_starts", 5)))
         return ascent(mats, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, kernel, recorded)
+    monkeypatch.setattr(bounds, "_product_ascent", recorded)
     return calls
 
 
@@ -815,7 +923,7 @@ def test_one_product_ascent_per_refinement_pass(monkeypatch):
 def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch):
     from crossnorm import bounds
 
-    calls = _record_ascent_calls(monkeypatch, "_product_ascent")
+    calls = _record_ascent_calls(monkeypatch)
     fit, linprog, column = bounds.separable_fit, bounds.linprog, bounds._column
     fits, phase_two, columns = [], [], []
 

@@ -79,6 +79,20 @@ def test_classify_skips_the_product_search_on_an_npt_state(monkeypatch, dh, dj):
     assert fits == []
 
 
+def test_classify_runs_the_witness_search_only_without_a_mixture(monkeypatch):
+    from crossnorm import bounds
+
+    calls = []
+    seesaw = bounds._witness_seesaw
+    monkeypatch.setattr(bounds, "_witness_seesaw",
+                        lambda *a, **k: calls.append(a) or seesaw(*a, **k))
+    op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
+    assert classify(op, CFG).verdict == "Separable"
+    assert calls == []
+    assert classify(max_entangled(2), CFG).verdict == "Entangled"
+    assert len(calls) == 1
+
+
 def test_classify_2x2_consistency_smoke():
     # soundness on a small batch; the acceptance suite runs 500
     for i in range(40):
