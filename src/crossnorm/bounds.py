@@ -32,7 +32,8 @@ one stacked SVD.  For PSD D the objective is convex, so no step lowers it.
 The product-state ascent that prices the next atoms of ``separable_fit``
 and of the robustness search takes a list of matrices; every start of
 every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
-with the same results, bit for bit, as one start at a time.  Both searches
+with the same results, bit for bit, as one start at a time.  The leading
+Schmidt pairs that start it come from one stacked SVD.  Both searches
 admit every distinct start above their floor (:func:`_distinct_atoms`).
 
 Both searches share one column format.  An atom's product density enters
@@ -47,12 +48,14 @@ only after it reconstructs the target to VALIDATE_TOL in trace norm.
 
 Phase 2 of the robustness search is column generation.  Its linear
 program fits D / 2^k, 2^k the power of two nearest ||D||_1, because the
-solver's tolerances are absolute.  Every start of the product ascent on
-[Y, -Y] whose local maximum beats 1 + 1e-7 enters in the same round, near
-duplicates removed; before they enter, atoms without LP weight are
-pruned, oldest first.  The first LP still holds the whole starting
-dictionary, which can exceed the budget.  The decomposition is built once,
-from the lightest accurate round.
+solver's tolerances are absolute.  Each round solves it cold through
+scipy's bundled HiGHS, called directly (:func:`_min_weight_lp`): the model
+and answer of ``linprog(method="highs")`` without its wrapper.  Every
+start of the product ascent on [Y, -Y] whose local maximum beats
+1 + 1e-7 enters in the same round, near duplicates removed; before they
+enter, atoms without LP weight are pruned, oldest first.  The first LP
+still holds the whole starting dictionary, which can exceed the budget.
+The decomposition is built once, from the lightest accurate round.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -64,11 +67,15 @@ the Hermitian norm; the robustness search and ``separable_fit`` return it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.optimize import linprog, nnls
+from scipy.optimize import (
+    linprog,  # unused here; the benchmark's tracer looks up and spans bounds.linprog by name
+    nnls,
+)
+from scipy.optimize._highspy import _core as _highs  # private scipy API, in scipy >= 1.17.1
 
 from .core import (
     EPS_HERM,
@@ -551,11 +558,20 @@ class RobustnessResult:
         return SignedDecomposition(terms, self.decomposition.shape) if total > 0 else None
 
 
+@cache
+def _upper_indices(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, read-only, so one pair serves every call."""
+    iu = np.triu_indices(n, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def _embed_hermitian(mat: np.ndarray) -> np.ndarray:
     """The n^2 real parameters of a Hermitian matrix: its diagonal, then the
     real and the imaginary parts of its upper triangle times sqrt(2).  The
     embedding is an isometry, emb(X) . emb(Y) = tr(X Y) for Hermitian X, Y."""
-    upper = mat[np.triu_indices(mat.shape[0], 1)] * np.sqrt(2.0)
+    upper = mat[_upper_indices(mat.shape[0])] * np.sqrt(2.0)
     return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
 
 
@@ -563,7 +579,7 @@ def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
     """The n x n Hermitian matrix with parameters ``vec``, the inverse of
     :func:`_embed_hermitian`; read from an LP dual y it is the Y with
     tr(Y X) = y . emb(X)."""
-    iu = np.triu_indices(n, 1)
+    iu = _upper_indices(n)
     m = iu[0].size
     upper = (vec[n:n + m] + 1j * vec[n + m:]) / np.sqrt(2.0)
     out = np.diag(vec[:n].astype(complex))
@@ -594,10 +610,10 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     dh, dj = shape.dh, shape.dj
     mats = np.stack(mats)
     u = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)[1]
+    lead_phi, lead_psi = _leading_schmidt_pairs(u[:, :, -1], shape)
     owner, phi, psi = [], [], []
     for m, extra in enumerate(extra_starts or [()] * len(mats)):
-        lead = schmidt_decompose(BipartiteVector(shape, u[m, :, -1]))
-        starts = [(lead.left_vectors[0], lead.right_vectors[0]), *extra]
+        starts = [(lead_phi[m], lead_psi[m]), *extra]
         for _ in range(n_starts - 1):
             zp = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
             zq = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
@@ -610,7 +626,7 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     val = np.full(owner.size, -np.inf)
     active = np.arange(owner.size)
     for _ in range(iters):
-        ta, qa = t[active], psi[active]
+        ta, qa = (t, psi) if active.size == owner.size else (t[active], psi[active])
         a = np.einsum("bikjl,bk,bl->bij", ta, qa.conj(), qa)
         pa = phi[active] = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
         b = np.einsum("bikjl,bi,bj->bkl", ta, pa.conj(), pa)
@@ -622,6 +638,18 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
         if active.size == 0:
             break
     return owner, val, phi, psi
+
+
+def _leading_schmidt_pairs(vecs: np.ndarray, shape: BipartiteShape) -> tuple:
+    """The leading Schmidt pair (phi, psi) of every row of ``vecs``, one
+    stacked SVD for all; each phi's largest-|.| entry is made real positive,
+    as :func:`core.schmidt_decompose` does, so the pairs equal its own."""
+    u, _, vh = np.linalg.svd(vecs.reshape(-1, shape.dh, shape.dj), full_matrices=False)
+    phi, psi = u[:, :, 0], vh[:, 0, :]
+    pivot = phi[np.arange(len(phi)), np.argmax(np.abs(phi), axis=1)]
+    # hypot, as a complex scalar's abs() computes it; np.abs of an array can differ by an ulp
+    ph = (pivot / np.hypot(pivot.real, pivot.imag))[:, None]
+    return phi * ph.conj(), psi * ph
 
 
 def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
@@ -730,9 +758,14 @@ def _reconstruction_error(op: BipartiteOperator, dec, tn_target: float) -> float
 def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
     """sum_k w_k |phi_k><phi_k| (x) |psi_k><psi_k| over the atoms (phi_k, psi_k),
     pairs of unit vectors, whose |w_k| exceeds ``cutoff``."""
-    terms = [(float(w), np.outer(p, p.conj()), np.outer(q, q.conj()))
-             for w, (p, q) in zip(weights, atoms) if abs(w) > cutoff]
-    return SignedDecomposition(terms, shape)
+    kept = [(float(w), p, q) for w, (p, q) in zip(weights, atoms) if abs(w) > cutoff]
+    if not kept:
+        return SignedDecomposition([], shape)
+    ws, ps, qs = zip(*kept)
+    ps, qs = np.array(ps), np.array(qs)
+    rhos = ps[:, :, None] * ps.conj()[:, None, :]  # every outer product in one broadcast
+    sigmas = qs[:, :, None] * qs.conj()[:, None, :]
+    return SignedDecomposition(list(zip(ws, rhos, sigmas)), shape)
 
 
 def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray, cut: float) -> np.ndarray:
@@ -746,6 +779,41 @@ def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray, cut: float) 
     out = np.zeros_like(t)
     out[active] = sol
     return out
+
+
+def _min_weight_lp(a_mat: np.ndarray, d: np.ndarray) -> tuple:
+    """The least weight sum_k |t_k| with A t = d, as the linear program over
+    columns [A, -A], each of cost 1 and bounded below by 0, with its rows
+    fixed at d.  One cold HiGHS dual-simplex solve, presolve off: the model
+    and options ``linprog(method="highs")`` passes, so t and the row duals
+    y (``linprog``'s ``eqlin.marginals``) are its own, bit for bit, without
+    its wrapper's cost.  Returns (ok, t, y, message); t and y are None
+    unless ok."""
+    m, k = a_mat.shape
+    cols = np.hstack([a_mat, -a_mat]).T  # row j: column j of the LP
+    nz = cols != 0.0  # what a CSC matrix of [A, -A] stores, column by column
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = 2 * k, m
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = 2 * k, m
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nz)[1]
+    lp.a_matrix_.value_ = cols[nz]
+    lp.col_cost_ = np.ones(2 * k)
+    lp.col_lower_ = np.zeros(2 * k)
+    lp.col_upper_ = np.full(2 * k, _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = d
+    solver = _highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        return False, None, None, f"HiGHS model status {solver.modelStatusToString(status)}"
+    sol = solver.getSolution()
+    x = np.array(sol.col_value)
+    return True, x[:k] - x[k:], np.array(sol.row_dual), "optimal"
 
 
 def _prune(weights, budget, cut, *aligned):
@@ -766,15 +834,16 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     generation for the weight-minimizing signed combination.  The dictionary
     starts from the atoms of the signed decomposition of
     :func:`hermitian_upper` (so the result never exceeds its weight), then
-    the local eigenbasis products.  Each round solves the
-    l1-minimal weight linear program over the n^2 real parameters of a
-    Hermitian matrix, then prices product states against its dual Y: every
-    start of the product ascent on [Y, -Y] whose local maximum beats
-    1 + PRICING_TOL enters, near duplicates removed.  Before they enter, the
-    dictionary is pruned to :func:`_atom_budget`: atoms with LP weight
-    first, then the newest (an atom with weight is never dropped).  It stops
-    when no start beats 1 + PRICING_TOL, after ``max_rounds``, or when the
-    LP fails, and its ``message`` says which.
+    the local eigenbasis products.  Each round solves the l1-minimal
+    weight linear program over the n^2 real parameters of a Hermitian
+    matrix, one cold HiGHS solve (:func:`_min_weight_lp`), then prices
+    product states against its dual Y: every start of the product ascent
+    on [Y, -Y] whose local maximum beats 1 + PRICING_TOL enters, near
+    duplicates removed.  Before they enter, the dictionary is pruned to
+    :func:`_atom_budget`: atoms with LP weight first, then the newest (an
+    atom with weight is never dropped).  It stops when no start beats
+    1 + PRICING_TOL, after ``max_rounds``, or when the LP fails, and its
+    ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
     unsuccessful result instead of raising.  ``analysis`` is the caller's
@@ -808,19 +877,11 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
-        k = a_mat.shape[1]
-        res = linprog(
-            c=np.ones(2 * k),
-            A_eq=np.hstack([a_mat, -a_mat]),
-            b_eq=d,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": False},
-        )
-        if not res.success:
-            stop = f"LP failed: {res.message}"
+        ok, t, y, message = _min_weight_lp(a_mat, d)
+        if not ok:
+            stop = f"LP failed: {message}"
             break
-        t = _polish_signed(a_mat, res.x[:k] - res.x[k:], d, 1e-10 * tn_lp)
+        t = _polish_signed(a_mat, t, d, 1e-10 * tn_lp)
         t[np.abs(t) <= cut] = 0.0
         # summed as SignedDecomposition.weight sums, so it equals the built weight
         weight = float(sum(abs(float(w)) for w in t[t != 0.0]))
@@ -828,7 +889,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
             err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_lp
             if err <= VALIDATE_TOL:
                 best_weight, best_fit = weight, (list(atoms), t * scale)
-        ymat = _hermitian_from(res.eqlin.marginals, n)
+        ymat = _hermitian_from(y, n)
         _, vals, phis, psis = _product_ascent([ymat, -ymat], shape, rng, n_starts=4)
         gain = float(np.abs(vals).max())
         if gain <= 1.0 + PRICING_TOL:
@@ -913,10 +974,14 @@ class _Analysis:
     @cached_property
     def lower(self) -> tuple:
         """The best of the lower providers: trace norm, realignment, rank-one witness."""
-        q, c = self.witness
+        return self._lower(witness=True)
+
+    def _lower(self, witness: bool) -> tuple:
         lows = [(self.trace_norm, "trace_norm", None),
-                (self.realignment_lower, "realignment", None),
-                (q, "witness", c)]
+                (self.realignment_lower, "realignment", None)]
+        if witness:
+            q, c = self.witness
+            lows.append((q, "witness", c))
         return max(lows, key=lambda p: p[0])
 
     @cached_property
@@ -934,13 +999,17 @@ class _Analysis:
 
     def bounds(self, include_robustness: bool = True,
                extra_decompositions: tuple = ()) -> NormBounds:
-        """The brackets :func:`pi_bounds` reports, from the provider lists."""
+        """The brackets :func:`pi_bounds` reports, from the provider lists.
+
+        The upper providers run first: when the best of them is within
+        PINCH_TOL of the trace norm, the witness cannot open the pinched
+        bracket, so its see-saw is not started (one already run counts)."""
         op = self.op
-        low = self.lower
         if not self.hermitian:
             value, dec = _hermitian_split_upper(op)
             split = (value, "hermitian_split", dec)
-            return _norm_bounds({"pi_lower": low, "pi_upper": split}, op.shape.total, indirect=True)
+            return _norm_bounds({"pi_lower": self.lower, "pi_upper": split}, op.shape.total,
+                                indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
         ur, dec_r = upper_bound_realignment(op)
@@ -955,6 +1024,10 @@ class _Analysis:
             if report.valid:
                 ups.append((report.weight, "supplied", dec))
         up = min(ups, key=lambda p: p[0])
+        # a pinched bracket leaves the witness at most PINCH_TOL to gain: its
+        # see-saw is not started for that, but a finished one still counts
+        low = self._lower(witness=up[0] > self.trace_norm * (1.0 + PINCH_TOL)
+                          or "witness" in vars(self))
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])

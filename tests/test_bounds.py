@@ -924,24 +924,24 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
     from crossnorm import bounds
 
     calls = _record_ascent_calls(monkeypatch)
-    fit, linprog, column = bounds.separable_fit, bounds.linprog, bounds._column
+    fit, lp, column = bounds.separable_fit, bounds._min_weight_lp, bounds._column
     fits, phase_two, columns = [], [], []
 
     def counted_fit(*args, **kwargs):
         fits.append(args)
         return fit(*args, **kwargs)
 
-    def lp_then_mark(*args, **kwargs):
+    def lp_then_mark(a_mat, d):
         if not phase_two:
             phase_two.append(len(calls))  # the ascent calls before the first LP
-        return linprog(*args, **kwargs)
+        return lp(a_mat, d)
 
     def counted_column(atom):
         columns.append(atom)
         return column(atom)
 
     monkeypatch.setattr(bounds, "separable_fit", counted_fit)
-    monkeypatch.setattr(bounds, "linprog", lp_then_mark)
+    monkeypatch.setattr(bounds, "_min_weight_lp", lp_then_mark)
     monkeypatch.setattr(bounds, "_column", counted_column)
     op = random_density(BipartiteShape(2, 2), 7)
     res = bounds.robustness_upper(op, CFG, max_rounds=8)
@@ -1019,22 +1019,22 @@ def test_unsuccessful_robustness_result_has_no_value():
 
 
 def _record_lp_and_columns(monkeypatch):
-    """Record phase 2's LP calls, as ("lp", A_eq shape), and its column
-    builds, as ("col", None), in call order."""
+    """Record phase 2's LP calls, as ("lp", (rows, columns)) of the LP over
+    [A, -A], and its column builds, as ("col", None), in call order."""
     from crossnorm import bounds
 
     events = []
-    linprog, column = bounds.linprog, bounds._column
+    lp, column = bounds._min_weight_lp, bounds._column
 
-    def recorded_linprog(*args, **kwargs):
-        events.append(("lp", kwargs["A_eq"].shape))
-        return linprog(*args, **kwargs)
+    def recorded_lp(a_mat, d):
+        events.append(("lp", (a_mat.shape[0], 2 * a_mat.shape[1])))
+        return lp(a_mat, d)
 
     def recorded_column(atom):
         events.append(("col", None))
         return column(atom)
 
-    monkeypatch.setattr(bounds, "linprog", recorded_linprog)
+    monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     monkeypatch.setattr(bounds, "_column", recorded_column)
     return events
 
@@ -1054,18 +1054,18 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
     from crossnorm import bounds
 
     first = []
-    linprog = bounds.linprog
+    lp = bounds._min_weight_lp
 
-    def recorded_linprog(*args, **kwargs):
-        first.append(first[0] if first else kwargs["A_eq"])
-        return linprog(*args, **kwargs)
+    def recorded_lp(a_mat, d):
+        first.append(first[0] if first else a_mat)
+        return lp(a_mat, d)
 
-    monkeypatch.setattr(bounds, "linprog", recorded_linprog)
+    monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     op = random_density(BipartiteShape(2, 2), 7)
     robustness_upper(op, CFG, max_rounds=1)
     atoms = bounds._Analysis(op, CFG).signed_atoms[0] + bounds._seed_atoms(op)
     a_mat = np.column_stack([bounds._column(a) for a in atoms])
-    assert np.array_equal(first[0], np.hstack([a_mat, -a_mat]))
+    assert np.array_equal(first[0], a_mat)
 
 
 def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
@@ -1074,6 +1074,109 @@ def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
     lps = [i for i, (kind, _) in enumerate(events) if kind == "lp"]
     entered = [b - a - 1 for a, b in zip(lps, lps[1:])]  # columns built between two LPs
     assert entered and max(entered) > 1
+
+
+@pytest.mark.parametrize("dh,dj,seed", [(2, 2, 7), (2, 3, 1)])
+def test_min_weight_lp_equals_linprog_bit_for_bit(monkeypatch, dh, dj, seed):
+    """The direct HiGHS solve gives linprog's weights and duals on every phase-2 LP."""
+    from scipy.optimize import linprog
+
+    from crossnorm import bounds
+
+    lps, lp = [], bounds._min_weight_lp
+    monkeypatch.setattr(bounds, "_min_weight_lp",
+                        lambda a_mat, d: lps.append((a_mat, d)) or lp(a_mat, d))
+    robustness_upper(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
+    assert len(lps) >= 50
+    for a_mat, d in lps:
+        k = a_mat.shape[1]
+        ref = linprog(c=np.ones(2 * k), A_eq=np.hstack([a_mat, -a_mat]), b_eq=d, bounds=(0, None),
+                      method="highs", options={"presolve": False})
+        ok, t, y, _ = lp(a_mat, d)
+        assert ref.success and ok
+        assert np.array_equal(t, ref.x[:k] - ref.x[k:])
+        assert np.array_equal(y, ref.eqlin.marginals)
+
+
+def test_min_weight_lp_reports_an_infeasible_program(monkeypatch):
+    from crossnorm import bounds
+
+    ok, t, y, message = bounds._min_weight_lp(np.zeros((4, 3)), np.ones(4))
+    assert not ok and t is None and y is None and "Infeasible" in message
+    # columns that cannot reach the target: phase 2 stops on the LP and keeps the signed bound
+    op = random_density(BipartiteShape(2, 2), 7)
+    monkeypatch.setattr(bounds, "_column", lambda atom: np.zeros(op.shape.total ** 2))
+    res = robustness_upper(op, CFG)
+    assert res.rounds_used == 1 and res.message.endswith("; LP failed: " + message)
+    assert res.value == hermitian_upper(op)[0]
+
+
+@pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])
+def test_lead_starts_equal_schmidt_decompose(dh, dj):
+    from crossnorm.bounds import _leading_schmidt_pairs
+
+    shape = BipartiteShape(dh, dj)
+    rng = np.random.default_rng(dh * 10 + dj)
+    n = shape.total
+    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(40)]
+    vecs = [np.linalg.eigh(m + m.conj().T)[1][:, -1] for m in mats]
+    vecs += list(np.eye(n, dtype=complex))  # top eigenvectors of a zero matrix: product basis
+    vecs += [np.kron(rng.standard_normal(dh) + 1j * rng.standard_normal(dh),
+                     rng.standard_normal(dj) + 1j * rng.standard_normal(dj)) for _ in range(5)]
+    eh, ej = np.eye(dh), np.eye(dj)
+    vecs.append(np.kron(eh[0], ej[0]) + np.kron(eh[1], ej[1]))  # Schmidt rank 2, below 3 at 3x3
+    vecs = np.array([v / np.linalg.norm(v) for v in vecs], dtype=complex)
+    phi, psi = _leading_schmidt_pairs(vecs, shape)
+    for v, p, q in zip(vecs, phi, psi):
+        sf = schmidt_decompose(BipartiteVector(shape, v))
+        assert np.array_equal(p, sf.left_vectors[0]) and np.array_equal(q, sf.right_vectors[0])
+
+
+def test_upper_triangle_indices_are_cached_read_only():
+    from crossnorm.bounds import _upper_indices
+
+    iu = _upper_indices(6)
+    assert iu is _upper_indices(6)
+    assert all(np.array_equal(a, b) for a, b in zip(iu, np.triu_indices(6, 1)))
+    assert not any(a.flags.writeable for a in iu)
+    with pytest.raises(ValueError):
+        iu[0][0] = 1
+
+
+def test_decomposition_factors_equal_outer_products():
+    from crossnorm import bounds
+
+    op = random_density(BipartiteShape(2, 3), 4)
+    atoms, weights = bounds._Analysis(op, CFG).signed_atoms
+    dec = bounds._decomposition_from(atoms, weights, op.shape, cutoff=0.0)
+    assert len(dec.terms) == len(atoms)
+    for (w, rho, sigma), (p, q), t in zip(dec.terms, atoms, weights):
+        assert w == float(t)
+        assert np.array_equal(rho, np.outer(p, p.conj()))
+        assert np.array_equal(sigma, np.outer(q, q.conj()))
+    assert bounds._decomposition_from(atoms, weights, op.shape, cutoff=np.inf).terms == []
+
+
+def test_pinched_bracket_skips_the_witness_search(monkeypatch):
+    from crossnorm import bounds
+
+    runs, seesaw = [], bounds._witness_seesaw
+    monkeypatch.setattr(bounds, "_witness_seesaw",
+                        lambda *args, **kw: runs.append(args) or seesaw(*args, **kw))
+    mixed = BipartiteOperator(BipartiteShape(3, 3), np.eye(9, dtype=complex) / 9)
+    nb = pi_bounds(mixed, CFG, include_robustness=False)
+    assert runs == [] and nb.methods["pi_lower"] == "trace_norm" and nb.pi_value() is not None
+    nb = pi_bounds(random_density(BipartiteShape(2, 2), 1), CFG, include_robustness=False)
+    assert len(runs) == 1 and nb.pi_value() is None  # an open bracket still runs it
+
+
+def test_pinched_bracket_keeps_a_finished_witness():
+    from crossnorm import bounds
+
+    mixed = BipartiteOperator(BipartiteShape(2, 2), np.eye(4, dtype=complex) / 4)
+    an = bounds._Analysis(mixed, CFG)
+    an.witness = (1.0 + 1e-9, BipartiteVector(mixed.shape, np.eye(4)[0]))  # a search already run
+    assert an.bounds(include_robustness=False).methods["pi_lower"] == "witness"
 
 
 def test_phase_two_says_why_it_stopped():
