@@ -1,11 +1,12 @@
 """Certified bounds on the projective and Hermitian projective norms.
 
-Each call wraps its operator in one private ``_Analysis`` that computes the
-shared work at most once, on first use: the Hermitian, PSD and negative
-partial transpose (NPT) flags, trace norm, realignment bound, witness
-see-saw, spectral-Schmidt expansion and its signed atoms; the robustness
-search reads the same analysis.  Nothing is kept on the operator or between
-calls.
+Each call wraps its operator D in one private ``_Analysis``.  It divides D
+once by 2^k, k the integer nearest log2 ||D||_1 (:func:`core.unit_scale`),
+and computes the shared work on that unit operator at most once, on first
+use: the Hermitian, PSD and negative partial transpose (NPT) flags, trace
+norm, realignment bound, witness see-saw, spectral-Schmidt expansion and its
+signed atoms; the robustness search reads the same analysis.  No kernel
+scales for itself: only ``_norm_bounds`` scales the winning bounds back.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm, the
 realignment (computable cross norm) inequality and a rank-one witness whose
@@ -17,45 +18,16 @@ Hermitian parts.  Every bound carries a certificate that can be re-checked
 independently of how it was produced, and every reported bound is rounded
 outward by 4 n eps (relative) to cover floating-point error.
 
-The signed decomposition is closed form: each Schmidt term of an
-eigenvector is one or eight pure product atoms, which also start the
-robustness search.  Degenerate eigenblocks and operator-Schmidt runs are
-rotated to their projections of the product basis, so both expansions
-scale with the operator; eigenblocks are then productized by Jacobi
-rotations, all grid rotations of a pair scored in one stacked SVD.
-
-The witness see-saw is projected power iteration on co-isometries, where
-its objective reaches its maximum: each step replaces every restart's c by
-the polar factor U V^dag of the (d_h, d_j) reshape of D c, all restarts in
-one stacked SVD.  For PSD D the objective is convex, so no step lowers it.
-
-The product-state ascent that prices the next atoms of ``separable_fit``
-and of the robustness search takes a list of matrices; every start of
-every matrix advances in one stacked ``einsum`` and ``eigh`` per half-step,
-with the same results, bit for bit, as one start at a time.  The leading
-Schmidt pairs that start it come from one stacked SVD.  Both searches
-admit every distinct start above their floor (:func:`_distinct_atoms`).
-
-Both searches share one column format.  An atom's product density enters
-as the n^2 real parameters of a Hermitian matrix, with the upper triangle
-scaled by sqrt(2) so that emb(X) . emb(Y) = tr(X Y): the NNLS fit
-minimizes the Frobenius error, and the inverse map also reads the LP dual
-back as a Hermitian Y.  Residuals come from the columns, d - A w, so no
-product matrix is kept.  The fit drops the atoms NNLS leaves without
-weight every round, which keeps it to at most n^2 + 17 atoms; the robustness
-search holds at most max(64, n^2 + 32).  Either search returns a mixture
-only after it reconstructs the target to VALIDATE_TOL in trace norm.
-
-Phase 2 of the robustness search is column generation.  Its linear
-program fits D / 2^k, 2^k the power of two nearest ||D||_1, because the
-solver's tolerances are absolute.  Each round solves it cold through
-scipy's bundled HiGHS, called directly (:func:`_min_weight_lp`): the model
-and answer of ``linprog(method="highs")`` without its wrapper.  Every
-start of the product ascent on [Y, -Y] whose local maximum beats
-1 + 1e-7 enters in the same round, near duplicates removed; before they
-enter, atoms without LP weight are pruned, oldest first.  The first LP
-still holds the whole starting dictionary, which can exceed the budget.
-The decomposition is built once, from the lightest accurate round.
+The signed decomposition is closed form (:func:`_signed_atoms`), and its
+atoms also start the robustness search.  The witness see-saw is projected
+power iteration on co-isometries (:func:`_witness_seesaw`).  The
+product-state ascent (:func:`_product_ascent`) prices the next atoms of
+both mixture searches, ``separable_fit`` and the robustness search's
+phase 2.  Both searches share one column format (:func:`_embed_hermitian`),
+so residuals come from the columns and no product matrix is kept, and
+either returns a mixture only after it reconstructs the target to
+VALIDATE_TOL in trace norm.  Phase 2 solves each round's linear program
+cold through scipy's bundled HiGHS, called directly (:func:`_min_weight_lp`).
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -87,15 +59,15 @@ from .core import (
     eigh_blocks,
     equal_runs,
     nuclear_norm,
-    outward,
     partial_trace,
     partial_transpose,
-    power_of_two_near,
     realign,
     rng_from_seed,
     operator_schmidt,
+    scaled_outward,
     schmidt_decompose,
     trace_norm,
+    unit_scale,
 )
 from .gnorm import SeeSawConfig
 
@@ -122,6 +94,14 @@ class StandardDecomposition:
         """sum_k |coefficient_k|: sum_k r_k on valid standard terms, the
         Hermitian weight sum_k |t_k| on signed ones."""
         return float(sum(abs(w) for w, _, _ in self.terms))
+
+    def scaled(self, k: int):
+        """The same decomposition of target * 2^k: every coefficient times 2^k."""
+        if k == 0:
+            return self
+        with np.errstate(over="ignore"):  # an overflowing term's bound reads inf
+            terms = [(float(np.ldexp(w, k)), x, y) for w, x, y in self.terms]
+        return type(self)(terms, self.shape)
 
     def reconstruct(self) -> np.ndarray:
         n = self.shape.total
@@ -298,17 +278,12 @@ def _spectral_schmidt(op: BipartiteOperator):
     list of (eigenvalue, SchmidtForm) with negligible eigenvalues dropped.
     """
     w, u, blocks = eigh_blocks(op.matrix)
-    scale = max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    cut = 1e-13 * np.abs(w).max(initial=0.0)
     for blk in blocks:
-        if blk.stop - blk.start > 1 and abs(w[blk.start]) > 1e-13 * scale:
+        if blk.stop - blk.start > 1 and abs(w[blk.start]) > cut:
             u[:, blk] = _productize_block(u[:, blk], op.shape)
-    out = []
-    for j in range(w.size):
-        if abs(w[j]) <= 1e-13 * scale:
-            continue
-        sf = schmidt_decompose(BipartiteVector(op.shape, u[:, j]))
-        out.append((float(w[j]), sf))
-    return out
+    return [(float(w[j]), schmidt_decompose(BipartiteVector(op.shape, u[:, j])))
+            for j in range(w.size) if abs(w[j]) > cut]
 
 
 def upper_bound_spectral(op: BipartiteOperator):
@@ -390,18 +365,13 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     Restart 0 starts from the extremal eigenvector of the Hermitian part
     (D + D^dag) / 2, the others from seeded random vectors, and all advance
     together as one stack.  A restart stops after _STALL_STEPS steps in a row
-    that gain no more than ``tol`` (relative).  Its best is the first step
-    that reached its largest q; the best restart wins, ties to the lowest
-    index.  It runs on D / 2^k, 2^k the power of two nearest to the trace
-    norm of the Hermitian part (||D||_1 for Hermitian D), so that no step
-    overflows or underflows, and scales q back; the scaling is exact, and
-    k = 0 for densities.
+    that gain no more than ``tol`` (relative, or absolute below |q| = 1: D
+    is the unit operator of its analysis).  Its best is the first step that
+    reached its largest q; the best restart wins, ties to the lowest index.
     """
     rng = rng_from_seed(config.seed)
     n = shape.total
     w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    scale = power_of_two_near(np.abs(w).sum())
-    mat = mat / scale
     order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
     zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
     c = np.array([u[:, order[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
@@ -429,7 +399,7 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
         if active.size == 0:
             break
     best = int(np.argmax(best_q))
-    return float(best_q[best]) * scale, best_c[best]
+    return float(best_q[best]), best_c[best]
 
 
 def _polar_rows(g: np.ndarray, shape: BipartiteShape) -> np.ndarray:
@@ -454,8 +424,9 @@ def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
     """
     if not op.is_psd(EPS_PSD):
         raise ValueError("lower_bound_witness requires a positive semidefinite operator")
-    q, c = _witness_seesaw(op.matrix, op.shape, config, use_abs=False)
-    return q, BipartiteVector(op.shape, c)
+    an = _Analysis(op, config)
+    q, c = an.witness
+    return scaled_outward(q, 0, an.k, up=False), c
 
 
 def witness_value(op: BipartiteOperator, c: BipartiteVector) -> float:
@@ -700,12 +671,12 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
     periodic refinement pass re-optimizes the heaviest active atoms against
     their leave-one-out residuals, which repairs the slow tail on curved
     faces of the separable set.  Succeeds when the mixture reconstructs
-    ``op`` to VALIDATE_TOL in trace norm, relative to the target's; every
-    weight cutoff is relative to it too.
+    ``op`` to VALIDATE_TOL in trace norm relative to the target's (1 for the
+    zero operator); every weight cutoff is relative to it too.
     """
     rng = rng_from_seed(config.seed)
     n = op.shape.total
-    tn_target = max(trace_norm(op.matrix), 1e-300)
+    tn_target = trace_norm(op.matrix) or 1.0
     d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
     cols = [_column(a) for a in atoms]
@@ -848,32 +819,31 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     Failure to reach reconstruction tolerance returns an explicit
     unsuccessful result instead of raising.  ``analysis`` is the caller's
     analysis of ``op`` under ``config``, whose factorizations are reused.
+    Both phases run on its unit operator, and the decomposition is scaled
+    back.
     """
+    an = _Analysis(op, config) if analysis is None else analysis
+    op, shape, n = an.unit, op.shape, op.shape.total
     if not op.is_psd(EPS_PSD):
         raise ValueError("robustness_upper expects a (near-)density operator")
-    an = _Analysis(op, config) if analysis is None else analysis
-    shape = op.shape
-    n = shape.total
-    tn_target = max(an.trace_norm, 1e-300)
+    tn_lp = an.trace_norm or 1.0
 
     if not an.npt:
         mixture, rounds1 = separable_fit(op, config, max_rounds)
         if mixture is not None:  # weight equals the trace; 1 for a density
-            return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
+            return RobustnessResult(mixture.scaled(an.k), rounds1,
+                                    "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
     atoms = an.signed_atoms[0] + _seed_atoms(op)
 
     rng = rng_from_seed(config.seed + 1)
-    # HiGHS's tolerances are absolute: the LP fits D / 2^k, 2^k near ||D||_1
-    scale = power_of_two_near(tn_target)
-    tn_lp = tn_target / scale
-    d = _embed_hermitian(op.matrix) / scale
+    d = _embed_hermitian(op.matrix)
     cols = [_column(a) for a in atoms]  # one per atom, built as it enters
     cut = 1e-12 * tn_lp
     budget = _atom_budget(n)
-    best_weight, best_fit = base_dec.weight / scale, None  # the fit is (atoms, weights)
+    best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
     rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
     for rounds in range(1, max_rounds + 1):
         a_mat = np.column_stack(cols)
@@ -888,7 +858,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
         if weight < best_weight:
             err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_lp
             if err <= VALIDATE_TOL:
-                best_weight, best_fit = weight, (list(atoms), t * scale)
+                best_weight, best_fit = weight, (list(atoms), t)
         ymat = _hermitian_from(y, n)
         _, vals, phis, psis = _product_ascent([ymat, -ymat], shape, rng, n_starts=4)
         gain = float(np.abs(vals).max())
@@ -903,13 +873,12 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
         atoms += fresh
         cols += [_column(a) for a in fresh]
 
-    best = (base_dec if best_fit is None
-            else _decomposition_from(*best_fit, shape, cutoff=cut * scale))
-    err = _reconstruction_error(op, best, tn_target)
+    best = base_dec if best_fit is None else _decomposition_from(*best_fit, shape, cutoff=cut)
+    err = _reconstruction_error(op, best, tn_lp)
     if err > VALIDATE_TOL:
         return RobustnessResult(None, rounds,
                                 f"no certificate: residual {err:.3e} above tolerance; {stop}")
-    return RobustnessResult(best, rounds, f"signed decomposition found; {stop}")
+    return RobustnessResult(best.scaled(an.k), rounds, f"signed decomposition found; {stop}")
 
 
 def _distinct_atoms(vals, phis, psis, floor: float) -> list:
@@ -932,43 +901,48 @@ def _distinct_atoms(vals, phis, psis, floor: float) -> list:
 class _Analysis:
     """What the bound providers of one call share about its operator.
 
-    Each attribute is computed at most once, on first use.  An analysis
-    serves one top-level call; nothing is stored on the operator.
+    ``unit`` is the operator divided by 2^k (:func:`core.unit_scale`), and
+    every attribute below is about it: values are scaled back by 2^k only
+    in :func:`_norm_bounds`, decompositions by their ``scaled(k)``.  Each
+    attribute is computed at most once, on first use.  An analysis serves
+    one top-level call; nothing is stored on the operator.
     """
 
     def __init__(self, op: BipartiteOperator, config: SeeSawConfig):
         self.op = op
         self.config = config
+        unit, self.k = unit_scale(op.matrix)
+        self.unit = BipartiteOperator(op.shape, unit)
 
     @cached_property
     def hermitian(self) -> bool:
-        return self.op.is_hermitian(EPS_HERM)
+        return self.unit.is_hermitian(EPS_HERM)
 
     @cached_property
     def psd(self) -> bool:
-        return self.hermitian and self.op.is_psd(EPS_PSD)
+        return self.hermitian and self.unit.is_psd(EPS_PSD)
 
     @cached_property
     def trace_norm(self) -> float:
-        return trace_norm(self.op.matrix)
+        return trace_norm(self.unit.matrix)
 
     @cached_property
     def npt(self) -> bool:
         """lambda_min(H^Gamma) < -2 VALIDATE_TOL ||D||_1, H = (D + D^dag) / 2: then no
         product mixture S passes :func:`separable_fit`, which needs S^Gamma >= 0 and
         ||(H - S)^Gamma||_inf <= ||D - S||_1 <= VALIDATE_TOL ||D||_1 (x2: rounding)."""
-        pt = partial_transpose(self.op)
+        pt = partial_transpose(self.unit)
         lam = np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]
         return bool(lam < -2 * VALIDATE_TOL * self.trace_norm)
 
     @cached_property
     def realignment_lower(self) -> float:
-        return lower_bound_realignment(self.op)
+        return lower_bound_realignment(self.unit)
 
     @cached_property
     def witness(self) -> tuple:
-        """Best rank-one witness value and vector; |<c|D|c>| counts unless D is PSD."""
-        q, c = _witness_seesaw(self.op.matrix, self.op.shape, self.config, use_abs=not self.psd)
+        """Best rank-one witness value (of the unit D) and vector; |<c|D|c>| unless D is PSD."""
+        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config, use_abs=not self.psd)
         return q, BipartiteVector(self.op.shape, c)
 
     @cached_property
@@ -986,7 +960,7 @@ class _Analysis:
 
     @cached_property
     def spectral(self) -> list:
-        return _spectral_schmidt(self.op)
+        return _spectral_schmidt(self.unit)
 
     @cached_property
     def signed_atoms(self) -> tuple:
@@ -1004,25 +978,27 @@ class _Analysis:
         The upper providers run first: when the best of them is within
         PINCH_TOL of the trace norm, the witness cannot open the pinched
         bracket, so its see-saw is not started (one already run counts)."""
-        op = self.op
+        op, unit, k = self.op, self.unit, self.k
         if not self.hermitian:
-            value, dec = _hermitian_split_upper(op)
+            value, dec = _hermitian_split_upper(unit)
             split = (value, "hermitian_split", dec)
-            return _norm_bounds({"pi_lower": self.lower, "pi_upper": split}, op.shape.total,
+            return _norm_bounds({"pi_lower": self.lower, "pi_upper": split}, op.shape.total, k,
                                 indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
-        ur, dec_r = upper_bound_realignment(op)
+        ur, dec_r = upper_bound_realignment(unit)
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
+        # robustness_upper and supplied certificates come at the operator's scale
         if include_robustness and self.psd:
             rb = robustness_upper(op, self.config, analysis=self)
             if rb.success:
-                ups.append((rb.value, "robustness", rb.decomposition))
+                dec = rb.decomposition.scaled(-k)
+                ups.append((dec.weight, "robustness", dec))
         for dec in extra_decompositions:
-            report = validate_decomposition(op, dec)
-            if report.valid:
-                ups.append((report.weight, "supplied", dec))
+            if validate_decomposition(op, dec).valid:
+                dec = dec.scaled(-k)
+                ups.append((dec.weight, "supplied", dec))
         up = min(ups, key=lambda p: p[0])
         # a pinched bracket leaves the witness at most PINCH_TOL to gain: its
         # see-saw is not started for that, but a finished one still counts
@@ -1032,17 +1008,21 @@ class _Analysis:
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
         return _norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up},
-                            op.shape.total)
+                            op.shape.total, k)
 
 
-def _norm_bounds(winners: dict, n: int, indirect: bool = False) -> NormBounds:
-    """NormBounds from the winning (value, method, certificate) of each bound,
-    rounded outward for an n-dimensional operator; a bound with no winner
-    (Hermitian bounds of indirect input) reads NaN."""
-    values = {name: outward(winners[name][0], n, up=name.endswith("upper")) if name in winners
-              else float("nan") for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
-    return NormBounds(**values, methods={k: p[1] for k, p in winners.items()},
-                      certificates={k: p[2] for k, p in winners.items()}, indirect=indirect)
+def _norm_bounds(winners: dict, n: int, k: int, indirect: bool = False) -> NormBounds:
+    """NormBounds from the winning (value, method, certificate) of each bound
+    on the unit operator of an n-dimensional one, scaled back by 2^k and
+    rounded outward; a bound with no winner (Hermitian bounds of indirect
+    input) reads NaN."""
+    values = {name: scaled_outward(winners[name][0], n, k, up=name.endswith("upper"))
+              if name in winners else float("nan")
+              for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
+    certs = {name: p[2].scaled(k) if isinstance(p[2], StandardDecomposition) else p[2]
+             for name, p in winners.items()}
+    return NormBounds(**values, methods={name: p[1] for name, p in winners.items()},
+                      certificates=certs, indirect=indirect)
 
 
 def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
@@ -1119,14 +1099,24 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
     equal to its weight; a valid signed decomposition certifies a
     Hermitian-norm (hence projective-norm) upper bound.  An all-positive
     signed decomposition of a density is flagged optimal: its weight equals
-    the trace, which pins every norm in the chain.
+    the trace, which pins every norm in the chain.  The checks compare the
+    target's unit operator (:func:`core.unit_scale`) with the decomposition
+    scaled by the same 2^k, so they hold at every scale.
     """
-    tn_target = max(trace_norm(target.matrix), 1e-300)
-    messages = []
+    if not isinstance(dec, StandardDecomposition):
+        return ValidationReport(
+            valid=False, kind=type(dec).__name__, weight=float("nan"),
+            reconstruction_error=float("nan"), normalization_error=float("nan"),
+            certifies_pi_upper=False, certifies_h_upper=False,
+            messages=["unknown decomposition type"],
+        )
+    unit, k = unit_scale(target.matrix)
+    target, unit_dec = BipartiteOperator(target.shape, unit), dec.scaled(-k)
+    tn_target = trace_norm(unit) or 1.0
+    messages, norm_err, positive = [], 0.0, False
     # signed first: a signed decomposition is also a StandardDecomposition
     if isinstance(dec, SignedDecomposition):
-        norm_err = 0.0
-        for t, rho, sig in dec.terms:
+        for t, rho, sig in unit_dec.terms:
             for fac in (rho, sig):
                 w = np.linalg.eigvalsh((fac + fac.conj().T) / 2)
                 if w.min(initial=0.0) < -EPS_PSD:
@@ -1136,42 +1126,25 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
                 messages.append("zero weight term")
         if norm_err > 1e-8:
             messages.append(f"factor trace off by {norm_err:.3e}")
-        tr_err = abs(sum(t for t, _, _ in dec.terms) - target.trace().real)
-        if tr_err > VALIDATE_TOL * tn_target:
+        tr_err = abs(sum(t for t, _, _ in unit_dec.terms) - target.trace().real)
+        if not tr_err <= VALIDATE_TOL * tn_target:
             messages.append(f"weights sum to trace off by {tr_err:.3e}")
         positive = dec.is_positive
-    elif isinstance(dec, StandardDecomposition):
-        norm_err = 0.0
-        for r, x, y in dec.terms:
+    else:
+        for r, x, y in unit_dec.terms:
             norm_err = max(norm_err, abs(trace_norm(x) * trace_norm(y) - 1.0))
             if r < -1e-12:
                 messages.append(f"negative weight {r}")
         if norm_err > 1e-9:
             messages.append(f"factor normalization off by {norm_err:.3e}")
-        positive = False
-    else:
-        return ValidationReport(
-            valid=False, kind=type(dec).__name__, weight=float("nan"),
-            reconstruction_error=float("nan"), normalization_error=float("nan"),
-            certifies_pi_upper=False, certifies_h_upper=False,
-            messages=["unknown decomposition type"],
-        )
 
-    recon_err = _reconstruction_error(target, dec, tn_target)
-    if recon_err > VALIDATE_TOL:
+    recon_err = _reconstruction_error(target, unit_dec, tn_target)
+    if not recon_err <= VALIDATE_TOL:
         messages.append(f"reconstruction error {recon_err:.3e} above tolerance")
     valid = not messages
-    kind = dec.kind
-    optimal = bool(valid and kind == "signed" and positive)
-    return ValidationReport(
-        valid=valid,
-        kind=kind,
-        weight=dec.weight,
-        reconstruction_error=float(recon_err),
-        normalization_error=float(norm_err),
-        certifies_pi_upper=valid,
-        certifies_h_upper=bool(valid and kind == "signed"),
-        positive=positive,
-        optimal=optimal,
-        messages=messages,
-    )
+    signed = valid and dec.kind == "signed"
+    return ValidationReport(valid=valid, kind=dec.kind, weight=dec.weight,
+                            reconstruction_error=float(recon_err),
+                            normalization_error=float(norm_err), certifies_pi_upper=valid,
+                            certifies_h_upper=signed, positive=positive,
+                            optimal=bool(signed and positive), messages=messages)

@@ -204,10 +204,38 @@ def outward(value: float, n: int, up: bool) -> float:
     return float(value + margin if up else value - margin)
 
 
-def power_of_two_near(x: float) -> float:
-    """2^k with k the integer nearest to log2(x), 1 for x = 0 or inf: a search on
-    X / 2^k runs near unit scale, and its results scale back exactly."""
-    return 2.0 ** round(np.log2(x)) if 0 < x < np.inf else 1.0
+def scaled_outward(value: float, n: int, k: int, up: bool) -> float:
+    """outward(value, n, up) times 2^k, still outward.  A product that
+    overflows reads inf for an upper bound and the largest float for a lower
+    one; ldexp rounds to nearest among the subnormals, so a product there
+    that fell inward steps one ulp out."""
+    value = outward(value, n, up)
+    with np.errstate(over="ignore"):
+        out = float(np.ldexp(value, k))
+    if np.isinf(out) and np.isfinite(value):
+        return out if (out > 0) == up else float(np.copysign(np.finfo(float).max, out))
+    back = np.ldexp(out, -k)
+    if abs(out) < np.finfo(float).tiny and (back < value if up else back > value):
+        return float(np.nextafter(out, np.inf if up else -np.inf))
+    return out
+
+
+def unit_scale(mat) -> tuple:
+    """(mat / 2^k, k), k the integer nearest log2 ||mat||_1 (0 for the zero
+    matrix): bounds are computed on the unit operator and scaled back by
+    :func:`scaled_outward`.  An exact ldexp first takes the largest |re| or
+    |im| to [1/2, 1), so no 2^k is formed and no step overflows; ldexp(unit,
+    k) is mat bit for bit, but for entries that go subnormal at unit scale."""
+    parts = np.ascontiguousarray(mat, dtype=complex).view(float)
+    top = np.abs(parts).max(initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError("operator has non-finite entries")
+    if top == 0.0:
+        return parts.view(complex).copy(), 0
+    e = int(np.frexp(top)[1])
+    parts = np.ldexp(parts, -e)
+    shift = round(float(np.log2(nuclear_norm(parts.view(complex)))))
+    return np.ldexp(parts, -shift, out=parts).view(complex), e + shift
 
 
 def _square(op) -> np.ndarray:

@@ -17,9 +17,9 @@ from .core import (
     BipartiteVector,
     operator_norm,
     operator_schmidt,
-    outward,
-    power_of_two_near,
     rng_from_seed,
+    scaled_outward,
+    unit_scale,
 )
 
 
@@ -97,28 +97,22 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     as one stack.  A restart stops when its value after a full step is
     within ``tol`` (relative) of its values one and two steps earlier.  The
     best restart wins, ties broken by the lowest restart index.  The search
-    runs on L / 2^k, 2^k the power of two nearest to ||L||_inf, and scales
-    the values and ``histories`` back; the scaling is exact, so no step
-    overflows or underflows.
+    runs on the unit operator L / 2^k of :func:`core.unit_scale`, and the
+    bounds and ``histories`` are scaled back.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
     vectors up to rounding, and rounded down to cover it; ``upper_bound``
     is ||L||_inf.
     """
-    mat = L.matrix
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("operator has non-finite entries")
     dh, dj = L.shape.dh, L.shape.dj
     rng = rng_from_seed(config.seed)
-    upper = operator_norm(mat)
-    scale = power_of_two_near(upper)
-    mat = mat / scale
+    mat, k = unit_scale(L.matrix)
     adj = mat.conj().T
 
     n_r = config.restarts
     draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
              for _ in range(n_r - 1) for d in (dh, dj)]
-    eta0, chi0 = _operator_schmidt_start(L)
+    eta0, chi0 = _operator_schmidt_start(BipartiteOperator(L.shape, mat))
     eta = np.array([eta0] + [z / np.linalg.norm(z) for z in draws[0::2]], dtype=complex)
     chi = np.array([chi0] + [z / np.linalg.norm(z) for z in draws[1::2]], dtype=complex)
     history = []  # one (restarts, 2) array of half-step values per step
@@ -143,14 +137,15 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     best = int(np.argmax(prev))
     # one more half-step keeps (phi, psi) consistent with the final (eta, chi)
     phi, psi, val = _half_step(mat, eta[best:best + 1], chi[best:best + 1])
-    best_val = max(prev[best], val[0]) * scale
+    best_val = max(prev[best], val[0])
     phi, psi, eta, chi = phi[0], psi[0], eta[best], chi[best]
     obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
     if abs(obj) > 0.0:
         phi = phi * (obj / abs(obj))  # make the reported objective real nonnegative
-    history = np.array(history) * scale
+    history = np.ldexp(np.array(history), k)
     histories = [history[:iters[r], r].ravel().tolist() for r in range(n_r)]
-    return GNormEstimate(outward(best_val, L.shape.total, up=False), upper, phi, psi, eta, chi,
+    return GNormEstimate(scaled_outward(best_val, L.shape.total, k, up=False),
+                         scaled_outward(operator_norm(mat), 0, k, up=True), phi, psi, eta, chi,
                          iterations_used=int(iters[best]), converged=bool(converged[best]),
                          best_restart=best, histories=histories)
 

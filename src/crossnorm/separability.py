@@ -209,7 +209,9 @@ def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200)
 
 def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     """:func:`classify` over an analysis the caller may read further; the
-    witness, the realignment bound and the Undecided bounds all come from it."""
+    witness, the realignment bound and the Undecided bounds all come from it.
+    Only densities get past the first check, and their k is 0: the analysis'
+    unit values are the state's own."""
     op, config = an.op, an.config
     if not op.is_density():
         raise ValueError("classify expects a density operator")

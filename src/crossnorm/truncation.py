@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _Analysis
-from .core import BipartiteOperator, BipartiteShape, BipartiteVector, outward, schmidt_decompose
+from .core import BipartiteOperator, BipartiteShape, BipartiteVector, scaled_outward
+from .core import schmidt_decompose
 from .gnorm import SeeSawConfig
 
 DENSE_CUTOFF = 512
@@ -230,8 +231,8 @@ def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
         dense = ""
         if family.shape(n).total <= DENSE_CUTOFF:
             cfg = config if config is not None else SeeSawConfig(seed=0, restarts=4, max_iters=60)
-            op = family.dense_operator(n)
-            dense = outward(_Analysis(op, cfg).lower[0], op.shape.total, up=False)
+            an = _Analysis(family.dense_operator(n), cfg)  # k = -1 at N = 1: trace 1/2
+            dense = scaled_outward(an.lower[0], an.op.shape.total, an.k, up=False)
         rows.append(
             {
                 "N": n,

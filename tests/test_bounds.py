@@ -33,6 +33,7 @@ from crossnorm import (
     validate_decomposition,
     witness_value,
 )
+from crossnorm.core import unit_scale
 from crossnorm.separability import isotropic
 
 CFG = SeeSawConfig(seed=201, restarts=6, max_iters=80)
@@ -406,8 +407,11 @@ def test_witness_seesaw_matches_the_loop_reference():
 
     cfg = SeeSawConfig(seed=5, restarts=5, max_iters=60)
     for op in _seesaw_test_operators():
+        # the kernel runs on the analysis' unit operator; the reference scales for itself
+        unit, k = unit_scale(op.matrix)
         for use_abs in (False, True):
-            q, _ = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
+            q, _ = _witness_seesaw(unit, op.shape, cfg, use_abs)
+            q = np.ldexp(q, k)
             # the same steps, summed in another order: agreement to rounding
             ref = _reference_polar(op.matrix, op.shape, cfg, use_abs)
             assert q == pytest.approx(ref, rel=1e-12)
@@ -1220,6 +1224,44 @@ def test_robustness_bound_holds_away_from_unit_scale(scale):
     res = robustness_upper(op, SeeSawConfig(seed=1))
     assert res.success and res.value / scale <= 1.0755
     assert validate_decomposition(op, res.decomposition).valid
+
+
+def _extreme_operators():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((9, 9))
+    return [max_entangled(2), random_density(BipartiteShape(2, 2), 1), isotropic(0.2, 3),
+            BipartiteOperator(BipartiteShape(3, 3), m / np.linalg.norm(m))]
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300, 1.5e308])
+@pytest.mark.parametrize("which", range(4))
+def test_brackets_hold_at_the_edges_of_the_float_range(scale, which):
+    """Each kernel used to pick its own power of two: Bell x 1e-310 gave an
+    inverted bracket, and x 1.5e308 raised OverflowError."""
+    base = _extreme_operators()[which]
+    op = BipartiteOperator(base.shape, base.matrix * scale)
+    ref = pi_bounds(base, SeeSawConfig(seed=1), include_robustness=False)
+    for robust in (False, True):
+        nb = pi_bounds(op, SeeSawConfig(seed=1), include_robustness=robust)
+        assert nb.pi_lower <= nb.pi_upper
+        assert nb.indirect or nb.h_lower <= nb.h_upper
+        for name in ("pi_upper", "h_upper"):
+            if np.isfinite(getattr(nb, name)):
+                assert validate_decomposition(op, nb.certificates[name]).valid
+        if nb.pi_lower < np.finfo(float).max:
+            assert nb.pi_lower / scale == pytest.approx(ref.pi_lower, rel=1e-9)
+    if which == 0 and scale == 1.5e308:  # ||Bell x 1.5e308||_pi = 3e308 is not a float
+        assert (nb.pi_lower, nb.pi_upper) == (np.finfo(float).max, np.inf)
+
+
+def test_validator_rejects_an_empty_decomposition_of_a_tiny_state():
+    """Against an absolute 1e-300 floor, the empty decomposition of Bell x
+    1e-310 had reconstruction error 1e-10 and passed."""
+    op = BipartiteOperator(BipartiteShape(2, 2), max_entangled(2).matrix * 1e-310)
+    report = validate_decomposition(op, StandardDecomposition([], op.shape))
+    assert not report.valid
+    assert report.reconstruction_error == pytest.approx(1.0)
+    assert validate_decomposition(op, pi_bounds(op, CFG).certificates["pi_upper"]).valid
 
 
 def test_witness_bracket_of_bell_at_1e200():

@@ -231,3 +231,17 @@ def test_witness_g_bracket_is_not_inverted(tmp_path, coeffs):
                     "--json-out", out]) == 0
         res = json.loads(out.read_text())["results"]
         assert res["g_norm_seesaw_lower"] <= res["g_norm_certified_upper"]
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1.5e308])
+def test_bounds_and_gnorm_run_at_the_edges_of_the_float_range(tmp_path, scale):
+    state_file = tmp_path / "bell.json"
+    bell = max_entangled(2)
+    state_file.write_text(json.dumps(to_state_dict(type(bell)(bell.shape, bell.matrix * scale))))
+    for cmd, key in (("bounds", "pi"), ("gnorm", "g_norm")):
+        out = tmp_path / f"{cmd}.json"
+        assert run([cmd, state_file, "--seed", 1, "--no-timestamp", "--json-out", out]) == 0
+        res = json.loads(out.read_text())["results"]
+        lower, upper = ((res["pi_lower"], res["pi_upper"]) if cmd == "bounds"
+                        else (res[key]["lower"], res[key]["upper"]))
+        assert 0.0 < lower <= upper

@@ -20,6 +20,7 @@ from crossnorm import (
     to_state_dict,
     trace_norm,
 )
+from crossnorm.core import scaled_outward, unit_scale
 
 
 def basis_vec(d, i):
@@ -378,3 +379,41 @@ def test_shape_validation():
         BipartiteOperator(BipartiteShape(2, 2), np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         BipartiteShape(0, 2)
+
+
+@pytest.mark.parametrize("top", [1e-320, 1e-310, 1e-300, 1e-3, 1.0, 7.3, 1e300, 1.7e308])
+def test_unit_scale_is_exact(top):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = m / np.abs(m.view(float)).max() * top  # the largest |re| or |im| is top
+    unit, k = unit_scale(m)
+    assert np.array_equal(np.ldexp(unit.view(float), k), m.view(float))
+    assert np.isfinite(unit).all()
+    assert abs(np.log2(trace_norm(unit))) <= 0.5 + 1e-12  # k is nearest log2 ||m||_1
+    if 1e-300 <= top <= 1e300:  # where ||m||_1 itself is computed accurately
+        assert k == round(np.log2(trace_norm(m)))
+
+
+def test_unit_scale_of_the_zero_matrix():
+    unit, k = unit_scale(np.zeros((4, 4), dtype=complex))
+    assert k == 0 and not unit.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unit_scale_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        unit_scale(np.full((4, 4), bad))
+
+
+def test_scaled_outward_overflow_and_subnormals():
+    big, tiny = np.finfo(float).max, np.finfo(float).tiny
+    assert scaled_outward(1.5, 0, 1024, up=True) == np.inf
+    assert scaled_outward(1.5, 0, 1024, up=False) == big
+    assert scaled_outward(1.0, 0, 0, up=False) == 1.0
+    for value in (1.0 + 2**-52, 1.0 / 3.0, 0.7):
+        for k in (-1030, -1060, -1074):
+            lo, hi = scaled_outward(value, 0, k, up=False), scaled_outward(value, 0, k, up=True)
+            assert lo < tiny and lo <= hi
+            # the subnormal products scale up exactly: they must bracket the true value
+            assert np.ldexp(lo, -k) <= value <= np.ldexp(hi, -k)
+            assert hi - lo <= np.nextafter(0.0, 1.0)

@@ -318,3 +318,20 @@ def test_seesaw_at_every_scale(k):
     assert abs(abs(val) - est.lower_bound) <= 1e-12 * est.lower_bound
     assert abs(val.imag) <= 1e-12 * est.lower_bound
 
+
+
+@pytest.mark.parametrize("s", [1e-310, 2.0**-1040, 2.0**1000, 1.5e308])
+def test_seesaw_at_the_edges_of_the_float_range(s):
+    """Scaled by ||L||_inf on its own, the search raised LinAlgError at 1e-310
+    and OverflowError at 1.5e308."""
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m /= np.linalg.norm(m)
+    cfg = SeeSawConfig(seed=1)
+    base = g_norm_seesaw(BipartiteOperator(BipartiteShape(3, 3), m), cfg)
+    est = g_norm_seesaw(BipartiteOperator(BipartiteShape(3, 3), m * s), cfg)
+    assert est.lower_bound <= est.upper_bound
+    assert est.lower_bound / s == pytest.approx(base.lower_bound, rel=1e-9)
+    assert all(np.all(np.isfinite(v)) for v in (est.phi, est.psi, est.eta, est.chi))
+    if np.log2(s).is_integer() and s >= np.finfo(float).tiny:  # an exact scaling: the same search
+        assert est.histories == [[x * s for x in h] for h in base.histories]

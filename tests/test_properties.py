@@ -50,6 +50,8 @@ def test_pi_lower_is_local_unitary_invariant(shape, seed, frame):
 @given(SHAPES, SEEDS, SCALES)
 @example((2, 2), 1, 200)
 @example((3, 3), 1, -200)
+@example((2, 2), 1, 308)
+@example((2, 3), 1, -310)
 def test_pi_lower_scales_with_the_operator(shape, seed, k):
     op = _density(shape, seed)
     scaled = BipartiteOperator(op.shape, 10.0**k * op.matrix)
@@ -60,6 +62,8 @@ def test_pi_lower_scales_with_the_operator(shape, seed, k):
 @given(SHAPES, SEEDS, SCALES)
 @example((3, 3), 1, 200)
 @example((2, 2), 1, -200)
+@example((3, 3), 1, 308)
+@example((2, 3), 1, -310)
 def test_pi_bracket_is_not_inverted(shape, seed, k):
     op = BipartiteOperator(BipartiteShape(*shape), 10.0**k * _density(shape, seed).matrix)
     nb = _bounds(op)

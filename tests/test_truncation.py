@@ -205,3 +205,6 @@ def test_divergence_sweep_rows():
     assert rows[1]["lemosd_bound"] == pytest.approx(3.0, abs=1e-12)
     assert rows[1]["witness_bound"] == pytest.approx(4.0, abs=1e-12)
     assert rows[1]["dense_pi_lower"] >= 4.0 - 1e-9
+    # D_1 = |Omega_4><Omega_4| / 2 has trace 1/2, so k = -1: the bound is scaled back to 2
+    assert rows[0]["dense_pi_lower"] == pytest.approx(2.0, rel=1e-12)
+    assert rows[0]["dense_pi_lower"] <= 2.0
