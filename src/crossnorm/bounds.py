@@ -8,9 +8,10 @@ norm, realignment bound, witness see-saw, spectral-Schmidt expansion and its
 signed atoms; the robustness search reads the same analysis.  No kernel
 scales for itself: only ``_norm_bounds`` scales the winning bounds back.
 Over it sit one list of lower and one list of upper providers, each a
-``(value, method, certificate)`` triple.  Lower: the trace norm, the
-realignment (computable cross norm) inequality and a rank-one witness whose
-injective norm is exactly one.  Upper: the spectral-Schmidt and
+``(value, method, certificate)`` triple.  Lower: the trace norm and the
+realignment (computable cross norm) inequality, which dominates every
+rank-one witness (:attr:`_Analysis.lower`); a witness see-saw that already
+ran in the analysis still counts.  Upper: the spectral-Schmidt and
 operator-Schmidt expansions, a signed decomposition over product densities,
 a robustness-style search for affine combinations of separable states, and
 supplied decompositions; non-Hermitian input is bounded through its two
@@ -153,7 +154,8 @@ class NormBounds:
     ``certificates[name]`` holds the object backing the bound tagged
     ``methods[name]`` for name in {"pi_lower", "pi_upper", "h_lower",
     "h_upper"}.  A single value is only quoted when a bracket pinches to
-    within PINCH_TOL.
+    within PINCH_TOL 2^scale_exponent, the k of the operator's unit scale
+    (:func:`core.unit_scale`; 0 for every density).
     """
 
     pi_lower: float
@@ -163,12 +165,13 @@ class NormBounds:
     methods: dict = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
     indirect: bool = False
+    scale_exponent: int = 0
 
     def pi_value(self):
-        return _pinched(self.pi_lower, self.pi_upper)
+        return _pinched(self.pi_lower, self.pi_upper, self.scale_exponent)
 
     def h_value(self):
-        return _pinched(self.h_lower, self.h_upper)
+        return _pinched(self.h_lower, self.h_upper, self.scale_exponent)
 
     def to_dict(self) -> dict:
         d = {"pi_lower": self.pi_lower, "pi_upper": self.pi_upper,
@@ -181,9 +184,10 @@ class NormBounds:
         return d
 
 
-def _pinched(lower: float, upper: float):
-    """The midpoint of a bracket pinched to within PINCH_TOL, else None (also for NaN)."""
-    return 0.5 * (lower + upper) if upper - lower < PINCH_TOL else None
+def _pinched(lower: float, upper: float, k: int):
+    """The midpoint of a bracket pinched to within PINCH_TOL 2^k, else None (also
+    for NaN); each end is halved first, so no sum overflows near the largest float."""
+    return 0.5 * lower + 0.5 * upper if upper - lower < np.ldexp(PINCH_TOL, k) else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +221,7 @@ _JACOBI_PHASES = tuple(np.pi * k / 4 for k in range(8))
 _JACOBI_CT, _JACOBI_EST, _JACOBI_NEST = (np.array(c)[:, None] for c in zip(*[
     (np.cos(th), np.exp(1j * ph) * np.sin(th), -np.conj(np.exp(1j * ph)) * np.sin(th))
     for th in _JACOBI_THETAS for ph in _JACOBI_PHASES]))
+_PRODUCT_SUM = 1.0 + 1e-13  # a unit vector's Schmidt sum is 1 exactly when it is product
 
 
 def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int = 50) -> np.ndarray:
@@ -225,9 +230,10 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
     Greedy two-vector Jacobi-style rotations over a fixed angle/phase grid,
     deterministic sweep order; the first grid point that lowers a pair's sum
     by more than 1e-12 below the best so far wins.  All rotations of a pair
-    are scored by one stacked SVD.  Any basis of the block yields a valid
-    certificate; this only tightens it (e.g. picks product bases over Bell
-    bases inside maximally mixed blocks).
+    are scored by one stacked SVD; a pair of product columns is skipped, as
+    two unit vectors' sums are at least 1 each.  Any basis of the block
+    yields a valid certificate; this only tightens it (e.g. picks product
+    bases over Bell bases inside maximally mixed blocks).
     """
     b = block.shape[1]
     if b < 2:
@@ -240,6 +246,8 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
         improved = False
         for p in range(b):
             for q in range(p + 1, b):
+                if max(sums[p], sums[q]) <= _PRODUCT_SUM:
+                    continue
                 vp = _JACOBI_CT * cols[p] + _JACOBI_EST * cols[q]
                 vq = _JACOBI_NEST * cols[p] + _JACOBI_CT * cols[q]
                 sv = np.linalg.svd(np.stack([vp, vq], axis=1).reshape(-1, 2, dh, dj),
@@ -490,8 +498,9 @@ class RobustnessResult:
 
     Everything but the search record derives from ``decomposition``, which
     is None when the search failed: D = alpha D1 - (alpha-1) D2, with
-    alpha = (1 + value) / 2 for unit-trace targets.  ``message`` says which
-    phase found the certificate and why the signed search stopped.
+    alpha = (1 + value) / 2 for unit-trace targets, D1 and D2 the positive
+    and the negative terms.  ``message`` says which phase found the
+    certificate and why the signed search stopped.
     """
 
     decomposition: SignedDecomposition | None
@@ -510,23 +519,6 @@ class RobustnessResult:
     @property
     def alpha(self) -> float:
         return float("nan") if self.decomposition is None else self.decomposition.alpha
-
-    @property
-    def d1(self) -> SignedDecomposition | None:
-        return self._part(1.0)
-
-    @property
-    def d2(self) -> SignedDecomposition | None:
-        return self._part(-1.0)
-
-    def _part(self, sign: float) -> SignedDecomposition | None:
-        """The terms of one sign renormalized to a product mixture; None if there are none."""
-        if self.decomposition is None:
-            return None
-        part = [(sign * t, r, s) for t, r, s in self.decomposition.terms if sign * t > 0]
-        total = sum(t for t, _, _ in part)
-        terms = [(t / total, r, s) for t, r, s in part]
-        return SignedDecomposition(terms, self.decomposition.shape) if total > 0 else None
 
 
 @cache
@@ -796,8 +788,8 @@ def _prune(weights, budget, cut, *aligned):
     return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
 
 
-def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200,
-                     analysis: _Analysis | None = None) -> RobustnessResult:
+def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
+                     max_rounds: int = 200) -> RobustnessResult:
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
     Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1),
@@ -817,22 +809,28 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
-    unsuccessful result instead of raising.  ``analysis`` is the caller's
-    analysis of ``op`` under ``config``, whose factorizations are reused.
-    Both phases run on its unit operator, and the decomposition is scaled
-    back.
+    unsuccessful result instead of raising.  Both phases run on the unit
+    operator of ``op`` (:class:`_Analysis`), and the decomposition is
+    scaled back.
     """
-    an = _Analysis(op, config) if analysis is None else analysis
-    op, shape, n = an.unit, op.shape, op.shape.total
-    if not op.is_psd(EPS_PSD):
+    an = _Analysis(op, config)
+    if not an.unit.is_psd(EPS_PSD):
         raise ValueError("robustness_upper expects a (near-)density operator")
+    res = _robustness(an, max_rounds)
+    if res.success:
+        res.decomposition = res.decomposition.scaled(an.k)
+    return res
+
+
+def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
+    """:func:`robustness_upper` with its decomposition left at unit scale."""
+    op, config, shape, n = an.unit, an.config, an.op.shape, an.op.shape.total
     tn_lp = an.trace_norm or 1.0
 
     if not an.npt:
         mixture, rounds1 = separable_fit(op, config, max_rounds)
         if mixture is not None:  # weight equals the trace; 1 for a density
-            return RobustnessResult(mixture.scaled(an.k), rounds1,
-                                    "nonnegative product mixture found")
+            return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
@@ -878,7 +876,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig, max_rounds: in
     if err > VALIDATE_TOL:
         return RobustnessResult(None, rounds,
                                 f"no certificate: residual {err:.3e} above tolerance; {stop}")
-    return RobustnessResult(best.scaled(an.k), rounds, f"signed decomposition found; {stop}")
+    return RobustnessResult(best, rounds, f"signed decomposition found; {stop}")
 
 
 def _distinct_atoms(vals, phis, psis, floor: float) -> list:
@@ -945,15 +943,17 @@ class _Analysis:
         q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config, use_abs=not self.psd)
         return q, BipartiteVector(self.op.shape, c)
 
-    @cached_property
+    @property
     def lower(self) -> tuple:
-        """The best of the lower providers: trace norm, realignment, rank-one witness."""
-        return self._lower(witness=True)
+        """The trace norm or realignment, or a witness already found here.
 
-    def _lower(self, witness: bool) -> tuple:
+        No witness search starts: for W = |c><c| / a_1(c)^2, R(W) =
+        C (x) conj(C) / a_1(c)^2 (C the reshaped c) has operator norm 1 and
+        R keeps the Hilbert-Schmidt inner product, so by Hoelder
+        |tr(D W)| <= ||R(D)||_1 for every D: a witness wins only by rounding."""
         lows = [(self.trace_norm, "trace_norm", None),
                 (self.realignment_lower, "realignment", None)]
-        if witness:
+        if "witness" in vars(self):
             q, c = self.witness
             lows.append((q, "witness", c))
         return max(lows, key=lambda p: p[0])
@@ -973,11 +973,7 @@ class _Analysis:
 
     def bounds(self, include_robustness: bool = True,
                extra_decompositions: tuple = ()) -> NormBounds:
-        """The brackets :func:`pi_bounds` reports, from the provider lists.
-
-        The upper providers run first: when the best of them is within
-        PINCH_TOL of the trace norm, the witness cannot open the pinched
-        bracket, so its see-saw is not started (one already run counts)."""
+        """The brackets :func:`pi_bounds` reports, from the provider lists."""
         op, unit, k = self.op, self.unit, self.k
         if not self.hermitian:
             value, dec = _hermitian_split_upper(unit)
@@ -989,21 +985,15 @@ class _Analysis:
         ur, dec_r = upper_bound_realignment(unit)
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
-        # robustness_upper and supplied certificates come at the operator's scale
         if include_robustness and self.psd:
-            rb = robustness_upper(op, self.config, analysis=self)
+            rb = _robustness(self)
             if rb.success:
-                dec = rb.decomposition.scaled(-k)
-                ups.append((dec.weight, "robustness", dec))
-        for dec in extra_decompositions:
+                ups.append((rb.decomposition.weight, "robustness", rb.decomposition))
+        for dec in extra_decompositions:  # supplied at the operator's scale
             if validate_decomposition(op, dec).valid:
                 dec = dec.scaled(-k)
                 ups.append((dec.weight, "supplied", dec))
-        up = min(ups, key=lambda p: p[0])
-        # a pinched bracket leaves the witness at most PINCH_TOL to gain: its
-        # see-saw is not started for that, but a finished one still counts
-        low = self._lower(witness=up[0] > self.trace_norm * (1.0 + PINCH_TOL)
-                          or "witness" in vars(self))
+        up, low = min(ups, key=lambda p: p[0]), self.lower
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
@@ -1022,7 +1012,7 @@ def _norm_bounds(winners: dict, n: int, k: int, indirect: bool = False) -> NormB
     certs = {name: p[2].scaled(k) if isinstance(p[2], StandardDecomposition) else p[2]
              for name, p in winners.items()}
     return NormBounds(**values, methods={name: p[1] for name, p in winners.items()},
-                      certificates=certs, indirect=indirect)
+                      certificates=certs, indirect=indirect, scale_exponent=k)
 
 
 def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
@@ -1049,7 +1039,8 @@ def pi_bounds(
 ) -> NormBounds:
     """Certified projective / Hermitian-norm brackets for an operator.
 
-    Lower: max of trace norm, realignment and the rank-one witness value.
+    Lower: max of trace norm and realignment, which no rank-one witness
+    exceeds (see :attr:`_Analysis.lower`), so no witness search runs.
     Upper: min over the spectral-Schmidt, operator-Schmidt and signed
     certificates, the robustness search when asked for, and the supplied
     decompositions that validate (a signed decomposition is also a standard

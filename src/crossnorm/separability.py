@@ -7,8 +7,9 @@ injective norm is exactly one and whose expectation exceeds one
 the state (Separable).  States yielding neither within budget stay
 Undecided.  A state whose partial transpose is not positive (Peres) has no
 product mixture, so the search is skipped for it; on every other state it
-runs before the witness search.  The partial-transpose oracle is test
-plumbing for shapes where PPT is decisive.
+runs before the witness search.  The witness search runs only when the
+realignment bound exceeds one: it never beats realignment.  The
+partial-transpose oracle is test plumbing for shapes where PPT is decisive.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
                 message=f"weight-one product mixture found in {rounds} rounds",
             )
 
-    q, c = an.witness
+    # no rank-one witness exceeds realignment (_Analysis.lower): at or below
+    # one the search cannot pass 1 + PINCH_TOL, so it is not started
+    q, c = an.witness if realign_low > 1.0 else (realign_low, None)
     if q > 1.0 + PINCH_TOL:
         cert = witness_from_vector(c)
         detection = witness_value(op, cert.vector)

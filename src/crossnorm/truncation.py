@@ -223,7 +223,7 @@ def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
 
     The dense column is blank when the truncation exceeds the dense cutoff;
     otherwise it is the ``pi_lower`` of :func:`pi_bounds`, from the lower
-    providers alone.
+    providers alone: the trace norm and realignment, no witness search.
     """
     rows = []
     for n in ns:

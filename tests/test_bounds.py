@@ -7,6 +7,7 @@ from crossnorm import (
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
+    NormBounds,
     RobustnessResult,
     SeeSawConfig,
     SignedDecomposition,
@@ -178,6 +179,32 @@ def _productize_block_per_candidate(block, shape, max_sweeps=50):
         if not improved:
             break
     return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _maximally_mixed(3), lambda: _maximally_mixed(4), lambda: isotropic(0.3, 4),
+    lambda: max_entangled(3), lambda: kron(np.eye(2) / 2, np.diag([0.5, 0.5, 0.0])),
+], ids=["max-mixed-3", "max-mixed-4", "isotropic-0.3-4", "bell-3", "mixed-product-2x3"])
+def test_product_pair_skip_matches_the_full_sweep(monkeypatch, make):
+    """Skipping pairs of product columns changes no bit of the expansion,
+    and on maximally mixed states it saves most of the SVDs."""
+    from crossnorm import bounds
+
+    op = make()
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+    ours = bounds._spectral_schmidt(op)
+    skipped = len(svds)
+    monkeypatch.setattr(bounds, "_PRODUCT_SUM", -np.inf)  # every pair swept
+    ref = bounds._spectral_schmidt(op)
+    assert len(ours) == len(ref)
+    for (lam, sf), (lam_ref, sf_ref) in zip(ours, ref):
+        assert lam == lam_ref
+        assert np.array_equal(sf.coefficients, sf_ref.coefficients)
+        assert np.array_equal(sf.left_vectors, sf_ref.left_vectors)
+        assert np.array_equal(sf.right_vectors, sf_ref.right_vectors)
+    if np.allclose(op.matrix, np.eye(op.shape.total) / op.shape.total):
+        assert skipped < len(svds) - skipped
 
 
 def _maximally_mixed(d):
@@ -873,7 +900,7 @@ def test_robustness_product_mixture():
     assert res.success
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.alpha == pytest.approx(1.0, abs=1e-9)
-    assert res.d2 is None
+    assert res.decomposition.is_positive  # no D2 part
     rep = validate_decomposition(op, res.decomposition)
     assert rep.valid and rep.positive
 
@@ -885,8 +912,8 @@ def test_robustness_bell():
     rep = validate_decomposition(max_entangled(2), res.decomposition)
     assert rep.valid
     # both sides of the affine combination are explicit product mixtures
-    assert res.d1 is not None and res.d1.is_positive
-    assert res.d2 is not None and res.d2.is_positive
+    ts = [t for t, _, _ in res.decomposition.terms]
+    assert min(ts) < 0 < max(ts) and rep.kind == "signed"
     # hermitian weight bookkeeping: sum |t| = 2 alpha - 1 at unit trace
     dec = res.decomposition
     assert dec.weight == pytest.approx(2.0 * dec.alpha - 1.0, abs=1e-8)
@@ -1019,7 +1046,6 @@ def test_unsuccessful_robustness_result_has_no_value():
     res = RobustnessResult(None, 7, "no certificate")
     assert not res.success
     assert np.isnan(res.value) and np.isnan(res.alpha)
-    assert res.d1 is None and res.d2 is None
 
 
 def _record_lp_and_columns(monkeypatch):
@@ -1161,17 +1187,26 @@ def test_decomposition_factors_equal_outer_products():
     assert bounds._decomposition_from(atoms, weights, op.shape, cutoff=np.inf).terms == []
 
 
+def _refuse_witness_seesaw(*args, **kwargs):
+    raise AssertionError("the witness see-saw was started")
+
+
 def test_pinched_bracket_skips_the_witness_search(monkeypatch):
+    """pi_bounds starts no witness see-saw, on pinched or open brackets,
+    Hermitian or not: realignment dominates every rank-one witness."""
     from crossnorm import bounds
 
-    runs, seesaw = [], bounds._witness_seesaw
-    monkeypatch.setattr(bounds, "_witness_seesaw",
-                        lambda *args, **kw: runs.append(args) or seesaw(*args, **kw))
+    monkeypatch.setattr(bounds, "_witness_seesaw", _refuse_witness_seesaw)
     mixed = BipartiteOperator(BipartiteShape(3, 3), np.eye(9, dtype=complex) / 9)
     nb = pi_bounds(mixed, CFG, include_robustness=False)
-    assert runs == [] and nb.methods["pi_lower"] == "trace_norm" and nb.pi_value() is not None
+    assert nb.methods["pi_lower"] == "trace_norm" and nb.pi_value() is not None
     nb = pi_bounds(random_density(BipartiteShape(2, 2), 1), CFG, include_robustness=False)
-    assert len(runs) == 1 and nb.pi_value() is None  # an open bracket still runs it
+    assert nb.methods["pi_lower"] == "realignment" and nb.pi_value() is None
+    nb = pi_bounds(max_entangled(2), CFG)
+    assert nb.methods["pi_lower"] == "realignment" and nb.pi_value() == pytest.approx(2.0)
+    m = np.random.default_rng(3).standard_normal((9, 9))
+    nb = pi_bounds(BipartiteOperator(BipartiteShape(3, 3), m / np.linalg.norm(m)), CFG)
+    assert nb.indirect and nb.methods["pi_lower"] in ("trace_norm", "realignment")
 
 
 def test_pinched_bracket_keeps_a_finished_witness():
@@ -1254,6 +1289,31 @@ def test_brackets_hold_at_the_edges_of_the_float_range(scale, which):
         assert (nb.pi_lower, nb.pi_upper) == (np.finfo(float).max, np.inf)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300])
+def test_bell_h_upper_is_at_least_the_exact_norm(scale):
+    """||Bell||_H = 3 tr D exactly.  At 1e-310 the robustness weight used to
+    come back through the operator's scale and lose bits: h_upper read
+    2.9999999999997e-310 < 3 tr D = 2.99999999999984e-310, and h_value
+    2.5e-310 was quoted for the open bracket [2e-310, 3e-310]."""
+    from fractions import Fraction
+
+    op = BipartiteOperator(BipartiteShape(2, 2), max_entangled(2).matrix * scale)
+    nb = pi_bounds(op, SeeSawConfig(seed=1))
+    exact_h = 3 * sum(Fraction(float(x.real)) for x in np.diag(op.matrix))
+    assert Fraction(nb.h_upper) >= exact_h
+    assert Fraction(nb.pi_lower) <= 2 * exact_h / 3 <= Fraction(nb.pi_upper)
+    assert nb.h_value() is None and nb.pi_value() == pytest.approx(2 * scale, rel=1e-12)
+
+
+def test_pinch_tolerance_scales_with_the_operator():
+    nb = pi_bounds(max_entangled(2), SeeSawConfig(seed=1), include_robustness=False)
+    assert nb.scale_exponent == 0 and nb.h_value() is None
+    tiny = NormBounds(2e-7, 2e-7 + 5e-7, 1.0, 1.0)  # k = 0: absolute PINCH_TOL
+    assert tiny.pi_value() is not None
+    tiny.scale_exponent = -20  # the same bracket of an operator near 2^-20 is open
+    assert tiny.pi_value() is None
+
+
 def test_validator_rejects_an_empty_decomposition_of_a_tiny_state():
     """Against an absolute 1e-300 floor, the empty decomposition of Bell x
     1e-310 had reconstruction error 1e-10 and passed."""
@@ -1265,13 +1325,24 @@ def test_validator_rejects_an_empty_decomposition_of_a_tiny_state():
 
 
 def test_witness_bracket_of_bell_at_1e200():
-    """The see-saw's vector norm overflowed here, and pi_bounds raised."""
+    """The see-saw's vector norm overflowed here, and pi_bounds raised.
+    pi_bounds no longer runs the see-saw; lower_bound_witness and an
+    analysis whose see-saw already ran, as classify's does, still do."""
+    from crossnorm import bounds
+
     op = BipartiteOperator(BipartiteShape(2, 2), max_entangled(2).matrix * 1e200)
-    nb = pi_bounds(op, CFG)
-    assert nb.pi_lower == pytest.approx(2e200, rel=1e-9)
-    assert nb.pi_upper == pytest.approx(2e200, rel=1e-9)
-    assert nb.methods["pi_lower"] == "witness"
-    assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
+    q, c = lower_bound_witness(op, CFG)
+    assert q == pytest.approx(2e200, rel=1e-9)
+    assert witness_value(op, c) == pytest.approx(q, rel=1e-9)
+    an = bounds._Analysis(op, CFG)
+    assert np.ldexp(an.witness[0], an.k) == pytest.approx(2e200, rel=1e-9)  # run at unit scale
+    for nb in (pi_bounds(op, CFG), an.bounds()):
+        assert nb.pi_lower == pytest.approx(2e200, rel=1e-9)
+        assert nb.pi_upper == pytest.approx(2e200, rel=1e-9)
+        assert validate_decomposition(op, nb.certificates["pi_upper"]).valid
+    assert pi_bounds(op, CFG).methods["pi_lower"] == "realignment"
+    cls = classify(max_entangled(2), CFG)
+    assert cls.verdict == "Entangled" and cls.detection_value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_robustness_maximally_mixed():
@@ -1350,7 +1421,7 @@ def test_small_negative_operator_is_not_taken_for_psd(monkeypatch, scale):
     neg = BipartiteOperator(op.shape, -op.matrix * scale)
     assert not neg.is_psd()
     calls = []
-    monkeypatch.setattr(bounds, "robustness_upper", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bounds, "_robustness", lambda *a, **k: calls.append(a))
     pi_bounds(neg, SeeSawConfig(seed=1))
     assert calls == []
 
@@ -1386,6 +1457,8 @@ def test_brackets_are_never_inverted():
 
 
 def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
+    """At most one see-saw per analysis, and only where its vector is asked
+    for: the sweep's witness column, or classify above realignment one."""
     from crossnorm import bounds
     from crossnorm.cli import main
 
@@ -1400,19 +1473,23 @@ def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
     small = ["--seed", "3", "--restarts", "4", "--max-iters", "40"]
     assert main(["sweep", "isotropic", "--d", "2", "--p", "0:1:0.5",
                  "--csv-out", str(tmp_path / "iso.csv")] + small) == 0
-    assert len(calls) == 3  # one per grid point
+    assert len(calls) == 3  # one per grid point, shared by classify where it runs
 
     cfg = SeeSawConfig(seed=3, restarts=4, max_iters=40)
-    op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
     calls.clear()
+    assert classify(isotropic(0.9, 2), cfg).verdict == "Entangled"
+    assert len(calls) == 1  # realignment 1.85 > 1
+    calls.clear()
+    rho = random_density(BipartiteShape(2, 3), 1)  # NPT, but realignment <= 1
+    assert lower_bound_realignment(rho) <= 1.0
+    assert classify(rho, cfg).verdict == "Undecided" and calls == []
+
+    op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
     cls = classify(op, cfg, max_rounds=1)
     assert cls.verdict == "Undecided"
-    assert len(calls) == 1
-
-    calls.clear()
     nb = pi_bounds(op, cfg, include_robustness=False)
-    pi_bounds(op, cfg, include_robustness=False)
-    assert len(calls) == 2  # nothing is cached across calls
+    pi_bounds(op, cfg)
+    assert calls == []
 
     got = cls.bounds
     assert (got.pi_lower, got.pi_upper, got.h_lower, got.h_upper, got.methods, got.indirect) == \

@@ -73,3 +73,31 @@ def test_pi_bracket_is_not_inverted(shape, seed, k):
     # choice), but each must rest on a certificate that validates
     for name in ("pi_upper", "h_upper"):
         assert validate_decomposition(op, nb.certificates[name]).valid
+
+
+KINDS = st.sampled_from(["psd", "indefinite", "non-hermitian"])
+WITNESS_SHAPES = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+
+
+@PROPERTY
+@given(WITNESS_SHAPES, KINDS, SEEDS)
+@example((3, 4), "non-hermitian", 1)
+@example((3, 3), "psd", 2)
+def test_realignment_dominates_the_witness_seesaw(shape, kind, seed):
+    """|<c|D|c>| / a_1(c)^2 <= ||R(D)||_1 for every D (Hoelder: R(|c><c|)
+    has operator norm a_1(c)^2), so the see-saw never beats realignment."""
+    from crossnorm.bounds import _witness_seesaw, lower_bound_realignment
+
+    bshape = BipartiteShape(*shape)
+    if kind == "psd":
+        mat = random_density(bshape, seed).matrix
+    else:
+        rng = np.random.default_rng(seed)
+        n = bshape.total
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = (mat + mat.conj().T) / 2 if kind == "indefinite" else mat
+        mat = mat / np.linalg.norm(mat)
+    op = BipartiteOperator(bshape, mat)
+    q, _ = _witness_seesaw(mat, bshape, SeeSawConfig(seed=seed % 1000, restarts=8),
+                           use_abs=kind != "psd")
+    assert q <= lower_bound_realignment(op) * (1.0 + 1e-12)
