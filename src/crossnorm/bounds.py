@@ -24,11 +24,16 @@ atoms also start the robustness search.  The witness see-saw is projected
 power iteration on co-isometries (:func:`_witness_seesaw`).  The
 product-state ascent (:func:`_product_ascent`) prices the next atoms of
 both mixture searches, ``separable_fit`` and the robustness search's
-phase 2.  Both searches share one column format (:func:`_embed_hermitian`),
-so residuals come from the columns and no product matrix is kept, and
-either returns a mixture only after it reconstructs the target to
-VALIDATE_TOL in trace norm.  Phase 2 solves each round's linear program
-cold through scipy's bundled HiGHS, called directly (:func:`_min_weight_lp`).
+phase 2; its loop calls NumPy's LAPACK driver for ``eigh`` directly
+(:func:`_eigh`).  Both searches share one column format
+(:func:`_embed_hermitian`), built for all entering atoms at once
+(:func:`_columns`), so residuals come from the columns and no product
+matrix is kept, and either returns a mixture only after it reconstructs the
+target to VALIDATE_TOL in trace norm.  Phase 2 solves each round's linear
+program cold through scipy's bundled HiGHS, called directly
+(:func:`_min_weight_lp`): the constraint matrix goes over as CSC arrays, into
+one HiGHS workspace per search that is cleared before every solve and
+dropped with the search.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -550,10 +555,37 @@ def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _column(atom) -> np.ndarray:
-    """The atom's product density as a real column of both searches."""
-    v = np.kron(*atom)
-    return _embed_hermitian(np.outer(v, v.conj()))
+def _columns(atoms) -> np.ndarray:
+    """The atoms' product densities as real columns of both searches, one row
+    per atom: :func:`_embed_hermitian` of |v><v|, v = phi (x) psi, built for
+    all atoms in one broadcast."""
+    ps = np.array([p for p, _ in atoms], dtype=complex)
+    qs = np.array([q for _, q in atoms], dtype=complex)
+    v = (ps[:, :, None] * qs[:, None, :]).reshape(len(atoms), -1)
+    rho = v[:, :, None] * v.conj()[:, None, :]
+    iu = _upper_indices(v.shape[1])
+    upper = rho[:, iu[0], iu[1]] * np.sqrt(2.0)
+    return np.concatenate([rho.diagonal(axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
+
+
+def _eigh_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_errstate():
+    """The floating-point error state ``np.linalg.eigh`` runs LAPACK in: a
+    failed solve, which the driver flags as invalid, raises LinAlgError, and
+    every other flag is ignored."""
+    return np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` of a stack of complex Hermitian matrices, bit for
+    bit: the LAPACK driver it calls (private numpy API), without its checks
+    and conversions.  Call it under :func:`_lapack_errstate`, which makes it
+    raise LinAlgError where ``eigh`` does."""
+    return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
 
 
 def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None,
@@ -585,21 +617,30 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
         phi += [p for p, _ in starts]
         psi += [q for _, q in starts]
     owner, phi, psi = np.array(owner), np.array(phi, dtype=complex), np.array(psi, dtype=complex)
-    t = mats.reshape(-1, dh, dj, dh, dj)[owner]
     val = np.full(owner.size, -np.inf)
-    active = np.arange(owner.size)
-    for _ in range(iters):
-        ta, qa = (t, psi) if active.size == owner.size else (t[active], psi[active])
-        a = np.einsum("bikjl,bk,bl->bij", ta, qa.conj(), qa)
-        pa = phi[active] = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
-        b = np.einsum("bikjl,bi,bj->bkl", ta, pa.conj(), pa)
-        wb, ub = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
-        psi[active], new = ub[:, :, -1], wb[:, -1]
-        done = new <= val[active] + 1e-14 * np.maximum(np.abs(new), scale)
-        val[active] = new
-        active = active[~done]
-        if active.size == 0:
-            break
+    # the running starts: indices, tensors, phi, psi and last values, written back as they stop
+    active, ta = np.arange(owner.size), mats.reshape(-1, dh, dj, dh, dj)[owner]
+    pa, qa, va = phi, psi, val
+    with _lapack_errstate():
+        for _ in range(iters):
+            a = np.einsum("bikjl,bk,bl->bij", ta, qa.conj(), qa)
+            a += a.conj().transpose(0, 2, 1)
+            a /= 2
+            pa = _eigh(a)[1][:, :, -1]
+            b = np.einsum("bikjl,bi,bj->bkl", ta, pa.conj(), pa)
+            b += b.conj().transpose(0, 2, 1)
+            b /= 2
+            wb, ub = _eigh(b)
+            qa, new = ub[:, :, -1].copy(), wb[:, -1]
+            done = new <= va + 1e-14 * np.maximum(np.abs(new), scale)
+            va = new
+            if done.any():
+                stop, go = active[done], ~done
+                phi[stop], psi[stop], val[stop] = pa[done], qa[done], va[done]
+                active, ta, pa, qa, va = active[go], ta[go], pa[go], qa[go], va[go]
+                if active.size == 0:
+                    break
+    phi[active], psi[active], val[active] = pa, qa, va  # the starts that ran out of steps
     return owner, val, phi, psi
 
 
@@ -671,12 +712,12 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
     tn_target = trace_norm(op.matrix) or 1.0
     d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
-    cols = [_column(a) for a in atoms]
+    cols = _columns(atoms)  # row k: atom k's column
 
     rounds = 0
     recent = []
     for rounds in range(1, max_rounds + 1):
-        a_mat = np.column_stack(cols)
+        a_mat = cols.T.copy()
         # scipy's default of 3 iterations per column can run out on degenerate targets
         weights, _ = nnls(a_mat, d, maxiter=50 * a_mat.shape[1])
         gap = d - a_mat @ weights
@@ -708,7 +749,7 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
                     scale=tn_target)]
         kept = np.flatnonzero(weights > 1e-14 * tn_target)  # the drop step
         atoms = [atoms[i] for i in kept] + fresh
-        cols = [cols[i] for i in kept] + [_column(a) for a in fresh]
+        cols = np.concatenate([cols[kept], _columns(fresh)])
     return None, rounds
 
 
@@ -744,48 +785,53 @@ def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray, cut: float) 
     return out
 
 
-def _min_weight_lp(a_mat: np.ndarray, d: np.ndarray) -> tuple:
+def _lp_workspace():
+    """A quiet HiGHS instance with presolve off, the options
+    ``linprog(method="highs", options={"presolve": False})`` gives its own;
+    one serves every LP of a search, through :func:`_min_weight_lp`."""
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    return highs
+
+
+def _min_weight_lp(a_mat: np.ndarray, d: np.ndarray, highs) -> tuple:
     """The least weight sum_k |t_k| with A t = d, as the linear program over
     columns [A, -A], each of cost 1 and bounded below by 0, with its rows
-    fixed at d.  One cold HiGHS dual-simplex solve, presolve off: the model
-    and options ``linprog(method="highs")`` passes, so t and the row duals
-    y (``linprog``'s ``eqlin.marginals``) are its own, bit for bit, without
-    its wrapper's cost.  Returns (ok, t, y, message); t and y are None
-    unless ok."""
+    fixed at d.  One cold HiGHS dual-simplex solve in the workspace
+    ``highs`` (:func:`_lp_workspace`), cleared of the previous model first:
+    the model and options ``linprog(method="highs")`` passes, handed over as
+    arrays, so t and the row duals y (``linprog``'s ``eqlin.marginals``) are
+    its own, bit for bit, without its wrapper's cost.  Returns
+    (ok, t, y, message); t and y are None unless ok."""
     m, k = a_mat.shape
-    cols = np.hstack([a_mat, -a_mat]).T  # row j: column j of the LP
-    nz = cols != 0.0  # what a CSC matrix of [A, -A] stores, column by column
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = 2 * k, m
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = 2 * k, m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
-    lp.a_matrix_.index_ = np.nonzero(nz)[1]
-    lp.a_matrix_.value_ = cols[nz]
-    lp.col_cost_ = np.ones(2 * k)
-    lp.col_lower_ = np.zeros(2 * k)
-    lp.col_upper_ = np.full(2 * k, _highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = d
-    solver = _highs._Highs()
-    solver.setOptionValue("output_flag", False)
-    solver.setOptionValue("presolve", "off")
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
+    cols = a_mat.T  # row j: column j of A; a CSC matrix stores its nonzeros column by column
+    nz = cols != 0.0
+    index = np.nonzero(nz)[1].astype(np.int32)
+    value = cols[nz]
+    counts = nz.sum(axis=1)
+    start = np.zeros(2 * k, dtype=np.int32)  # column starts, no trailing count
+    np.cumsum(np.concatenate([counts, counts])[:-1], out=start[1:])
+    highs.clearModel()
+    highs.passModel(2 * k, m, 2 * value.size, int(_highs.MatrixFormat.kColwise),
+                    int(_highs.ObjSense.kMinimize), 0.0, np.ones(2 * k), np.zeros(2 * k),
+                    np.full(2 * k, _highs.kHighsInf), d, d, start,
+                    np.concatenate([index, index]), np.concatenate([value, -value]),
+                    np.zeros(2 * k, dtype=np.int32))
+    highs.run()
+    status = highs.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
-        return False, None, None, f"HiGHS model status {solver.modelStatusToString(status)}"
-    sol = solver.getSolution()
+        return False, None, None, f"HiGHS model status {highs.modelStatusToString(status)}"
+    sol = highs.getSolution()
     x = np.array(sol.col_value)
     return True, x[:k] - x[k:], np.array(sol.row_dual), "optimal"
 
 
-def _prune(weights, budget, cut, *aligned):
-    """Keep active atoms (weight above ``cut``) first, then the most recent, up
-    to the budget: the kept entries of each list in ``aligned``, then their
-    weights."""
-    order = sorted(range(len(weights)), key=lambda i: (weights[i] <= cut, -i))
-    keep = sorted(order[:budget])
-    return [[lst[i] for i in keep] for lst in aligned] + [weights[keep]]
+def _prune(weights: np.ndarray, budget: int) -> np.ndarray:
+    """The indices, ascending, of the atoms to keep: active ones (weight
+    above 0) first, then the most recent, up to the budget."""
+    order = np.lexsort((-np.arange(weights.size), weights <= 0.0))
+    return np.sort(order[:budget])
 
 
 def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
@@ -799,7 +845,8 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     :func:`hermitian_upper` (so the result never exceeds its weight), then
     the local eigenbasis products.  Each round solves the l1-minimal
     weight linear program over the n^2 real parameters of a Hermitian
-    matrix, one cold HiGHS solve (:func:`_min_weight_lp`), then prices
+    matrix, one cold HiGHS solve (:func:`_min_weight_lp`, in one workspace
+    per search), then prices
     product states against its dual Y: every start of the product ascent
     on [Y, -Y] whose local maximum beats 1 + PRICING_TOL enters, near
     duplicates removed.  Before they enter, the dictionary is pruned to
@@ -838,14 +885,15 @@ def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
 
     rng = rng_from_seed(config.seed + 1)
     d = _embed_hermitian(op.matrix)
-    cols = [_column(a) for a in atoms]  # one per atom, built as it enters
+    cols = _columns(atoms)  # row k: atom k's column, built as it enters
+    highs = _lp_workspace()
     cut = 1e-12 * tn_lp
     budget = _atom_budget(n)
     best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
     rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
     for rounds in range(1, max_rounds + 1):
-        a_mat = np.column_stack(cols)
-        ok, t, y, message = _min_weight_lp(a_mat, d)
+        a_mat = cols.T.copy()
+        ok, t, y, message = _min_weight_lp(a_mat, d, highs)
         if not ok:
             stop = f"LP failed: {message}"
             break
@@ -866,10 +914,10 @@ def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
         stop = f"max_rounds ({max_rounds}) exhausted, last pricing gain {gain:.10f}"
         fresh = _distinct_atoms(np.abs(vals), phis, psis, 1.0 + PRICING_TOL)
         if len(atoms) + len(fresh) > budget:
-            keep = max(budget - len(fresh), int(np.count_nonzero(t)))
-            atoms, cols, _ = _prune(np.abs(t), keep, 0.0, atoms, cols)
+            keep = _prune(np.abs(t), max(budget - len(fresh), int(np.count_nonzero(t))))
+            atoms, cols = [atoms[i] for i in keep], cols[keep]
         atoms += fresh
-        cols += [_column(a) for a in fresh]
+        cols = np.concatenate([cols, _columns(fresh)])
 
     best = base_dec if best_fit is None else _decomposition_from(*best_fit, shape, cutoff=cut)
     err = _reconstruction_error(op, best, tn_lp)

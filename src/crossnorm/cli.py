@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -365,10 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s tree, built once per process: parsing reads it
+    and leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

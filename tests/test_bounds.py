@@ -865,27 +865,29 @@ def test_separable_fit_does_not_raise_on_a_degenerate_target(seed):
 
 
 def test_product_ascent_stop_is_scale_free(monkeypatch):
-    """The same search, step for step, on R x 1e-6, R and R x 1e6; with an
-    absolute floor of 1 on the stop it took 51, 83 and 87 eigh calls."""
-    from crossnorm.bounds import _product_ascent
+    """The same search, step for step, on R x 1e-6, R and R x 1e6, counted in
+    calls of the loop's eigh helper, two per step; with an absolute floor of
+    1 on the stop it took 50, 82 and 86 calls."""
+    from crossnorm import bounds
     from crossnorm.core import rng_from_seed
 
     op = random_density(BipartiteShape(3, 3), 1)
     base = op.matrix - np.eye(9) / 9
-    eigh, counts, values = np.linalg.eigh, [], []
+    eigh, counts, values = bounds._eigh, [], []
 
-    def counted(*args, **kwargs):
+    def counted(a):
         counts[-1] += 1
-        return eigh(*args, **kwargs)
+        return eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(bounds, "_eigh", counted)
     for scale in (1e-6, 1.0, 1e6):
         counts.append(0)
         mat = base * scale
         tn = trace_norm(mat)
-        _, vals, _, _ = _product_ascent([mat], op.shape, rng_from_seed(1), iters=200, scale=tn)
+        _, vals, _, _ = bounds._product_ascent([mat], op.shape, rng_from_seed(1), iters=200,
+                                               scale=tn)
         values.append(vals / tn)
-    assert counts[0] == counts[1] == counts[2]
+    assert counts[0] == counts[1] == counts[2] > 2  # steps were counted
     np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
     np.testing.assert_allclose(values[2], values[1], rtol=1e-12)
 
@@ -955,25 +957,25 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
     from crossnorm import bounds
 
     calls = _record_ascent_calls(monkeypatch)
-    fit, lp, column = bounds.separable_fit, bounds._min_weight_lp, bounds._column
+    fit, lp, columns_of = bounds.separable_fit, bounds._min_weight_lp, bounds._columns
     fits, phase_two, columns = [], [], []
 
     def counted_fit(*args, **kwargs):
         fits.append(args)
         return fit(*args, **kwargs)
 
-    def lp_then_mark(a_mat, d):
+    def lp_then_mark(a_mat, d, highs):
         if not phase_two:
             phase_two.append(len(calls))  # the ascent calls before the first LP
-        return lp(a_mat, d)
+        return lp(a_mat, d, highs)
 
-    def counted_column(atom):
-        columns.append(atom)
-        return column(atom)
+    def counted_columns(atoms):
+        columns.extend(atoms)
+        return columns_of(atoms)
 
     monkeypatch.setattr(bounds, "separable_fit", counted_fit)
     monkeypatch.setattr(bounds, "_min_weight_lp", lp_then_mark)
-    monkeypatch.setattr(bounds, "_column", counted_column)
+    monkeypatch.setattr(bounds, "_columns", counted_columns)
     op = random_density(BipartiteShape(2, 2), 7)
     res = bounds.robustness_upper(op, CFG, max_rounds=8)
     assert bounds._Analysis(op, CFG).npt
@@ -1054,18 +1056,18 @@ def _record_lp_and_columns(monkeypatch):
     from crossnorm import bounds
 
     events = []
-    lp, column = bounds._min_weight_lp, bounds._column
+    lp, columns = bounds._min_weight_lp, bounds._columns
 
-    def recorded_lp(a_mat, d):
+    def recorded_lp(a_mat, d, highs):
         events.append(("lp", (a_mat.shape[0], 2 * a_mat.shape[1])))
-        return lp(a_mat, d)
+        return lp(a_mat, d, highs)
 
-    def recorded_column(atom):
-        events.append(("col", None))
-        return column(atom)
+    def recorded_columns(atoms):
+        events.extend([("col", None)] * len(atoms))
+        return columns(atoms)
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
-    monkeypatch.setattr(bounds, "_column", recorded_column)
+    monkeypatch.setattr(bounds, "_columns", recorded_columns)
     return events
 
 
@@ -1086,15 +1088,15 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
     first = []
     lp = bounds._min_weight_lp
 
-    def recorded_lp(a_mat, d):
+    def recorded_lp(a_mat, d, highs):
         first.append(first[0] if first else a_mat)
-        return lp(a_mat, d)
+        return lp(a_mat, d, highs)
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     op = random_density(BipartiteShape(2, 2), 7)
     robustness_upper(op, CFG, max_rounds=1)
     atoms = bounds._Analysis(op, CFG).signed_atoms[0] + bounds._seed_atoms(op)
-    a_mat = np.column_stack([bounds._column(a) for a in atoms])
+    a_mat = bounds._columns(atoms).T
     assert np.array_equal(first[0], a_mat)
 
 
@@ -1108,21 +1110,25 @@ def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
 
 @pytest.mark.parametrize("dh,dj,seed", [(2, 2, 7), (2, 3, 1)])
 def test_min_weight_lp_equals_linprog_bit_for_bit(monkeypatch, dh, dj, seed):
-    """The direct HiGHS solve gives linprog's weights and duals on every phase-2 LP."""
+    """The direct HiGHS solve gives linprog's weights and duals on every phase-2 LP,
+    as solved in the search's one workspace."""
     from scipy.optimize import linprog
 
     from crossnorm import bounds
 
     lps, lp = [], bounds._min_weight_lp
-    monkeypatch.setattr(bounds, "_min_weight_lp",
-                        lambda a_mat, d: lps.append((a_mat, d)) or lp(a_mat, d))
+
+    def recorded_lp(a_mat, d, highs):
+        lps.append((a_mat, d, lp(a_mat, d, highs)))
+        return lps[-1][2]
+
+    monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     robustness_upper(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
     assert len(lps) >= 50
-    for a_mat, d in lps:
+    for a_mat, d, (ok, t, y, _) in lps:
         k = a_mat.shape[1]
         ref = linprog(c=np.ones(2 * k), A_eq=np.hstack([a_mat, -a_mat]), b_eq=d, bounds=(0, None),
                       method="highs", options={"presolve": False})
-        ok, t, y, _ = lp(a_mat, d)
         assert ref.success and ok
         assert np.array_equal(t, ref.x[:k] - ref.x[k:])
         assert np.array_equal(y, ref.eqlin.marginals)
@@ -1131,14 +1137,125 @@ def test_min_weight_lp_equals_linprog_bit_for_bit(monkeypatch, dh, dj, seed):
 def test_min_weight_lp_reports_an_infeasible_program(monkeypatch):
     from crossnorm import bounds
 
-    ok, t, y, message = bounds._min_weight_lp(np.zeros((4, 3)), np.ones(4))
+    ok, t, y, message = bounds._min_weight_lp(np.zeros((4, 3)), np.ones(4), bounds._lp_workspace())
     assert not ok and t is None and y is None and "Infeasible" in message
     # columns that cannot reach the target: phase 2 stops on the LP and keeps the signed bound
     op = random_density(BipartiteShape(2, 2), 7)
-    monkeypatch.setattr(bounds, "_column", lambda atom: np.zeros(op.shape.total ** 2))
+    monkeypatch.setattr(bounds, "_columns",
+                        lambda atoms: np.zeros((len(atoms), op.shape.total ** 2)))
     res = robustness_upper(op, CFG)
     assert res.rounds_used == 1 and res.message.endswith("; LP failed: " + message)
     assert res.value == hermitian_upper(op)[0]
+
+
+def _reference_column(atom):
+    """An atom's column one at a time: the product density built by kron and outer."""
+    from crossnorm.bounds import _embed_hermitian
+
+    v = np.kron(*atom)
+    return _embed_hermitian(np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("dh,dj", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (4, 4)])
+def test_columns_equal_the_per_atom_formula(dh, dj):
+    from crossnorm.bounds import _columns
+
+    rng = np.random.default_rng(dh * 10 + dj)
+    atoms = [(random_pure(BipartiteShape(1, dh), rng).entries,
+              random_pure(BipartiteShape(1, dj), rng).entries) for _ in range(7)]
+    atoms.append((np.eye(dh)[0], np.eye(dj)[-1]))  # a real product, as the seed atoms are
+    cols = _columns(atoms)
+    assert cols.shape == (len(atoms), (dh * dj) ** 2)
+    for col, atom in zip(cols, atoms, strict=True):
+        assert np.array_equal(col, _reference_column(atom))
+
+
+def _hermitian_stack(d, count, rng):
+    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    return (z + z.conj().transpose(0, 2, 1)) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_eigh_helper_equals_numpy_eigh_bit_for_bit(d):
+    from crossnorm import bounds
+
+    rng = np.random.default_rng(d)
+    stack = _hermitian_stack(d, 6, rng)
+    u = np.linalg.eigh(_hermitian_stack(d, 1, rng))[1][0]
+    stack[1] = u @ np.diag(np.repeat([1.0, -2.0], [d - d // 2, d // 2])) @ u.conj().T
+    stack[2] = np.eye(d)  # fully degenerate
+    stack[3] = 0.0
+    for a in (stack, stack[:1], stack[1:3]):
+        with bounds._lapack_errstate():
+            w, v = bounds._eigh(a)
+        ref_w, ref_v = np.linalg.eigh(a)
+        assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+
+def test_eigh_helper_raises_on_nan_input():
+    from crossnorm import bounds
+
+    a = _hermitian_stack(3, 2, np.random.default_rng(0))
+    a[1, 2, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(a)
+    with pytest.raises(np.linalg.LinAlgError), bounds._lapack_errstate():
+        bounds._eigh(a)
+
+
+def test_product_ascent_raises_on_nan_input():
+    from crossnorm.bounds import _product_ascent
+
+    shape = BipartiteShape(2, 2)
+    mat = _hermitian(shape, 3)
+    mat[3, 1] = mat[1, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _product_ascent([mat], shape, np.random.default_rng(1))
+
+
+def test_one_lp_workspace_solves_as_fresh_ones():
+    """A sequence of LPs of different sizes, one infeasible, in one cleared
+    workspace: each gives the result of its own fresh workspace, bit for bit."""
+    from crossnorm import bounds
+
+    rng = np.random.default_rng(4)
+    programs = []
+    for m, k in ((16, 40), (9, 20), (16, 64), (36, 113)):
+        a_mat = rng.standard_normal((m, k))
+        a_mat[rng.random((m, k)) < 0.2] = 0.0  # some structural zeros
+        programs.append((a_mat, a_mat @ rng.random(k)))
+    programs.insert(2, (np.zeros((4, 3)), np.ones(4)))  # infeasible
+    programs.append(programs[0])  # the first LP again, after all the others
+    highs = bounds._lp_workspace()
+    for a_mat, d in programs:
+        got = bounds._min_weight_lp(a_mat, d, highs)
+        ref = bounds._min_weight_lp(a_mat, d, bounds._lp_workspace())
+        assert got[0] == ref[0] and got[3] == ref[3]
+        if ref[0]:
+            assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+    assert [bounds._min_weight_lp(a, d, highs)[0] for a, d in programs] == [
+        True, True, False, True, True, True]
+
+
+def _reference_prune(weights, budget):
+    """Active entries (weight above 0) first, then the most recent, by a sort key."""
+    order = sorted(range(len(weights)), key=lambda i: (weights[i] <= 0.0, -i))
+    return sorted(order[:budget])
+
+
+def test_prune_equals_the_sorted_key_reference():
+    from crossnorm.bounds import _prune
+
+    rng = np.random.default_rng(6)
+    cases = [np.zeros(5), np.ones(5), np.array([0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 3.0])]
+    for _ in range(30):  # ties at the cut: exact zeros among the weights
+        w = np.abs(rng.standard_normal(rng.integers(1, 40)))
+        w[rng.random(w.size) < 0.5] = 0.0
+        cases.append(w)
+    for w in cases:
+        for budget in range(w.size + 2):
+            keep = _prune(w, budget)
+            assert keep.tolist() == _reference_prune(w, budget)
 
 
 @pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])

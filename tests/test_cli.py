@@ -42,6 +42,26 @@ def test_reports_byte_identical_for_same_seed(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_the_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    """main parses every call with one parser: a failing invocation after a
+    good one still exits 1, and identical invocations write identical bytes
+    whatever ran between them."""
+    from crossnorm.cli import _parser, build_parser
+
+    assert _parser() is _parser() and build_parser() is not _parser()
+    state_file = tmp_path / "bell.json"
+    assert run(["gallery", "max-entangled", "--d", 2, "--out", state_file]) == 0
+    out1, out2, out3 = (tmp_path / f"r{i}.json" for i in (1, 2, 3))
+    assert run(["bounds", state_file, "--seed", 3, "--no-timestamp", "--json-out", out1]) == 0
+    assert run(["bounds", state_file, "--seed", "three"]) == 1  # rejected by the parser
+    assert run(["bounds", tmp_path / "missing.json", "--seed", 3]) == 1
+    assert run(["bounds", state_file, "--no-robustness", "--seed", 4, "--restarts", 2,
+                "--no-timestamp", "--json-out", out3]) == 0
+    assert run(["bounds", state_file, "--seed", 3, "--no-timestamp", "--json-out", out2]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert "error" in capsys.readouterr().err
+
+
 def test_timestamped_report_carries_wall_time(tmp_path):
     state_file = tmp_path / "bell.json"
     run(["gallery", "max-entangled", "--d", 2, "--out", state_file])
