@@ -1,12 +1,13 @@
 """Certified bounds on the projective and Hermitian projective norms.
 
 Each call wraps its operator D in one private ``_Analysis``.  It divides D
-once by 2^k, k the integer nearest log2 ||D||_1 (:func:`core.unit_scale`),
-and computes the shared work on that unit operator at most once, on first
-use: the Hermitian, PSD and negative partial transpose (NPT) flags, trace
-norm, realignment bound, witness see-saw, spectral-Schmidt expansion and its
-signed atoms; the robustness search reads the same analysis.  No kernel
-scales for itself: only ``_norm_bounds`` scales the winning bounds back.
+once by 2^k, k the integer nearest log2 ||D||_1 (:func:`core.unit_scale`,
+whose SVD also gives the unit trace norm), and computes the shared work on
+that unit operator at most once, on first use: the Hermitian, PSD and
+negative partial transpose (NPT) flags, realignment bound, witness see-saw,
+spectral-Schmidt expansion and its signed atoms; the robustness search
+reads the same analysis.  No kernel scales for itself: only
+``_norm_bounds`` scales the winning bounds back.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
@@ -21,18 +22,19 @@ outward by 4 n eps (relative) to cover floating-point error.
 
 The signed decomposition is closed form (:func:`_signed_atoms`), and its
 atoms also start the robustness search.  The witness see-saw is projected
-power iteration on co-isometries (:func:`_witness_seesaw`).  The
-product-state ascent (:func:`_product_ascent`) prices the next atoms of
-both mixture searches, ``separable_fit`` and the robustness search's
-phase 2; its loop calls NumPy's LAPACK driver for ``eigh`` directly
-(:func:`_eigh`).  Both searches share one column format
-(:func:`_embed_hermitian`), built for all entering atoms at once
-(:func:`_columns`), so residuals come from the columns and no product
-matrix is kept, and either returns a mixture only after it reconstructs the
-target to VALIDATE_TOL in trace norm.  Phase 2 solves each round's linear
-program cold through scipy's bundled HiGHS, called directly
-(:func:`_min_weight_lp`): the constraint matrix goes over as CSC arrays, into
-one HiGHS workspace per search that is cleared before every solve and
+power iteration on co-isometries (:func:`_witness_seesaw`); only PSD
+operators reach it, from ``classify``, the CLI isotropic sweep and
+:func:`lower_bound_witness`.  The product-state ascent
+(:func:`_product_ascent`) prices the next atoms of both mixture searches,
+``separable_fit`` and the robustness search's phase 2; its loop calls
+NumPy's LAPACK driver for ``eigh`` directly (:func:`_eigh`).  Both searches
+share one column format, :func:`_embed_hermitian` of the stack of entering
+atoms' densities (:func:`_columns`), so residuals come from the columns and
+no product matrix is kept, and either returns a mixture only after it
+reconstructs the target to VALIDATE_TOL in trace norm.  Phase 2 solves each
+round's linear program cold through scipy's bundled HiGHS, called directly
+(:func:`_min_weight_lp`): the constraint matrix goes over as CSC arrays,
+into one HiGHS workspace per search that is cleared before every solve and
 dropped with the search.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
@@ -75,7 +77,7 @@ from .core import (
     trace_norm,
     unit_scale,
 )
-from .gnorm import SeeSawConfig
+from .gnorm import SeeSawConfig, g_norm_rank_one
 
 VALIDATE_TOL = 1e-8
 PINCH_TOL = 1e-6
@@ -367,15 +369,13 @@ def lower_bound_realignment(op: BipartiteOperator) -> float:
 _STALL_STEPS = 4  # a witness restart stops after this many steps in a row that gain at most tol
 
 
-def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig, use_abs: bool):
+def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig):
     """Maximize <c|D|c> / a_1(c)^2 by projected power iteration on co-isometries.
 
     Each step replaces c by the polar factor of D c, the maximizer of
-    Re <D c, x> over a_1(x) <= 1; for PSD D the objective is convex, so q
-    never falls.  With ``use_abs`` the step ascends the PSD matrix
-    (e^{-i theta} D + e^{i theta} D^dag) / 2 + ||D||_inf, theta the phase of
-    <c|D|c>, so |<c|D|c>| never falls either.
-    Restart 0 starts from the extremal eigenvector of the Hermitian part
+    Re <D c, x> over a_1(x) <= 1; for PSD D, all that reaches it, the
+    objective is convex, so q never falls.
+    Restart 0 starts from the top eigenvector of the Hermitian part
     (D + D^dag) / 2, the others from seeded random vectors, and all advance
     together as one stack.  A restart stops after _STALL_STEPS steps in a row
     that gain no more than ``tol`` (relative, or absolute below |q| = 1: D
@@ -385,24 +385,17 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     rng = rng_from_seed(config.seed)
     n = shape.total
     w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    order = np.argsort(-np.abs(w)) if use_abs else np.argsort(-w)
     zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
-    c = np.array([u[:, order[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
-    shift = np.linalg.norm(mat, 2) if use_abs else 0.0
+    c = np.array([u[:, np.argsort(-w)[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
     # one product per row, so no restart's iterates depend on its stack
     dc = (mat @ c[:, :, None])[:, :, 0]
     best_q, best_c = np.full(len(c), -np.inf), c.copy()
     prev, stall = np.full(len(c), -np.inf), np.zeros(len(c), dtype=int)
     active = np.arange(len(c))
     for _ in range(config.max_iters):
-        x, g = c[active], dc[active]
-        if use_abs:
-            ph = np.exp(-1j * np.angle((x.conj() * g).sum(axis=1)))[:, None]
-            g = (ph * g + ph.conj() * (mat.conj().T @ x[:, :, None])[:, :, 0]) / 2 + shift * x
-        c[active] = x = _polar_rows(g, shape)
+        c[active] = x = _polar_rows(dc[active], shape)
         dc[active] = g = (mat @ x[:, :, None])[:, :, 0]
-        val = (x.conj() * g).sum(axis=1)
-        q = np.abs(val) if use_abs else val.real
+        q = (x.conj() * g).sum(axis=1).real
         better = q > best_q[active]
         best_q[active[better]], best_c[active[better]] = q[better], x[better]
         flat = q <= prev[active] + config.tol * np.maximum(np.abs(q), 1.0)
@@ -439,14 +432,14 @@ def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
         raise ValueError("lower_bound_witness requires a positive semidefinite operator")
     an = _Analysis(op, config)
     q, c = an.witness
-    return scaled_outward(q, 0, an.k, up=False), c
+    return scaled_outward(q, op.shape.total, an.k, up=False), c
 
 
 def witness_value(op: BipartiteOperator, c: BipartiteVector) -> float:
-    """Re-evaluate q(c) = <c|D|c| / a_1(c)^2 for a stored certificate."""
-    a1 = float(np.linalg.svd(c.as_matrix(), compute_uv=False)[0])
+    """Re-evaluate q(c) = <c|D|c> / a_1(c)^2 for a stored certificate;
+    a zero c raises ValueError (:func:`gnorm.g_norm_rank_one`)."""
     num = (c.entries.conj() @ (op.matrix @ c.entries)).real
-    return float(num / a1**2)
+    return float(num / g_norm_rank_one(c))
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +529,14 @@ def _upper_indices(n: int) -> tuple:
 
 
 def _embed_hermitian(mat: np.ndarray) -> np.ndarray:
-    """The n^2 real parameters of a Hermitian matrix: its diagonal, then the
-    real and the imaginary parts of its upper triangle times sqrt(2).  The
-    embedding is an isometry, emb(X) . emb(Y) = tr(X Y) for Hermitian X, Y."""
-    upper = mat[_upper_indices(mat.shape[0])] * np.sqrt(2.0)
-    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+    """The n^2 real parameters of a Hermitian matrix, or of each matrix of a
+    stack: its diagonal, then the real and the imaginary parts of its upper
+    triangle times sqrt(2).  The embedding is an isometry, emb(X) . emb(Y) =
+    tr(X Y) for Hermitian X, Y."""
+    iu = _upper_indices(mat.shape[-1])
+    upper = mat[..., iu[0], iu[1]] * np.sqrt(2.0)
+    return np.concatenate([mat.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)
 
 
 def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
@@ -557,15 +553,11 @@ def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
 
 def _columns(atoms) -> np.ndarray:
     """The atoms' product densities as real columns of both searches, one row
-    per atom: :func:`_embed_hermitian` of |v><v|, v = phi (x) psi, built for
-    all atoms in one broadcast."""
+    per atom: :func:`_embed_hermitian` of the stack of |v><v|, v = phi (x) psi."""
     ps = np.array([p for p, _ in atoms], dtype=complex)
     qs = np.array([q for _, q in atoms], dtype=complex)
     v = (ps[:, :, None] * qs[:, None, :]).reshape(len(atoms), -1)
-    rho = v[:, :, None] * v.conj()[:, None, :]
-    iu = _upper_indices(v.shape[1])
-    upper = rho[:, iu[0], iu[1]] * np.sqrt(2.0)
-    return np.concatenate([rho.diagonal(axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
+    return _embed_hermitian(v[:, :, None] * v.conj()[:, None, :])
 
 
 def _eigh_failed(err, flag):
@@ -950,14 +942,16 @@ class _Analysis:
     ``unit`` is the operator divided by 2^k (:func:`core.unit_scale`), and
     every attribute below is about it: values are scaled back by 2^k only
     in :func:`_norm_bounds`, decompositions by their ``scaled(k)``.  Each
-    attribute is computed at most once, on first use.  An analysis serves
-    one top-level call; nothing is stored on the operator.
+    attribute is computed at most once, on first use; the trace norm comes
+    with the scale.  An analysis serves one top-level call; nothing is
+    stored on the operator.  ``config`` seeds the searches and may be None
+    where none runs.
     """
 
-    def __init__(self, op: BipartiteOperator, config: SeeSawConfig):
+    def __init__(self, op: BipartiteOperator, config: SeeSawConfig | None = None):
         self.op = op
         self.config = config
-        unit, self.k = unit_scale(op.matrix)
+        unit, self.k, self.trace_norm = unit_scale(op.matrix)
         self.unit = BipartiteOperator(op.shape, unit)
 
     @cached_property
@@ -967,10 +961,6 @@ class _Analysis:
     @cached_property
     def psd(self) -> bool:
         return self.hermitian and self.unit.is_psd(EPS_PSD)
-
-    @cached_property
-    def trace_norm(self) -> float:
-        return trace_norm(self.unit.matrix)
 
     @cached_property
     def npt(self) -> bool:
@@ -987,8 +977,8 @@ class _Analysis:
 
     @cached_property
     def witness(self) -> tuple:
-        """Best rank-one witness value (of the unit D) and vector; |<c|D|c>| unless D is PSD."""
-        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config, use_abs=not self.psd)
+        """Best rank-one witness value (of the unit D) and vector."""
+        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config)
         return q, BipartiteVector(self.op.shape, c)
 
     @property
@@ -1149,9 +1139,9 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
             certifies_pi_upper=False, certifies_h_upper=False,
             messages=["unknown decomposition type"],
         )
-    unit, k = unit_scale(target.matrix)
+    unit, k, tn = unit_scale(target.matrix)
     target, unit_dec = BipartiteOperator(target.shape, unit), dec.scaled(-k)
-    tn_target = trace_norm(unit) or 1.0
+    tn_target = tn or 1.0
     messages, norm_err, positive = [], 0.0, False
     # signed first: a signed decomposition is also a StandardDecomposition
     if isinstance(dec, SignedDecomposition):

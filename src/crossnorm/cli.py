@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
                                "verdict", "ppt_min_eigenvalue"])
     elif args.family == "divergence":
         family = paper_preset(args.levels)
-        rows = divergence_sweep(family, range(1, args.levels + 1), cfg)
+        rows = divergence_sweep(family, range(1, args.levels + 1))
         _write_csv(out, rows, ["N", "lemosd_bound", "witness_bound", "dense_pi_lower"])
     else:
         raise InputError(f"unknown sweep family {args.family!r}")

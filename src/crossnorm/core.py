@@ -221,21 +221,23 @@ def scaled_outward(value: float, n: int, k: int, up: bool) -> float:
 
 
 def unit_scale(mat) -> tuple:
-    """(mat / 2^k, k), k the integer nearest log2 ||mat||_1 (0 for the zero
-    matrix): bounds are computed on the unit operator and scaled back by
-    :func:`scaled_outward`.  An exact ldexp first takes the largest |re| or
-    |im| to [1/2, 1), so no 2^k is formed and no step overflows; ldexp(unit,
-    k) is mat bit for bit, but for entries that go subnormal at unit scale."""
+    """(mat / 2^k, k, ||mat / 2^k||_1), k the integer nearest log2 ||mat||_1
+    (0 for the zero matrix): bounds are computed on the unit operator and
+    scaled back by :func:`scaled_outward`.  An exact ldexp first takes the
+    largest |re| or |im| to [1/2, 1), so no 2^k is formed and no step
+    overflows; ldexp(unit, k) is mat bit for bit, but for entries that go
+    subnormal at unit scale.  The SVD that picks k gives the trace norm too."""
     parts = np.ascontiguousarray(mat, dtype=complex).view(float)
     top = np.abs(parts).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("operator has non-finite entries")
     if top == 0.0:
-        return parts.view(complex).copy(), 0
+        return parts.view(complex).copy(), 0, 0.0
     e = int(np.frexp(top)[1])
     parts = np.ldexp(parts, -e)
-    shift = round(float(np.log2(nuclear_norm(parts.view(complex)))))
-    return np.ldexp(parts, -shift, out=parts).view(complex), e + shift
+    tn = nuclear_norm(parts.view(complex))
+    shift = round(float(np.log2(tn)))
+    return np.ldexp(parts, -shift, out=parts).view(complex), e + shift, float(np.ldexp(tn, -shift))
 
 
 def _square(op) -> np.ndarray:

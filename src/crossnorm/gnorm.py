@@ -106,7 +106,7 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     """
     dh, dj = L.shape.dh, L.shape.dj
     rng = rng_from_seed(config.seed)
-    mat, k = unit_scale(L.matrix)
+    mat, k, _ = unit_scale(L.matrix)
     adj = mat.conj().T
 
     n_r = config.restarts

@@ -48,14 +48,13 @@ from .gnorm import SeeSawConfig, g_norm_rank_one, g_norm_seesaw
 class Witness:
     """Hermitian observable with a certified injective-norm upper bound.
 
-    ``g_norm_certified_upper`` is exact (equal to the norm) for the
-    rank-one and product constructions, and falls back to the operator
-    norm otherwise.
+    ``g_norm_certified_upper`` is exact (equal to the norm) for both
+    constructions, rank-one witnesses scaled to injective norm one.
     """
 
     operator: BipartiteOperator
     g_norm_certified_upper: float
-    construction: str  # "E_N" | "rank-one" | "general"
+    construction: str  # "E_N" | "rank-one"
     vector: BipartiteVector | None = None
 
     def expectation(self, state: BipartiteOperator) -> float:

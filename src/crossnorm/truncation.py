@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import _Analysis
 from .core import BipartiteOperator, BipartiteShape, BipartiteVector, scaled_outward
 from .core import schmidt_decompose
-from .gnorm import SeeSawConfig
+from .gnorm import g_norm_rank_one
 
 DENSE_CUTOFF = 512
 
@@ -105,7 +105,8 @@ def blockwise_witness_value(family: BlockFamily, n: int, c: BipartiteVector) -> 
     """q(c) = sum_l w_l |<Omega_l, c>|^2 / a_1(c)^2 without forming D_N.
 
     Each block is rank one, so the expectation of the rank-one witness
-    against D_N reduces to overlaps with the block vectors.
+    against D_N reduces to overlaps with the block vectors.  A zero c raises
+    ValueError (:func:`gnorm.g_norm_rank_one`).
     """
     shape = family.shape(n)
     if c.shape != shape:
@@ -117,8 +118,7 @@ def blockwise_witness_value(family: BlockFamily, n: int, c: BipartiteVector) -> 
         idx = np.arange(m) * shape.dj + offs[l - 1] + np.arange(m)
         overlap = c.entries[idx].sum() / np.sqrt(m)
         total += w * abs(overlap) ** 2
-    a1 = float(np.linalg.svd(c.as_matrix(), compute_uv=False)[0])
-    return float(total / a1**2)
+    return float(total / g_norm_rank_one(c))
 
 
 @dataclass(eq=False)
@@ -218,20 +218,20 @@ def mixing_lower_bound(p: float, v: BipartiteVector, d0, n: int) -> float:
     return p * pure_term + (1.0 - p) * background
 
 
-def divergence_sweep(family: BlockFamily, ns, config=None) -> list:
+def divergence_sweep(family: BlockFamily, ns) -> list:
     """Rows (N, lemosd_bound, witness_bound, dense_pi_lower) for a CSV sweep.
 
     The dense column is blank when the truncation exceeds the dense cutoff;
     otherwise it is the ``pi_lower`` of :func:`pi_bounds`, from the lower
-    providers alone: the trace norm and realignment, no witness search.
+    providers alone: the trace norm and realignment.  No search runs, so
+    the sweep takes no seed.
     """
     rows = []
     for n in ns:
         b = divergent_lower_bound(family, n)
         dense = ""
         if family.shape(n).total <= DENSE_CUTOFF:
-            cfg = config if config is not None else SeeSawConfig(seed=0, restarts=4, max_iters=60)
-            an = _Analysis(family.dense_operator(n), cfg)  # k = -1 at N = 1: trace 1/2
+            an = _Analysis(family.dense_operator(n))  # k = -1 at N = 1: trace 1/2
             dense = scaled_outward(an.lower[0], an.op.shape.total, an.k, up=False)
         rows.append(
             {

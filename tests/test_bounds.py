@@ -320,6 +320,26 @@ def test_witness_product_pure():
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_witness_lower_bound_is_at_most_the_exact_norm(d):
+    """The float max_entangled(d) is x sum_ij |ii><jj| with one entry x near
+    1/d, so its projective norm is d^2 x exactly; the witness bound rounds
+    down by 4 n eps like every other lower bound (d = 2 read
+    2.000000000000001 against 1.9999999999999996 unrounded)."""
+    from fractions import Fraction
+
+    op = max_entangled(d)
+    x = op.matrix[0, 0].real
+    low, _ = lower_bound_witness(op, SeeSawConfig(seed=1))
+    assert Fraction(low) <= d * d * Fraction(x)
+
+
+def test_witness_value_rejects_a_zero_certificate():
+    op = max_entangled(2)
+    with pytest.raises(ValueError, match="zero vector"):
+        witness_value(op, BipartiteVector(op.shape, np.zeros(4)))
+
+
 def test_witness_rejects_non_psd():
     m = np.diag([1.0, -0.5, 0.25, 0.25]).astype(complex)
     with pytest.raises(ValueError):
@@ -331,16 +351,16 @@ def test_witness_seesaw_closed_forms():
 
     for d in (2, 3, 4):
         op = max_entangled(d)
-        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d), use_abs=False)
+        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d))
         assert abs(q - d) <= 1e-12 * d
     coeffs = [0.8, 0.5, np.sqrt(0.11)]
     op = pure_with_schmidt(coeffs).projector()
-    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1), use_abs=False)
+    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1))
     assert abs(q - sum(coeffs) ** 2) <= 1e-12 * sum(coeffs) ** 2
     assert witness_value(op, BipartiteVector(op.shape, c)) == pytest.approx(q, rel=1e-12)
 
 
-def _reference_seesaw(mat, shape, config, use_abs):
+def _reference_seesaw(mat, shape, config):
     """An independent oracle: power steps plus the best rebalancing of the
     Schmidt coefficients at fixed Schmidt bases, one restart and one
     candidate at a time, with np.kron, on mat / 2^k with 2^k the power of
@@ -350,7 +370,7 @@ def _reference_seesaw(mat, shape, config, use_abs):
     w, u = np.linalg.eigh(mat)
     scale = 2.0 ** round(np.log2(np.abs(w).sum()))
     mat = mat / scale
-    starts = [u[:, np.argsort(-np.abs(w) if use_abs else -w)[0]]]
+    starts = [u[:, np.argsort(-w)[0]]]
     for _ in range(config.restarts - 1):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(z / np.linalg.norm(z))
@@ -364,13 +384,12 @@ def _reference_seesaw(mat, shape, config, use_abs):
             m = basis.conj().T @ mat @ basis
             m = (m + m.conj().T) / 2
             uv = np.linalg.eigh(m)[1]
-            sources = [np.ones(sf.rank), uv[:, -1]] + ([uv[:, 0]] if use_abs else [])
+            sources = [np.ones(sf.rank), uv[:, -1]]
             cands = [sf.coefficients.astype(complex)]
             for vec in sources:
                 ph = np.where(np.abs(vec) > 1e-12, vec / np.maximum(np.abs(vec), 1e-300), 1)
                 cands += [np.where(np.arange(sf.rank) < k, ph, 0) for k in range(1, sf.rank + 1)]
-            vals = [(abs(y.conj() @ m @ y) if use_abs else (y.conj() @ m @ y).real)
-                    / np.abs(y).max() ** 2 for y in cands]
+            vals = [(y.conj() @ m @ y).real / np.abs(y).max() ** 2 for y in cands]
             q = max(vals)
             best_q = max(best_q, q)
             stall = stall + 1 if q <= prev + config.tol * max(abs(q), 1.0) else 0
@@ -384,10 +403,9 @@ def _reference_seesaw(mat, shape, config, use_abs):
     return best_q * scale
 
 
-def _reference_polar(mat, shape, config, use_abs):
+def _reference_polar(mat, shape, config):
     """The polar ascent one restart at a time, with the kernel's starts and
-    stop rule: c becomes the polar factor U V^dag of the reshape of D c (of
-    the shifted, phase-aligned Hermitian part of D with ``use_abs``)."""
+    stop rule: c becomes the polar factor U V^dag of the reshape of D c."""
     from crossnorm.bounds import _STALL_STEPS
 
     rng = np.random.default_rng(config.seed)
@@ -395,8 +413,7 @@ def _reference_polar(mat, shape, config, use_abs):
     w, u = np.linalg.eigh(mat)
     scale = 2.0 ** round(np.log2(np.abs(w).sum()))
     mat = mat / scale
-    shift = np.linalg.svd(mat, compute_uv=False)[0]
-    starts = [u[:, np.argsort(-np.abs(w) if use_abs else -w)[0]]]
+    starts = [u[:, np.argsort(-w)[0]]]
     for _ in range(config.restarts - 1):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(z / np.linalg.norm(z))
@@ -404,14 +421,9 @@ def _reference_polar(mat, shape, config, use_abs):
     for c in starts:
         prev, stall = -np.inf, 0
         for _ in range(config.max_iters):
-            g = mat @ c
-            if use_abs:
-                ph = np.exp(-1j * np.angle(np.vdot(c, g)))
-                g = (ph * g + np.conj(ph) * (mat.conj().T @ c)) / 2 + shift * c
-            uu, _, vh = np.linalg.svd(g.reshape(shape.dh, shape.dj), full_matrices=False)
+            uu, _, vh = np.linalg.svd((mat @ c).reshape(shape.dh, shape.dj), full_matrices=False)
             c = (uu @ vh).reshape(-1)
-            val = np.vdot(c, mat @ c)
-            q = abs(val) if use_abs else val.real
+            q = np.vdot(c, mat @ c).real
             best_q = max(best_q, q)
             stall = stall + 1 if q <= prev + config.tol * max(abs(q), 1.0) else 0
             prev = q
@@ -435,13 +447,11 @@ def test_witness_seesaw_matches_the_loop_reference():
     cfg = SeeSawConfig(seed=5, restarts=5, max_iters=60)
     for op in _seesaw_test_operators():
         # the kernel runs on the analysis' unit operator; the reference scales for itself
-        unit, k = unit_scale(op.matrix)
-        for use_abs in (False, True):
-            q, _ = _witness_seesaw(unit, op.shape, cfg, use_abs)
-            q = np.ldexp(q, k)
-            # the same steps, summed in another order: agreement to rounding
-            ref = _reference_polar(op.matrix, op.shape, cfg, use_abs)
-            assert q == pytest.approx(ref, rel=1e-12)
+        unit, k, _ = unit_scale(op.matrix)
+        q, _ = _witness_seesaw(unit, op.shape, cfg)
+        # the same steps, summed in another order: agreement to rounding
+        assert np.ldexp(q, k) == pytest.approx(_reference_polar(op.matrix, op.shape, cfg),
+                                               rel=1e-12)
 
 
 def test_witness_seesaw_reaches_the_schmidt_rebalancing_search():
@@ -449,47 +459,11 @@ def test_witness_seesaw_reaches_the_schmidt_rebalancing_search():
 
     cfg = SeeSawConfig(seed=5)
     for op in _seesaw_test_operators():
-        for use_abs in (False, True):
-            q, _ = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
-            ref = _reference_seesaw(op.matrix, op.shape, cfg, use_abs)
-            # the ascent is monotone only where the objective is convex
-            rel = 1e-12 if op.is_psd() and not use_abs else 1e-9
-            assert q >= ref - rel * abs(ref)
-
-
-def test_witness_seesaw_modulus_on_non_hermitian_input():
-    from crossnorm.bounds import _witness_seesaw
-
-    shape = BipartiteShape(3, 3)
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        op = BipartiteOperator(shape, rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
-        cfg = SeeSawConfig(seed=seed)
-        q, c = _witness_seesaw(op.matrix, shape, cfg, use_abs=True)
-        assert q >= _reference_seesaw(op.matrix, shape, cfg, use_abs=True)
-        a1 = np.linalg.svd(c.reshape(3, 3), compute_uv=False)[0]
-        assert q == pytest.approx(abs(np.vdot(c, op.matrix @ c)) / a1**2, rel=1e-12)
-
-
-def test_witness_seesaw_starts_non_hermitian_input_from_its_hermitian_part():
-    from crossnorm.bounds import _witness_seesaw
-
-    shape = BipartiteShape(2, 3)
-    rng = np.random.default_rng(8)
-    d = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    q, c = _witness_seesaw(d, shape, SeeSawConfig(seed=1, restarts=1, max_iters=1), use_abs=True)
-    # one polar step from the extremal eigenvector of (D + D^dag) / 2, on D / 2^k
-    w, u = np.linalg.eigh((d + d.conj().T) / 2)
-    scale = 2.0 ** round(np.log2(np.abs(w).sum()))
-    mat = d / scale
-    c0 = u[:, np.argmax(np.abs(w))]
-    g = mat @ c0
-    ph = np.exp(-1j * np.angle(np.vdot(c0, g)))
-    g = (ph * g + np.conj(ph) * (mat.conj().T @ c0)) / 2 + np.linalg.norm(mat, 2) * c0
-    uu, _, vh = np.linalg.svd(g.reshape(2, 3), full_matrices=False)
-    c1 = (uu @ vh).reshape(-1)
-    assert np.allclose(c, c1, rtol=0, atol=1e-12)
-    assert q == pytest.approx(abs(np.vdot(c1, d @ c1)), rel=1e-12)
+        q, _ = _witness_seesaw(op.matrix, op.shape, cfg)
+        ref = _reference_seesaw(op.matrix, op.shape, cfg)
+        # the ascent is monotone only where the objective is convex
+        rel = 1e-12 if op.is_psd() else 1e-9
+        assert q >= ref - rel * abs(ref)
 
 
 def test_witness_seesaw_returns_a_co_isometry():
@@ -497,10 +471,9 @@ def test_witness_seesaw_returns_a_co_isometry():
 
     cfg = SeeSawConfig(seed=4, restarts=4, max_iters=40)
     for op in _seesaw_test_operators():
-        for use_abs in (False, True):
-            _, c = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
-            s = np.linalg.svd(c.reshape(op.shape.dh, op.shape.dj), compute_uv=False)
-            assert np.allclose(s, 1.0, rtol=0, atol=1e-12)
+        _, c = _witness_seesaw(op.matrix, op.shape, cfg)
+        s = np.linalg.svd(c.reshape(op.shape.dh, op.shape.dj), compute_uv=False)
+        assert np.allclose(s, 1.0, rtol=0, atol=1e-12)
 
 
 def test_witness_seesaw_is_deterministic():
@@ -508,10 +481,9 @@ def test_witness_seesaw_is_deterministic():
 
     op = random_density(BipartiteShape(3, 3), 12)
     cfg = SeeSawConfig(seed=9)
-    for use_abs in (False, True):
-        q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
-        q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg, use_abs)
-        assert q1 == q2 and np.array_equal(c1, c2)
+    q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg)
+    q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg)
+    assert q1 == q2 and np.array_equal(c1, c2)
 
 
 def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step():
@@ -523,7 +495,7 @@ def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step():
     v = 0.8 * np.kron(e[0], e[0]) + 0.6 * np.kron(e[1], e[1])
     w = np.kron(e[2], e[2])
     op = BipartiteOperator(shape, 0.7 * np.outer(v, v) + 0.3 * np.outer(w, w))
-    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), use_abs=False)
+    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2))
     assert witness_value(op, BipartiteVector(shape, c)) == pytest.approx(q, rel=1e-12)
     # c = I: 0.7 (0.8 + 0.6)^2 + 0.3
     assert q == pytest.approx(1.672, rel=1e-12)
@@ -533,10 +505,10 @@ def test_witness_seesaw_more_restarts_never_lower():
     from crossnorm.bounds import _witness_seesaw
 
     v = pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)])  # the warm start is v itself
-    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1), False)
+    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1))
     assert q == pytest.approx(pure_pi_norm(v), rel=1e-12)
     op = random_density(BipartiteShape(2, 3), 21)
-    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k), False)[0]
+    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k))[0]
           for k in (1, 2, 5, 16, 32)]
     assert qs == sorted(qs)
 

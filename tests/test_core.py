@@ -386,17 +386,19 @@ def test_unit_scale_is_exact(top):
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     m = m / np.abs(m.view(float)).max() * top  # the largest |re| or |im| is top
-    unit, k = unit_scale(m)
+    unit, k, tn = unit_scale(m)
     assert np.array_equal(np.ldexp(unit.view(float), k), m.view(float))
     assert np.isfinite(unit).all()
+    assert tn == trace_norm(unit)  # from the SVD that picked k, bit for bit
     assert abs(np.log2(trace_norm(unit))) <= 0.5 + 1e-12  # k is nearest log2 ||m||_1
     if 1e-300 <= top <= 1e300:  # where ||m||_1 itself is computed accurately
         assert k == round(np.log2(trace_norm(m)))
 
 
 def test_unit_scale_of_the_zero_matrix():
-    unit, k = unit_scale(np.zeros((4, 4), dtype=complex))
+    unit, k, tn = unit_scale(np.zeros((4, 4), dtype=complex))
     assert k == 0 and not unit.any()
+    assert tn == 0.0 and type(tn) is float
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -166,6 +166,16 @@ def test_rank_one_values():
         g_norm_rank_one(BipartiteVector(BipartiteShape(2, 2), np.zeros(4)))
 
 
+def test_seesaw_of_the_zero_operator_stops_and_converges():
+    """The stop cut is tol max(val, 1e-300): a bare tol val is 0 at val = 0,
+    no step passes ``< 0``, and the zero operator would run all max_iters
+    steps and report converged False."""
+    est = g_norm_seesaw(BipartiteOperator(BipartiteShape(2, 2), np.zeros((4, 4))),
+                        SeeSawConfig(seed=1))
+    assert est.converged and est.iterations_used == 3
+    assert est.lower_bound == est.upper_bound == 0.0
+
+
 def test_product_values():
     assert g_norm_product(np.eye(2), np.eye(2)) == pytest.approx(1.0, abs=1e-12)
     assert g_norm_product(np.diag([3.0, 1.0]), np.diag([2.0, 0.0])) == pytest.approx(6.0, abs=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from crossnorm import (  # noqa: E402
     BipartiteOperator,
@@ -77,27 +77,35 @@ def test_pi_bracket_is_not_inverted(shape, seed, k):
 
 KINDS = st.sampled_from(["psd", "indefinite", "non-hermitian"])
 WITNESS_SHAPES = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+VECTORS = st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24)  # re, im of 12 entries
 
 
 @PROPERTY
-@given(WITNESS_SHAPES, KINDS, SEEDS)
-@example((3, 4), "non-hermitian", 1)
-@example((3, 3), "psd", 2)
-def test_realignment_dominates_the_witness_seesaw(shape, kind, seed):
+@given(WITNESS_SHAPES, KINDS, SEEDS, VECTORS)
+@example((3, 4), "non-hermitian", 1, [1.0] * 24)
+@example((3, 3), "psd", 2, [1.0] * 24)
+def test_realignment_dominates_the_witness_seesaw(shape, kind, seed, parts):
     """|<c|D|c>| / a_1(c)^2 <= ||R(D)||_1 for every D (Hoelder: R(|c><c|)
-    has operator norm a_1(c)^2), so the see-saw never beats realignment."""
+    has operator norm a_1(c)^2), so the see-saw never beats realignment.
+    A drawn c checks every kind of D; the see-saw runs on densities, the
+    only input that reaches it."""
     from crossnorm.bounds import _witness_seesaw, lower_bound_realignment
 
     bshape = BipartiteShape(*shape)
+    n = bshape.total
     if kind == "psd":
         mat = random_density(bshape, seed).matrix
     else:
         rng = np.random.default_rng(seed)
-        n = bshape.total
         mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         mat = (mat + mat.conj().T) / 2 if kind == "indefinite" else mat
         mat = mat / np.linalg.norm(mat)
-    op = BipartiteOperator(bshape, mat)
-    q, _ = _witness_seesaw(mat, bshape, SeeSawConfig(seed=seed % 1000, restarts=8),
-                           use_abs=kind != "psd")
-    assert q <= lower_bound_realignment(op) * (1.0 + 1e-12)
+    bound = lower_bound_realignment(BipartiteOperator(bshape, mat)) * (1.0 + 1e-12)
+    c = np.array(parts[:n]) + 1j * np.array(parts[12:12 + n])
+    assume(np.abs(c).max() > 0.0)
+    c = c / np.abs(c).max()  # a_1(c) >= 1: no quotient underflows
+    a1 = np.linalg.svd(c.reshape(shape), compute_uv=False)[0]
+    assert abs(np.vdot(c, mat @ c)) / a1**2 <= bound
+    if kind == "psd":
+        q, _ = _witness_seesaw(mat, bshape, SeeSawConfig(seed=seed % 1000, restarts=8))
+        assert q <= bound

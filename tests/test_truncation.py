@@ -6,6 +6,7 @@ import pytest
 from crossnorm import (
     BipartiteOperator,
     BipartiteShape,
+    BipartiteVector,
     BlockFamily,
     PAPER_PRESET,
     SeeSawConfig,
@@ -110,6 +111,12 @@ def test_blockwise_witness_shape_guard():
         blockwise_witness_value(PAPER_PRESET, 1, b.certificate)
 
 
+def test_blockwise_witness_value_rejects_a_zero_certificate():
+    shape = PAPER_PRESET.shape(2)
+    with pytest.raises(ValueError, match="zero vector"):
+        blockwise_witness_value(PAPER_PRESET, 2, BipartiteVector(shape, np.zeros(shape.total)))
+
+
 # ---------------------------------------------------------------------------
 # square-summable but not summable truncations
 
@@ -186,18 +193,18 @@ def test_mixing_validates_p():
 def test_divergence_sweep_runs_no_upper_provider(monkeypatch):
     from crossnorm import bounds
 
-    rows = divergence_sweep(paper_preset(1), (1,), CFG)
+    rows = divergence_sweep(paper_preset(1), (1,))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep reads only pi_lower")
 
     monkeypatch.setattr(bounds, "_spectral_schmidt", refuse)
     monkeypatch.setattr(bounds, "upper_bound_realignment", refuse)
-    assert divergence_sweep(paper_preset(1), (1,), CFG) == rows
+    assert divergence_sweep(paper_preset(1), (1,)) == rows
 
 
 def test_divergence_sweep_rows():
-    rows = divergence_sweep(PAPER_PRESET, (1, 2, 3), CFG)
+    rows = divergence_sweep(PAPER_PRESET, (1, 2, 3))
     assert [r["N"] for r in rows] == [1, 2, 3]
     assert rows[0]["dense_pi_lower"] != ""
     assert rows[1]["dense_pi_lower"] != ""
