@@ -1,13 +1,15 @@
 """Certified bounds on the projective and Hermitian projective norms.
 
-Each call wraps its operator D in one private ``_Analysis``.  It divides D
-once by 2^k, k the integer nearest log2 ||D||_1 (:func:`core.unit_scale`,
-whose SVD also gives the unit trace norm), and computes the shared work on
-that unit operator at most once, on first use: the Hermitian, PSD and
-negative partial transpose (NPT) flags, realignment bound, witness see-saw,
-spectral-Schmidt expansion and its signed atoms; the robustness search
-reads the same analysis.  No kernel scales for itself: only
-``_norm_bounds`` scales the winning bounds back.
+Each provider, search or validator call wraps its operator D in one
+private ``_Analysis``.  It divides D once by 2^k, k the integer nearest
+log2 ||D||_1 (:func:`core.unit_scale`, whose SVD also gives the unit trace
+norm), and computes the shared work on that unit operator at most once, on
+first use: the Hermitian, PSD and negative partial transpose (NPT) flags,
+which every input check reads, realignment bound, witness see-saw,
+spectral-Schmidt expansion and its signed atoms.  No kernel scales for
+itself: ``pi_bounds`` scales its winners back, outward, and each single
+provider its value and certificate, with no margin, so at k = 0 they are
+the kernel's own.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
@@ -60,6 +62,7 @@ from scipy.optimize._highspy import _core as _highs  # private scipy API, in sci
 from .core import (
     EPS_HERM,
     EPS_PSD,
+    EPS_TRACE,
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
@@ -76,6 +79,7 @@ from .core import (
     schmidt_decompose,
     trace_norm,
     unit_scale,
+    _fix_phases,
 )
 from .gnorm import SeeSawConfig, g_norm_rank_one
 
@@ -281,11 +285,6 @@ def _pivoted_rotation(block: np.ndarray) -> np.ndarray:
     return qr(block.conj().T, pivoting=True, mode="economic")[0]
 
 
-def _require_hermitian(op: BipartiteOperator, who: str):
-    if not op.is_hermitian(EPS_HERM):
-        raise ValueError(f"{who} requires a Hermitian operator")
-
-
 def _spectral_schmidt(op: BipartiteOperator):
     """Eigen-decompose and Schmidt-decompose each eigenvector.
 
@@ -309,8 +308,15 @@ def upper_bound_spectral(op: BipartiteOperator):
     explicit standard decomposition.  For a density operator the value
     never exceeds m = min(d_h, d_j).
     """
-    _require_hermitian(op, "upper_bound_spectral")
-    return _spectral_standard(_spectral_schmidt(op), op.shape)
+    an = _Analysis(op)
+    if not an.hermitian:
+        raise ValueError("upper_bound_spectral requires a Hermitian operator")
+    return _scaled_back(an, *_spectral_standard(an.spectral, op.shape))
+
+
+def _scaled_back(an: _Analysis, value: float, dec) -> tuple:
+    """An upper bound and certificate of ``an.unit`` at the operator's scale, no outward margin."""
+    return scaled_outward(value, 0, an.k, up=True), dec.scaled(an.k)
 
 
 def _spectral_standard(spectral: list, shape: BipartiteShape):
@@ -338,6 +344,12 @@ def upper_bound_realignment(op: BipartiteOperator):
     its G_k are the run's projections of the matrix units (see
     :func:`_pivoted_rotation`), whatever basis the SVD returned.
     """
+    an = _Analysis(op)
+    return _scaled_back(an, *_realignment_upper(an.unit))
+
+
+def _realignment_upper(op: BipartiteOperator) -> tuple:
+    """:func:`upper_bound_realignment` of a unit operator."""
     form = operator_schmidt(op)
     sv, gs, hs = form.singular_values, np.array(form.left_ops), np.array(form.right_ops)
     for run in equal_runs(sv):
@@ -363,7 +375,8 @@ def upper_bound_realignment(op: BipartiteOperator):
 def lower_bound_realignment(op: BipartiteOperator) -> float:
     """Trace norm of the realigned matrix: a certified projective-norm
     lower bound (the computable cross-norm inequality)."""
-    return nuclear_norm(realign(op))
+    an = _Analysis(op)
+    return scaled_outward(an.realignment_lower, 0, an.k, up=False)
 
 
 _STALL_STEPS = 4  # a witness restart stops after this many steps in a row that gain at most tol
@@ -428,9 +441,9 @@ def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
     ValueError
         If the input is not positive semidefinite beyond EPS_PSD.
     """
-    if not op.is_psd(EPS_PSD):
-        raise ValueError("lower_bound_witness requires a positive semidefinite operator")
     an = _Analysis(op, config)
+    if not an.psd:
+        raise ValueError("lower_bound_witness requires a positive semidefinite operator")
     q, c = an.witness
     return scaled_outward(q, op.shape.total, an.k, up=False), c
 
@@ -453,9 +466,10 @@ def hermitian_upper(op: BipartiteOperator):
     product densities, see :func:`_signed_atoms`.  For a unit pure state
     the weight is 2 (sum_l a_l)^2 - 1.
     """
-    _require_hermitian(op, "hermitian_upper")
-    dec = _decomposition_from(*_signed_atoms(_spectral_schmidt(op)), op.shape, cutoff=0.0)
-    return dec.weight, dec
+    an = _Analysis(op)
+    if not an.hermitian:
+        raise ValueError("hermitian_upper requires a Hermitian operator")
+    return _scaled_back(an, an.signed.weight, an.signed)
 
 
 def _signed_atoms(spectral: list) -> tuple:
@@ -597,7 +611,8 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     dh, dj = shape.dh, shape.dj
     mats = np.stack(mats)
     u = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)[1]
-    lead_phi, lead_psi = _leading_schmidt_pairs(u[:, :, -1], shape)
+    u, _, vh = np.linalg.svd(u[:, :, -1].reshape(-1, dh, dj), full_matrices=False)
+    lead_phi, lead_psi = _fix_phases(u[:, :, 0], vh[:, 0, :])
     owner, phi, psi = [], [], []
     for m, extra in enumerate(extra_starts or [()] * len(mats)):
         starts = [(lead_phi[m], lead_psi[m]), *extra]
@@ -634,18 +649,6 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
                     break
     phi[active], psi[active], val[active] = pa, qa, va  # the starts that ran out of steps
     return owner, val, phi, psi
-
-
-def _leading_schmidt_pairs(vecs: np.ndarray, shape: BipartiteShape) -> tuple:
-    """The leading Schmidt pair (phi, psi) of every row of ``vecs``, one
-    stacked SVD for all; each phi's largest-|.| entry is made real positive,
-    as :func:`core.schmidt_decompose` does, so the pairs equal its own."""
-    u, _, vh = np.linalg.svd(vecs.reshape(-1, shape.dh, shape.dj), full_matrices=False)
-    phi, psi = u[:, :, 0], vh[:, 0, :]
-    pivot = phi[np.arange(len(phi)), np.argmax(np.abs(phi), axis=1)]
-    # hypot, as a complex scalar's abs() computes it; np.abs of an array can differ by an ulp
-    ph = (pivot / np.hypot(pivot.real, pivot.imag))[:, None]
-    return phi * ph.conj(), psi * ph
 
 
 def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
@@ -697,11 +700,13 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
     their leave-one-out residuals, which repairs the slow tail on curved
     faces of the separable set.  Succeeds when the mixture reconstructs
     ``op`` to VALIDATE_TOL in trace norm relative to the target's (1 for the
-    zero operator); every weight cutoff is relative to it too.
+    zero operator); every weight cutoff is relative to it too.  The fit runs
+    on the unit operator of ``op`` (:class:`_Analysis`), and the mixture is
+    scaled back.
     """
-    rng = rng_from_seed(config.seed)
-    n = op.shape.total
-    tn_target = trace_norm(op.matrix) or 1.0
+    an = _Analysis(op, config)
+    op, rng, n = an.unit, rng_from_seed(config.seed), op.shape.total
+    tn_target = an.trace_norm or 1.0
     d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
     cols = _columns(atoms)  # row k: atom k's column
@@ -718,8 +723,8 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
         if err <= VALIDATE_TOL:
             dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14 * tn_target)
             if _reconstruction_error(op, dec, tn_target) > VALIDATE_TOL:
-                dec = None  # a part of the target the Hermitian columns cannot see
-            return dec, rounds
+                return None, rounds  # a part of the target the Hermitian columns cannot see
+            return dec.scaled(an.k), rounds
         recent.append(err)
         if len(recent) > 12:
             recent.pop(0)
@@ -853,7 +858,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     scaled back.
     """
     an = _Analysis(op, config)
-    if not an.unit.is_psd(EPS_PSD):
+    if not an.psd:
         raise ValueError("robustness_upper expects a (near-)density operator")
     res = _robustness(an, max_rounds)
     if res.success:
@@ -940,12 +945,12 @@ class _Analysis:
     """What the bound providers of one call share about its operator.
 
     ``unit`` is the operator divided by 2^k (:func:`core.unit_scale`), and
-    every attribute below is about it: values are scaled back by 2^k only
-    in :func:`_norm_bounds`, decompositions by their ``scaled(k)``.  Each
-    attribute is computed at most once, on first use; the trace norm comes
-    with the scale.  An analysis serves one top-level call; nothing is
-    stored on the operator.  ``config`` seeds the searches and may be None
-    where none runs.
+    every attribute below is about it: values are scaled back by 2^k in
+    :func:`_norm_bounds` or by a single provider, decompositions by their
+    ``scaled(k)``.  Each attribute is computed at most once, on first use;
+    the trace norm comes with the scale.  An analysis serves one top-level
+    call; nothing is stored on the operator.  ``config`` seeds the searches
+    and may be None where none runs.
     """
 
     def __init__(self, op: BipartiteOperator, config: SeeSawConfig | None = None):
@@ -963,6 +968,11 @@ class _Analysis:
         return self.hermitian and self.unit.is_psd(EPS_PSD)
 
     @cached_property
+    def density(self) -> bool:
+        """PSD with unit trace; the trace target is absolute, so its tolerance is too."""
+        return self.psd and abs(self.op.trace() - 1.0) <= EPS_TRACE
+
+    @cached_property
     def npt(self) -> bool:
         """lambda_min(H^Gamma) < -2 VALIDATE_TOL ||D||_1, H = (D + D^dag) / 2: then no
         product mixture S passes :func:`separable_fit`, which needs S^Gamma >= 0 and
@@ -973,7 +983,7 @@ class _Analysis:
 
     @cached_property
     def realignment_lower(self) -> float:
-        return lower_bound_realignment(self.unit)
+        return nuclear_norm(realign(self.unit))
 
     @cached_property
     def witness(self) -> tuple:
@@ -1020,7 +1030,7 @@ class _Analysis:
                                 indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
-        ur, dec_r = upper_bound_realignment(unit)
+        ur, dec_r = _realignment_upper(unit)
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
         if include_robustness and self.psd:
@@ -1062,8 +1072,8 @@ def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
     up, terms = 0.0, []
     for phase, part in ((1.0, (mat + mat.conj().T) / 2), (1j, (mat - mat.conj().T) / 2j)):
         hop = BipartiteOperator(op.shape, part)
-        value, dec = min(upper_bound_spectral(hop), upper_bound_realignment(hop),
-                         key=lambda p: p[0])
+        value, dec = min(_spectral_standard(_spectral_schmidt(hop), op.shape),
+                         _realignment_upper(hop), key=lambda p: p[0])
         up += value
         terms += [(r, phase * x, y) for r, x, y in dec.terms]
     return up, StandardDecomposition(terms, op.shape)
@@ -1098,9 +1108,10 @@ def ent(op: BipartiteOperator, config: SeeSawConfig, **kwargs) -> NormBounds:
     states (and exceeds 1 otherwise), and is invariant under local
     unitaries; the invariants are exercised by the test suite.
     """
-    if not op.is_density():
+    an = _Analysis(op, config)
+    if not an.density:
         raise ValueError("ent expects a density operator (PSD, unit trace)")
-    return pi_bounds(op, config, **kwargs)
+    return an.bounds(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1139,9 +1150,8 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
             certifies_pi_upper=False, certifies_h_upper=False,
             messages=["unknown decomposition type"],
         )
-    unit, k, tn = unit_scale(target.matrix)
-    target, unit_dec = BipartiteOperator(target.shape, unit), dec.scaled(-k)
-    tn_target = tn or 1.0
+    an = _Analysis(target)
+    target, unit_dec, tn_target = an.unit, dec.scaled(-an.k), an.trace_norm or 1.0
     messages, norm_err, positive = [], 0.0, False
     # signed first: a signed decomposition is also a StandardDecomposition
     if isinstance(dec, SignedDecomposition):

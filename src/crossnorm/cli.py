@@ -257,9 +257,9 @@ def _parse_grid(spec: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
     out = _require(args.csv_out, "--csv-out")
     if args.family == "isotropic":
+        cfg = _config(args)  # the divergence sweep runs no search and reads no seed
         d = _require(args.d, "--d")
         rows = []
         for p in _parse_grid(_require(args.p, "--p")):

@@ -4,7 +4,9 @@ Shapes, tensor products, traces, spectral/SVD factorizations, Schmidt
 decomposition, realignment and the partial transpose for operators and
 vectors on H (x) J.  The composite index convention is row-major throughout:
 the basis vector e_i (x) f_k sits at flat index ``i * d_j + k``, which is
-exactly the ordering produced by ``numpy.kron``.
+exactly the ordering produced by ``numpy.kron``.  Schmidt pairs of vectors
+and of operators share one phase rule (:func:`_fix_phases`); the product
+ascent of :mod:`crossnorm.bounds` reuses it for its lead starts.
 """
 
 from __future__ import annotations
@@ -332,22 +334,19 @@ def schmidt_decompose(v: BipartiteVector, cutoff: float = SCHMIDT_CUTOFF) -> Sch
         raise ValueError("Schmidt decomposition of the zero vector is undefined")
     u, s, vh = np.linalg.svd(v.as_matrix(), full_matrices=False)
     keep = s > cutoff * s[0]
-    s = s[keep]
-    left = u[:, keep].T.copy()
-    right = vh[keep, :].copy()  # psi_l[k] = Vh[l, k] reconstructs with no conjugation
-    for l in range(s.size):
-        left[l], right[l] = _fix_phase(left[l], right[l])
-    return SchmidtForm(s, left, right, v.shape)
+    left, right = _fix_phases(u[:, keep].T, vh[keep, :])  # psi_l[k] = Vh[l, k]: no conjugation
+    return SchmidtForm(s[keep], left, right, v.shape)
 
 
-def _fix_phase(left: np.ndarray, right: np.ndarray):
-    """Rotate the pair so the largest-|.| entry of ``left`` is real positive."""
-    idx = int(np.argmax(np.abs(left)))
-    pivot = left[idx]
-    if abs(pivot) == 0.0:
-        return left, right
-    ph = pivot / abs(pivot)
-    return left * ph.conjugate(), right * ph
+def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple:
+    """Rotate each row pair so the largest-|.| entry of the ``left`` row is
+    real positive, its phase moved to the ``right`` row; a row pair whose
+    pivot is zero stays.  The phase divides by hypot(re, im), as a complex
+    scalar's abs() computes it (np.abs of an array can differ by an ulp)."""
+    pivot = left[np.arange(len(left)), np.argmax(np.abs(left), axis=1)]
+    mag = np.hypot(pivot.real, pivot.imag)
+    ph = np.divide(pivot, mag, out=np.ones_like(pivot), where=mag > 0.0)
+    return left * ph.conj()[:, None], right * ph[:, None]
 
 
 def operator_schmidt(op: BipartiteOperator, cutoff: float = SCHMIDT_CUTOFF) -> OperatorSchmidtForm:
@@ -358,21 +357,11 @@ def operator_schmidt(op: BipartiteOperator, cutoff: float = SCHMIDT_CUTOFF) -> O
     values of realign(op).
     """
     dh, dj = op.shape.dh, op.shape.dj
-    r = realign(op)
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = s > cutoff * s[0]
-    else:
-        keep = s > 0.0
-    s = s[keep]
-    lefts, rights = [], []
-    for k in range(s.size):
-        g = u[:, keep][:, k]
-        h = vh[keep, :][k, :]
-        g, h = _fix_phase(g, h)
-        lefts.append(g.reshape(dh, dh))
-        rights.append(h.reshape(dj, dj))
-    return OperatorSchmidtForm(s, lefts, rights, op.shape)
+    u, s, vh = np.linalg.svd(realign(op), full_matrices=False)
+    keep = s > (cutoff * s[0] if s.size and s[0] > 0.0 else 0.0)
+    gs, hs = _fix_phases(u[:, keep].T, vh[keep, :])
+    return OperatorSchmidtForm(s[keep], list(gs.reshape(-1, dh, dh)), list(hs.reshape(-1, dj, dj)),
+                               op.shape)
 
 
 def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):

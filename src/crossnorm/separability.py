@@ -213,7 +213,7 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     Only densities get past the first check, and their k is 0: the analysis'
     unit values are the state's own."""
     op, config = an.op, an.config
-    if not op.is_density():
+    if not an.density:
         raise ValueError("classify expects a density operator")
 
     # realignment above one or a negative partial transpose proves

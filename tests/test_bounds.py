@@ -28,6 +28,7 @@ from crossnorm import (
     random_separable,
     robustness_upper,
     schmidt_decompose,
+    separable_fit,
     trace_norm,
     upper_bound_realignment,
     upper_bound_spectral,
@@ -344,6 +345,21 @@ def test_witness_rejects_non_psd():
     m = np.diag([1.0, -0.5, 0.25, 0.25]).astype(complex)
     with pytest.raises(ValueError):
         lower_bound_witness(BipartiteOperator(BipartiteShape(2, 2), m), CFG)
+
+
+def test_density_gates_read_the_hermitian_flag_of_the_bounds():
+    """is_density() tests Hermiticity at 1e-9, the bounds at EPS_HERM = 1e-10.
+    classify took this state for a density and answered Undecided with the
+    Hermitian-split bounds of non-Hermitian input (no h bracket); each gate
+    now reads its analysis' flags."""
+    op = random_density(BipartiteShape(2, 3), 100)
+    m = op.matrix.copy()
+    m[0, 1] += 5e-10 * np.abs(m).max()
+    op = BipartiteOperator(op.shape, m)
+    assert op.is_density() and not op.is_hermitian()
+    for gate in (classify, ent, lower_bound_witness, robustness_upper):
+        with pytest.raises(ValueError):
+            gate(op, CFG)
 
 
 def test_witness_seesaw_closed_forms():
@@ -683,12 +699,16 @@ def _signed_test_operators(dh, dj):
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 @pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])
 def test_hermitian_upper_matches_the_eigh_split_construction(dh, dj, scale):
+    """The provider runs on the unit operator and scales its weights back by
+    2^k, so the reference is built there too."""
     from crossnorm.bounds import _spectral_schmidt
 
     for base in _signed_test_operators(dh, dj):
         op = BipartiteOperator(base.shape, base.matrix * scale)
         value, dec = hermitian_upper(op)
-        ref = _eigh_split_signed(_spectral_schmidt(op), op.shape)
+        unit, k, _ = unit_scale(op.matrix)
+        ref = [(float(np.ldexp(t, k)), rho, sig) for t, rho, sig in
+               _eigh_split_signed(_spectral_schmidt(BipartiteOperator(op.shape, unit)), op.shape)]
         assert len(dec.terms) == len(ref)
         for (t, rho, sig), (tr, rhor, sigr) in zip(dec.terms, ref):
             assert t == pytest.approx(tr, rel=1e-12)
@@ -1232,7 +1252,9 @@ def test_prune_equals_the_sorted_key_reference():
 
 @pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3), (3, 3)])
 def test_lead_starts_equal_schmidt_decompose(dh, dj):
-    from crossnorm.bounds import _leading_schmidt_pairs
+    """The product ascent's lead starts, one stacked svd and the phase rule of
+    core, are schmidt_decompose's leading pairs bit for bit."""
+    from crossnorm.core import _fix_phases
 
     shape = BipartiteShape(dh, dj)
     rng = np.random.default_rng(dh * 10 + dj)
@@ -1245,10 +1267,18 @@ def test_lead_starts_equal_schmidt_decompose(dh, dj):
     eh, ej = np.eye(dh), np.eye(dj)
     vecs.append(np.kron(eh[0], ej[0]) + np.kron(eh[1], ej[1]))  # Schmidt rank 2, below 3 at 3x3
     vecs = np.array([v / np.linalg.norm(v) for v in vecs], dtype=complex)
-    phi, psi = _leading_schmidt_pairs(vecs, shape)
+    u, _, vh = np.linalg.svd(vecs.reshape(-1, dh, dj), full_matrices=False)
+    phi, psi = _fix_phases(u[:, :, 0], vh[:, 0, :])
     for v, p, q in zip(vecs, phi, psi):
         sf = schmidt_decompose(BipartiteVector(shape, v))
         assert np.array_equal(p, sf.left_vectors[0]) and np.array_equal(q, sf.right_vectors[0])
+    # a row pair whose pivot is zero stays; the others still turn
+    left = np.array([np.zeros(dh), u[0, :, 0] * 1j])
+    right = np.array([vh[0, 0, :], vh[0, 0, :]])
+    fl, fr = _fix_phases(left, right)
+    assert np.array_equal(fl[0], left[0]) and np.array_equal(fr[0], right[0])
+    assert np.allclose(fl[1], phi[0], rtol=0, atol=1e-15)
+    assert np.allclose(fr[1], 1j * psi[0], rtol=0, atol=1e-15)
 
 
 def test_upper_triangle_indices_are_cached_read_only():
@@ -1357,11 +1387,49 @@ def _extreme_operators():
             BipartiteOperator(BipartiteShape(3, 3), m / np.linalg.norm(m))]
 
 
-@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300, 1.5e308])
+def _public_provider_operators():
+    sep, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
+    return [max_entangled(2), random_density(BipartiteShape(2, 2), 1), isotropic(0.5, 3), sep]
+
+
+def _public_provider_values(op) -> dict:
+    """name -> (value, certificate, is an upper bound) of the public providers;
+    separable_fit only when it finds a mixture."""
+    out = {"lower_bound_realignment": (lower_bound_realignment(op), None, False)}
+    for provider in (upper_bound_spectral, upper_bound_realignment, hermitian_upper):
+        out[provider.__name__] = (*provider(op), True)
+    mixture, _ = separable_fit(op, SeeSawConfig(seed=1))
+    if mixture is not None:
+        out["separable_fit"] = (mixture.weight, mixture, True)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300, 1.5e308])
 @pytest.mark.parametrize("which", range(4))
 def test_brackets_hold_at_the_edges_of_the_float_range(scale, which):
     """Each kernel used to pick its own power of two: Bell x 1e-310 gave an
-    inverted bracket, and x 1.5e308 raised OverflowError."""
+    inverted bracket, and x 1.5e308 raised OverflowError.  The public
+    providers ran on the raw matrix: Bell x 1e-310 read upper_bound_spectral
+    and hermitian_upper 1e-310, below lower_bound_realignment's 2e-310;
+    x 1.5e308 lower_bound_realignment overflowed and separable_fit of a
+    separable state raised LinAlgError."""
+    base = _public_provider_operators()[which]
+    op = BipartiteOperator(base.shape, base.matrix * scale)
+    ref, got = _public_provider_values(base), _public_provider_values(op)
+    assert which != 3 or "separable_fit" in got  # a separable state's mixture is found
+    low = got["lower_bound_realignment"][0]
+    for name, (value, dec, up) in got.items():
+        if name in ref and np.isfinite(ref[name][0] * scale):
+            assert value / scale == pytest.approx(ref[name][0], rel=1e-9)
+        elif name in ref:  # the product overflows
+            assert value == (np.inf if up else np.finfo(float).max)
+        if up:
+            assert value >= low * (1 - 1e-12)
+        if dec is not None and np.isfinite(value):
+            report = validate_decomposition(op, dec)
+            assert report.certifies_h_upper if name == "hermitian_upper" else report.valid
+
     base = _extreme_operators()[which]
     op = BipartiteOperator(base.shape, base.matrix * scale)
     ref = pi_bounds(base, SeeSawConfig(seed=1), include_robustness=False)

@@ -124,6 +124,17 @@ def test_missing_seed_is_invalid(tmp_path):
                 "--out", tmp_path / "x.json"]) == 1
 
 
+def test_classify_rejects_a_density_that_is_not_hermitian_at_eps_herm(tmp_path):
+    from crossnorm import BipartiteOperator, BipartiteShape, random_density
+
+    op = random_density(BipartiteShape(2, 3), 100)
+    m = op.matrix.copy()
+    m[0, 1] += 5e-10 * np.abs(m).max()  # op.is_density() still holds
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(to_state_dict(BipartiteOperator(op.shape, m))))
+    assert run(["classify", path, "--seed", 1, "--no-timestamp"]) == 1
+
+
 def test_gnorm_report_structure(tmp_path):
     state_file = tmp_path / "bell.json"
     run(["gallery", "max-entangled", "--d", 2, "--out", state_file])
@@ -210,10 +221,15 @@ def test_sweep_divergence_csv(tmp_path):
     assert float(rows[2]["lemosd_bound"]) == pytest.approx(14 / 3, abs=1e-9)
     assert float(rows[2]["witness_bound"]) == pytest.approx(8.0, abs=1e-9)
     assert rows[2]["dense_pi_lower"] == ""
+    seedless = tmp_path / "seedless.csv"  # the sweep runs no search and needs no seed
+    assert run(["sweep", "divergence", "--levels", 3, "--csv-out", seedless]) == 0
+    assert seedless.read_bytes() == out.read_bytes()
 
 
 def test_sweep_missing_args_is_input_error(tmp_path):
     assert run(["sweep", "isotropic", "--seed", 1]) == 1  # missing --csv-out/--d
+    assert run(["sweep", "isotropic", "--d", 2, "--p", "0:1:0.5",
+                "--csv-out", tmp_path / "iso.csv"]) == 1  # missing --seed
 
 
 def test_bounds_non_hermitian_input_reports_indirect(tmp_path):

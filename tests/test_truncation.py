@@ -200,6 +200,7 @@ def test_divergence_sweep_runs_no_upper_provider(monkeypatch):
 
     monkeypatch.setattr(bounds, "_spectral_schmidt", refuse)
     monkeypatch.setattr(bounds, "upper_bound_realignment", refuse)
+    monkeypatch.setattr(bounds, "_realignment_upper", refuse)
     assert divergence_sweep(paper_preset(1), (1,)) == rows
 
 
