@@ -33,7 +33,10 @@ NumPy's LAPACK driver for ``eigh`` directly (:func:`_eigh`).  Both searches
 share one column format, :func:`_embed_hermitian` of the stack of entering
 atoms' densities (:func:`_columns`), so residuals come from the columns and
 no product matrix is kept, and either returns a mixture only after it
-reconstructs the target to VALIDATE_TOL in trace norm.  Phase 2 solves each
+reconstructs the target to VALIDATE_TOL in trace norm.  ``separable_fit``
+also moves its weighted atoms by Levenberg-Marquardt on the factors of the
+mixture (:func:`_polish_mixture`), which ends Frank-Wolfe's slow tail on
+the boundary of the separable set.  Phase 2 solves each
 round's linear program cold through scipy's bundled HiGHS, called directly
 (:func:`_min_weight_lp`): the constraint matrix goes over as CSC arrays,
 into one HiGHS workspace per search that is cleared before every solve and
@@ -594,19 +597,17 @@ def _eigh(a: np.ndarray) -> tuple:
     return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
 
 
-def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None,
-                    scale=1.0):
+def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, scale=1.0):
     """Local maxima of <phi (x) psi| R |phi (x) psi> over unit product vectors
     from every start of every R in ``mats``: arrays (owner, value, phi, psi)
     with one entry per start, ``owner`` the index of its matrix.
 
     Alternating eigenvector ascent, monotone in the objective.  Each matrix
-    starts from the leading Schmidt pair of its top eigenvector, then its
-    own ``extra_starts[m]``, then ``n_starts - 1`` random pairs drawn from
-    ``rng`` in matrix order.  All starts of all matrices advance in one
-    stack; a start stops once a step gains no more than
-    1e-14 max(|value|, ``scale``), so the stop moves with the matrices when
-    ``scale`` does (their trace norm, say).
+    starts from the leading Schmidt pair of its top eigenvector, then
+    ``n_starts - 1`` random pairs drawn from ``rng`` in matrix order.  All
+    starts of all matrices advance in one stack; a start stops once a step
+    gains no more than 1e-14 max(|value|, ``scale``), so the stop moves with
+    the matrices when ``scale`` does (their trace norm, say).
     """
     dh, dj = shape.dh, shape.dj
     mats = np.stack(mats)
@@ -614,8 +615,8 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     u, _, vh = np.linalg.svd(u[:, :, -1].reshape(-1, dh, dj), full_matrices=False)
     lead_phi, lead_psi = _fix_phases(u[:, :, 0], vh[:, 0, :])
     owner, phi, psi = [], [], []
-    for m, extra in enumerate(extra_starts or [()] * len(mats)):
-        starts = [(lead_phi[m], lead_psi[m]), *extra]
+    for m in range(len(mats)):
+        starts = [(lead_phi[m], lead_psi[m])]
         for _ in range(n_starts - 1):
             zp = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
             zq = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
@@ -651,18 +652,6 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     return owner, val, phi, psi
 
 
-def _max_product_expectation(mats, shape: BipartiteShape, rng, n_starts=5, iters=40,
-                             extra_starts=None, scale=1.0) -> list:
-    """Maximize <phi (x) psi| R |phi (x) psi> over unit product vectors for
-    each R in ``mats``: one (value, phi, psi) per matrix, the first start of
-    :func:`_product_ascent` with the largest value.
-    """
-    owner, val, phi, psi = _product_ascent(mats, shape, rng, n_starts=n_starts, iters=iters,
-                                           extra_starts=extra_starts, scale=scale)
-    best = [np.flatnonzero(owner == m)[np.argmax(val[owner == m])] for m in range(len(mats))]
-    return [(float(val[i]), phi[i], psi[i]) for i in best]
-
-
 def _seed_atoms(op: BipartiteOperator) -> list:
     """Products of the local eigenbases of the partial traces."""
     ph = partial_trace(op, "j")
@@ -679,34 +668,32 @@ def _atom_budget(n: int) -> int:
     return max(64, n * n + 32)
 
 
-# separable_fit's first rounds admit only the best atom: with every improving
-# atom from the start, the fit of isotropic(1/3, 2) at seed 2 stalls at a
-# relative error of 1.02e-8, just above VALIDATE_TOL
-_SINGLE_ATOM_ROUNDS = 5
-
-
 def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200):
     """Nonnegative product-mixture fit of a (candidate separable) operator.
 
-    Fully corrective Frank-Wolfe with drop steps.  Each round refits all
-    weights by nonnegative least squares, min ||sum_k w_k P_k - D||_F, and
-    drops the atoms it leaves without weight.  Then every distinct local
-    maximum of the product ascent on the residual above 1e-13 ||D||_1
-    enters, largest first (only the best one in the first
-    _SINGLE_ATOM_ROUNDS rounds).  NNLS keeps linearly independent columns,
-    so the dictionary never holds more than n^2 atoms plus one round's
-    fresh ones, within :func:`_atom_budget`.  Once the residual is small, a
-    periodic refinement pass re-optimizes the heaviest active atoms against
-    their leave-one-out residuals, which repairs the slow tail on curved
-    faces of the separable set.  Succeeds when the mixture reconstructs
-    ``op`` to VALIDATE_TOL in trace norm relative to the target's (1 for the
-    zero operator); every weight cutoff is relative to it too.  The fit runs
-    on the unit operator of ``op`` (:class:`_Analysis`), and the mixture is
-    scaled back.
+    Fully corrective Frank-Wolfe with drop steps and a local step, the
+    alternating descent conditional gradient method (ADCG; Boyd, Schiebinger
+    & Recht 2017).  Each round refits all weights by nonnegative least
+    squares, min ||sum_k w_k P_k - D||_F, and drops the atoms it leaves
+    without weight.  Once the error is at most 0.1 of the target's trace
+    norm, but above VALIDATE_TOL, :func:`_polish_mixture` moves the weighted
+    atoms themselves by Levenberg-Marquardt, and the moved atoms, refit by
+    NNLS, replace the dictionary when their trace-norm error is lower; this
+    ends Frank-Wolfe's slow tail on the curved faces of the separable set.
+    Then every
+    distinct local maximum of the product ascent on the residual above
+    1e-13 ||D||_1 enters, largest first.  NNLS keeps linearly independent
+    columns, so the dictionary never holds more than n^2 atoms plus one
+    round's five fresh ones, within :func:`_atom_budget`.  Succeeds when the
+    mixture reconstructs ``op`` to VALIDATE_TOL in trace norm relative to
+    the target's (1 for the zero operator); every weight cutoff is relative
+    to it too.  The fit runs on the unit operator of ``op``
+    (:class:`_Analysis`), and the mixture is scaled back.
     """
     an = _Analysis(op, config)
     op, rng, n = an.unit, rng_from_seed(config.seed), op.shape.total
     tn_target = an.trace_norm or 1.0
+    cut = 1e-14 * tn_target
     d = _embed_hermitian(op.matrix)
     atoms = _seed_atoms(op)
     cols = _columns(atoms)  # row k: atom k's column
@@ -714,14 +701,15 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
     rounds = 0
     recent = []
     for rounds in range(1, max_rounds + 1):
-        a_mat = cols.T.copy()
-        # scipy's default of 3 iterations per column can run out on degenerate targets
-        weights, _ = nnls(a_mat, d, maxiter=50 * a_mat.shape[1])
-        gap = d - a_mat @ weights
-        residual = _hermitian_from(gap, n)
-        err = trace_norm(residual) / tn_target
+        weights, residual, err = _nnls_fit(cols, d, n, tn_target)
+        if VALIDATE_TOL < err <= 0.1:
+            polished = _polished_atoms(atoms, weights, d, op.shape.dh, cut)
+            cols2 = _columns(polished)
+            weights2, residual2, err2 = _nnls_fit(cols2, d, n, tn_target)
+            if err2 < err:
+                atoms, cols, weights, residual, err = polished, cols2, weights2, residual2, err2
         if err <= VALIDATE_TOL:
-            dec = _decomposition_from(atoms, weights, op.shape, cutoff=1e-14 * tn_target)
+            dec = _decomposition_from(atoms, weights, op.shape, cutoff=cut)
             if _reconstruction_error(op, dec, tn_target) > VALIDATE_TOL:
                 return None, rounds  # a part of the target the Hermitian columns cannot see
             return dec.scaled(an.k), rounds
@@ -734,20 +722,113 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
         fresh = _distinct_atoms(vals, phis, psis, 1e-13 * tn_target)
         if not fresh:
             break  # no product direction improves: target is outside the cone
-        if rounds <= _SINGLE_ATOM_ROUNDS:
-            fresh = fresh[:1]
-        if rounds % 3 == 0 and err <= 0.1:
-            top = np.argsort(-weights)[:12]
-            top = top[weights[top] > 1e-12 * tn_target]  # sorted: cut at the first light atom
-            if top.size:  # each heavy atom against its leave-one-out residual
-                fresh += [(p2, q2) for _, p2, q2 in _max_product_expectation(
-                    [_hermitian_from(gap + weights[i] * cols[i], n) for i in top], op.shape, rng,
-                    n_starts=2, iters=25, extra_starts=[[atoms[i]] for i in top],
-                    scale=tn_target)]
-        kept = np.flatnonzero(weights > 1e-14 * tn_target)  # the drop step
+        kept = np.flatnonzero(weights > cut)  # the drop step
         atoms = [atoms[i] for i in kept] + fresh
         cols = np.concatenate([cols[kept], _columns(fresh)])
     return None, rounds
+
+
+def _nnls_fit(cols: np.ndarray, d: np.ndarray, n: int, tn_target: float) -> tuple:
+    """NNLS weights of the columns (one row per atom) for the target's
+    parameters d, the residual target - fit as a matrix, and its trace norm
+    relative to ``tn_target``."""
+    a_mat = cols.T.copy()
+    # scipy's default of 3 iterations per column can run out on degenerate targets
+    weights, _ = nnls(a_mat, d, maxiter=50 * a_mat.shape[1])
+    residual = _hermitian_from(d - a_mat @ weights, n)
+    return weights, residual, trace_norm(residual) / tn_target
+
+
+def _polished_atoms(atoms, weights, d: np.ndarray, dh: int, cut: float) -> list:
+    """The atoms with weight above ``cut`` after :func:`_polish_mixture`, each
+    started at w^(1/4) (phi, psi) and normalized again; an atom polished to
+    zero is dropped."""
+    live = np.flatnonzero(weights > cut)
+    z = np.array([np.concatenate(atoms[i]) for i in live]) * weights[live, None] ** 0.25
+    z = _polish_mixture(z, dh, d)
+    nu, nv = np.linalg.norm(z[:, :dh], axis=1), np.linalg.norm(z[:, dh:], axis=1)
+    return [(p / a, q / b) for p, q, a, b in zip(z[:, :dh], z[:, dh:], nu, nv) if a * b > 0.0]
+
+
+def _mixture_residual(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
+    """emb(sum_k (u_k u_k^dag) (x) (v_k v_k^dag)) - d, emb :func:`_embed_hermitian`,
+    for the factor rows z_k = (u_k, v_k), u_k the first ``dh`` entries."""
+    x = (z[:, :dh, None] * z[:, None, dh:]).reshape(len(z), -1)
+    return _embed_hermitian(x.T @ x.conj()) - d
+
+
+def _mixture_jacobian(z: np.ndarray, dh: int) -> np.ndarray:
+    """The Jacobian of :func:`_mixture_residual` in the real parameters of the
+    rows z_k, transposed: shape (K, 2, m, n^2), entry [k, 0, j] the derivative
+    along Re z_kj and [k, 1, j] along Im z_kj.
+
+    With x_k = u_k (x) v_k and a direction dx of x_k, the model moves by
+    F + F^dag (real part) or i (F - F^dag) (imaginary part), F = dx x_k^dag;
+    dx is e_a (x) v_k for u_k's entry a and u_k (x) e_c for v_k's entry c.
+    Only F's diagonal and its entries on both sides of the upper triangle
+    are formed, one direction j at a time, so no (K, m, n, n) stack is."""
+    k, m = z.shape
+    u, v = z[:, :dh], z[:, dh:]
+    dj, n = m - dh, dh * (m - dh)
+    x = (u[:, :, None] * v[:, None, :]).reshape(k, n)
+    xc = x.conj()
+    dx = np.zeros((k, m, dh, dj), dtype=complex)
+    ah, aj = np.arange(dh), np.arange(dj)
+    dx[:, ah, ah, :] = v[:, None, :]
+    dx[:, dh + aj, :, aj] = u
+    dx = dx.reshape(k, m, n)
+    iu = _upper_indices(n)
+    nu, s2 = iu[0].size, np.sqrt(2.0)
+    jt = np.empty((k, 2, m, n * n))
+    diag = dx * xc[:, None, :]
+    jt[:, 0, :, :n] = 2.0 * diag.real
+    jt[:, 1, :, :n] = -2.0 * diag.imag
+    for j in range(m):
+        f_ij = dx[:, j, iu[0]] * xc[:, iu[1]]  # F_ij, i < j
+        f_ji = dx[:, j, iu[1]].conj() * x[:, iu[0]]  # conj(F_ji)
+        re, im = jt[:, 0, j], jt[:, 1, j]
+        np.multiply(f_ij.real + f_ji.real, s2, out=re[:, n:n + nu])
+        np.multiply(f_ij.imag + f_ji.imag, s2, out=re[:, n + nu:])
+        np.multiply(f_ji.imag - f_ij.imag, s2, out=im[:, n:n + nu])
+        np.multiply(f_ij.real - f_ji.real, s2, out=im[:, n + nu:])
+    return jt
+
+
+_POLISH_STEPS = 30  # Levenberg-Marquardt solves per polish
+
+
+def _polish_mixture(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt on ||:func:`_mixture_residual`||_2 over the factor
+    rows z_k = (u_k, v_k), returning the best rows found.
+
+    Each of at most _POLISH_STEPS iterations takes one ``np.linalg.solve``
+    in the smaller of the residual length n^2 and the parameter count p:
+    (J^T J + lam I)^-1 J^T r = J^T (J J^T + lam I)^-1 r.  A step is taken
+    only if it lowers the residual; then lam falls by 3 and J is rebuilt,
+    else lam doubles.  lam starts at 1e-3 of J^T J's mean diagonal, which
+    also keeps the solve regular along the factors' gauge directions."""
+    r = _mixture_residual(z, dh, d)
+    cost, lam, jt = r @ r, None, None
+    for _ in range(_POLISH_STEPS):
+        if jt is None:
+            jt = _mixture_jacobian(z, dh).reshape(-1, r.size)
+            dual = jt.shape[0] > r.size
+            gram, rhs = (jt.T @ jt, r) if dual else (jt @ jt.T, jt @ r)
+            diag = gram.diagonal().copy()
+            if lam is None:  # tr(J J^T) = tr(J^T J)
+                lam = 1e-3 * diag.sum() / len(jt)
+        gram.flat[::len(gram) + 1] = diag + lam  # the damped Gram matrix, in place
+        sol = np.linalg.solve(gram, rhs)
+        step = (jt @ sol if dual else sol).reshape(len(z), 2, -1)
+        trial = z - (step[:, 0] + 1j * step[:, 1])
+        r_new = _mixture_residual(trial, dh, d)
+        c_new = r_new @ r_new
+        if c_new < cost:
+            z, r, cost, jt = trial, r_new, c_new, None
+            lam /= 3.0
+        else:
+            lam *= 2.0
+    return z
 
 
 def _reconstruction_error(op: BipartiteOperator, dec, tn_target: float) -> float:

@@ -61,6 +61,17 @@ def test_classify_isotropic_below_threshold_never_entangled():
     assert cls.verdict in ("Separable", "Undecided")
 
 
+def test_classify_isotropic_qutrit_boundary_state_separable():
+    """isotropic(1/4, 3) is separable, on the boundary of the separable set;
+    the mixture search ran out of rounds on it before the polish."""
+    op = isotropic(0.25, 3)
+    cls = classify(op, SeeSawConfig(seed=1))
+    assert cls.verdict == "Separable"
+    rep = validate_decomposition(op, cls.certificate)
+    assert rep.valid and rep.positive
+    assert cls.certificate.weight == pytest.approx(1.0, abs=1e-6)
+
+
 def test_classify_requires_density():
     with pytest.raises(ValueError):
         classify(BipartiteOperator(BipartiteShape(2, 2), np.eye(4, dtype=complex)), CFG)
