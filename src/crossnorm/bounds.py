@@ -7,9 +7,8 @@ norm), and computes the shared work on that unit operator at most once, on
 first use: the Hermitian, PSD and negative partial transpose (NPT) flags,
 which every input check reads, realignment bound, witness see-saw,
 spectral-Schmidt expansion and its signed atoms.  No kernel scales for
-itself: ``pi_bounds`` scales its winners back, outward, and each single
-provider its value and certificate, with no margin, so at k = 0 they are
-the kernel's own.
+itself: every bound reported for D, by ``pi_bounds`` or a single provider,
+passes one rounding rule, :meth:`_Analysis.reported`.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
@@ -314,12 +313,7 @@ def upper_bound_spectral(op: BipartiteOperator):
     an = _Analysis(op)
     if not an.hermitian:
         raise ValueError("upper_bound_spectral requires a Hermitian operator")
-    return _scaled_back(an, *_spectral_standard(an.spectral, op.shape))
-
-
-def _scaled_back(an: _Analysis, value: float, dec) -> tuple:
-    """An upper bound and certificate of ``an.unit`` at the operator's scale, no outward margin."""
-    return scaled_outward(value, 0, an.k, up=True), dec.scaled(an.k)
+    return an.reported_upper(*_spectral_standard(an.spectral, op.shape))
 
 
 def _spectral_standard(spectral: list, shape: BipartiteShape):
@@ -348,7 +342,7 @@ def upper_bound_realignment(op: BipartiteOperator):
     :func:`_pivoted_rotation`), whatever basis the SVD returned.
     """
     an = _Analysis(op)
-    return _scaled_back(an, *_realignment_upper(an.unit))
+    return an.reported_upper(*_realignment_upper(an.unit))
 
 
 def _realignment_upper(op: BipartiteOperator) -> tuple:
@@ -379,7 +373,7 @@ def lower_bound_realignment(op: BipartiteOperator) -> float:
     """Trace norm of the realigned matrix: a certified projective-norm
     lower bound (the computable cross-norm inequality)."""
     an = _Analysis(op)
-    return scaled_outward(an.realignment_lower, 0, an.k, up=False)
+    return an.reported(an.realignment_lower, up=False)
 
 
 _STALL_STEPS = 4  # a witness restart stops after this many steps in a row that gain at most tol
@@ -448,7 +442,7 @@ def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
     if not an.psd:
         raise ValueError("lower_bound_witness requires a positive semidefinite operator")
     q, c = an.witness
-    return scaled_outward(q, op.shape.total, an.k, up=False), c
+    return an.reported(q, up=False), c
 
 
 def witness_value(op: BipartiteOperator, c: BipartiteVector) -> float:
@@ -472,7 +466,7 @@ def hermitian_upper(op: BipartiteOperator):
     an = _Analysis(op)
     if not an.hermitian:
         raise ValueError("hermitian_upper requires a Hermitian operator")
-    return _scaled_back(an, an.signed.weight, an.signed)
+    return an.reported_upper(an.signed.weight, an.signed)
 
 
 def _signed_atoms(spectral: list) -> tuple:
@@ -1026,8 +1020,8 @@ class _Analysis:
     """What the bound providers of one call share about its operator.
 
     ``unit`` is the operator divided by 2^k (:func:`core.unit_scale`), and
-    every attribute below is about it: values are scaled back by 2^k in
-    :func:`_norm_bounds` or by a single provider, decompositions by their
+    every attribute below is about it.  Every bound reported for the
+    operator leaves through :meth:`reported`, decompositions through their
     ``scaled(k)``.  Each attribute is computed at most once, on first use;
     the trace norm comes with the scale.  An analysis serves one top-level
     call; nothing is stored on the operator.  ``config`` seeds the searches
@@ -1039,6 +1033,16 @@ class _Analysis:
         self.config = config
         unit, self.k, self.trace_norm = unit_scale(op.matrix)
         self.unit = BipartiteOperator(op.shape, unit)
+
+    def reported(self, value: float, up: bool) -> float:
+        """A bound on ``unit`` as reported for the operator, the one rounding
+        rule: moved outward by 4 n eps relative, n = d_h d_j, and scaled back
+        by 2^k (:func:`core.scaled_outward`)."""
+        return scaled_outward(value, self.op.shape.total, self.k, up)
+
+    def reported_upper(self, value: float, dec) -> tuple:
+        """An upper bound on ``unit`` and its certificate, both reported for the operator."""
+        return self.reported(value, up=True), dec.scaled(self.k)
 
     @cached_property
     def hermitian(self) -> bool:
@@ -1103,12 +1107,11 @@ class _Analysis:
     def bounds(self, include_robustness: bool = True,
                extra_decompositions: tuple = ()) -> NormBounds:
         """The brackets :func:`pi_bounds` reports, from the provider lists."""
-        op, unit, k = self.op, self.unit, self.k
+        op, unit = self.op, self.unit
         if not self.hermitian:
             value, dec = _hermitian_split_upper(unit)
             split = (value, "hermitian_split", dec)
-            return _norm_bounds({"pi_lower": self.lower, "pi_upper": split}, op.shape.total, k,
-                                indirect=True)
+            return self.norm_bounds({"pi_lower": self.lower, "pi_upper": split}, indirect=True)
 
         us, dec_s = _spectral_standard(self.spectral, op.shape)
         ur, dec_r = _realignment_upper(unit)
@@ -1120,28 +1123,25 @@ class _Analysis:
                 ups.append((rb.decomposition.weight, "robustness", rb.decomposition))
         for dec in extra_decompositions:  # supplied at the operator's scale
             if validate_decomposition(op, dec).valid:
-                dec = dec.scaled(-k)
+                dec = dec.scaled(-self.k)
                 ups.append((dec.weight, "supplied", dec))
         up, low = min(ups, key=lambda p: p[0]), self.lower
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
-        return _norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up},
-                            op.shape.total, k)
+        return self.norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up})
 
-
-def _norm_bounds(winners: dict, n: int, k: int, indirect: bool = False) -> NormBounds:
-    """NormBounds from the winning (value, method, certificate) of each bound
-    on the unit operator of an n-dimensional one, scaled back by 2^k and
-    rounded outward; a bound with no winner (Hermitian bounds of indirect
-    input) reads NaN."""
-    values = {name: scaled_outward(winners[name][0], n, k, up=name.endswith("upper"))
-              if name in winners else float("nan")
-              for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
-    certs = {name: p[2].scaled(k) if isinstance(p[2], StandardDecomposition) else p[2]
-             for name, p in winners.items()}
-    return NormBounds(**values, methods={name: p[1] for name, p in winners.items()},
-                      certificates=certs, indirect=indirect, scale_exponent=k)
+    def norm_bounds(self, winners: dict, indirect: bool = False) -> NormBounds:
+        """NormBounds from the winning (value, method, certificate) of each bound
+        on ``unit``, each value :meth:`reported`; a bound with no winner
+        (Hermitian bounds of indirect input) reads NaN."""
+        values = {name: self.reported(winners[name][0], up=name.endswith("upper"))
+                  if name in winners else float("nan")
+                  for name in ("pi_lower", "pi_upper", "h_lower", "h_upper")}
+        certs = {name: p[2].scaled(self.k) if isinstance(p[2], StandardDecomposition) else p[2]
+                 for name, p in winners.items()}
+        return NormBounds(**values, methods={name: p[1] for name, p in winners.items()},
+                          certificates=certs, indirect=indirect, scale_exponent=self.k)
 
 
 def _hermitian_split_upper(op: BipartiteOperator) -> tuple:

@@ -25,7 +25,6 @@ from .core import (
     BipartiteVector,
     ShapeError,
     from_state_dict,
-    outward,
     to_state_dict,
 )
 from .gnorm import SeeSawConfig, g_norm_seesaw
@@ -271,7 +270,7 @@ def cmd_sweep(args) -> int:
             rows.append(
                 {
                     "p": p,
-                    "witness_lower": outward(an.witness[0], op.shape.total, up=False),
+                    "witness_lower": an.reported(an.witness[0], up=False),
                     "pi_lower": nb.pi_lower,
                     "pi_upper": nb.pi_upper,
                     "verdict": cls.verdict,

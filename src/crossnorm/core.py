@@ -145,6 +145,13 @@ class SchmidtForm:
             acc += a * np.kron(phi, psi)
         return BipartiteVector(self.shape, acc)
 
+    def flat_sum(self, n: int) -> np.ndarray:
+        """sum_{l<=n} phi_l (x) psi_l: the first n Schmidt pairs, unweighted."""
+        acc = np.zeros(self.shape.total, dtype=complex)
+        for phi, psi in zip(self.left_vectors[:n], self.right_vectors[:n]):
+            acc += np.kron(phi, psi)
+        return acc
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorSchmidtForm:
@@ -199,19 +206,15 @@ def nuclear_norm(mat) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-def outward(value: float, n: int, up: bool) -> float:
-    """A bound computed on an n-dimensional operator, moved up (``up``) or down
-    by 4 n eps relative, capped at 1e-12: a cover for its rounding error."""
-    margin = min(4 * n * np.finfo(float).eps, 1e-12) * abs(value)
-    return float(value + margin if up else value - margin)
-
-
 def scaled_outward(value: float, n: int, k: int, up: bool) -> float:
-    """outward(value, n, up) times 2^k, still outward.  A product that
-    overflows reads inf for an upper bound and the largest float for a lower
-    one; ldexp rounds to nearest among the subnormals, so a product there
-    that fell inward steps one ulp out."""
-    value = outward(value, n, up)
+    """A bound computed on an n-dimensional unit operator, moved up (``up``)
+    or down by 4 n eps relative, capped at 1e-12, a cover for its rounding
+    error, then times 2^k, still outward.  A product that overflows reads
+    inf for an upper bound and the largest float for a lower one; ldexp
+    rounds to nearest among the subnormals, so a product there that fell
+    inward steps one ulp out."""
+    margin = min(4 * n * np.finfo(float).eps, 1e-12) * abs(value)
+    value = float(value + margin if up else value - margin)
     with np.errstate(over="ignore"):
         out = float(np.ldexp(value, k))
     if np.isinf(out) and np.isfinite(value):

@@ -101,8 +101,8 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     bounds and ``histories`` are scaled back.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
-    vectors up to rounding, and rounded down to cover it; ``upper_bound``
-    is ||L||_inf.
+    vectors up to rounding and ``upper_bound`` is ||L||_inf, both rounded
+    outward by 4 n eps, n = d_h d_j (:func:`core.scaled_outward`).
     """
     dh, dj = L.shape.dh, L.shape.dj
     rng = rng_from_seed(config.seed)
@@ -144,10 +144,10 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
         phi = phi * (obj / abs(obj))  # make the reported objective real nonnegative
     history = np.ldexp(np.array(history), k)
     histories = [history[:iters[r], r].ravel().tolist() for r in range(n_r)]
-    return GNormEstimate(scaled_outward(best_val, L.shape.total, k, up=False),
-                         scaled_outward(operator_norm(mat), 0, k, up=True), phi, psi, eta, chi,
-                         iterations_used=int(iters[best]), converged=bool(converged[best]),
-                         best_restart=best, histories=histories)
+    return GNormEstimate(scaled_outward(best_val, dh * dj, k, up=False),
+                         scaled_outward(operator_norm(mat), dh * dj, k, up=True),
+                         phi, psi, eta, chi, iterations_used=int(iters[best]),
+                         converged=bool(converged[best]), best_restart=best, histories=histories)
 
 
 def _operator_schmidt_start(L: BipartiteOperator):

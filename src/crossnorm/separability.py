@@ -114,10 +114,7 @@ def build_witness_EN(v: BipartiteVector, n: int) -> Witness:
     sf = schmidt_decompose(v)
     if not 1 <= n <= sf.rank:
         raise ValueError(f"N must lie in [1, srank={sf.rank}], got {n}")
-    c = np.zeros(v.shape.total, dtype=complex)
-    for l in range(n):
-        c += np.kron(sf.left_vectors[l], sf.right_vectors[l])
-    vec = BipartiteVector(v.shape, c)
+    vec = BipartiteVector(v.shape, sf.flat_sum(n))
     w = witness_from_vector(vec)
     return Witness(w.operator, 1.0, "E_N", vec)
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _Analysis
-from .core import BipartiteOperator, BipartiteShape, BipartiteVector, scaled_outward
+from .core import BipartiteOperator, BipartiteShape, BipartiteVector
 from .core import schmidt_decompose
 from .gnorm import g_norm_rank_one
+from .separability import pure_with_schmidt
 
 DENSE_CUTOFF = 512
 
@@ -176,14 +177,8 @@ def truncated_l2_not_l1(n: int, rule=None):
     a = np.array([law(l) for l in range(1, n + 1)], dtype=float)
     if (a <= 0).any():
         raise ValueError("coefficient law must be strictly positive")
-    a = a / np.linalg.norm(a)
-    a = np.sort(a)[::-1]
-    shape = BipartiteShape(n, n)
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), np.arange(n)] = a
-    v = BipartiteVector(shape, m.reshape(-1))
-    bound = float(a.sum() ** 2)
-    return v, bound
+    a = np.sort(a / np.linalg.norm(a))[::-1]
+    return pure_with_schmidt(a), float(a.sum() ** 2)
 
 
 def mixing_lower_bound(p: float, v: BipartiteVector, d0, n: int) -> float:
@@ -204,9 +199,7 @@ def mixing_lower_bound(p: float, v: BipartiteVector, d0, n: int) -> float:
     if p == 1.0 or d0 is None:
         return p * pure_term
 
-    c = np.zeros(v.shape.total, dtype=complex)
-    for l in range(n):
-        c += np.kron(sf.left_vectors[l], sf.right_vectors[l])
+    c = sf.flat_sum(n)
     if isinstance(d0, str):
         if d0 != "maximally_mixed":
             raise ValueError(f"unknown background spec {d0!r}")
@@ -232,7 +225,7 @@ def divergence_sweep(family: BlockFamily, ns) -> list:
         dense = ""
         if family.shape(n).total <= DENSE_CUTOFF:
             an = _Analysis(family.dense_operator(n))  # k = -1 at N = 1: trace 1/2
-            dense = scaled_outward(an.lower[0], an.op.shape.total, an.k, up=False)
+            dense = an.reported(an.lower[0], up=False)
         rows.append(
             {
                 "N": n,

@@ -212,6 +212,24 @@ def _maximally_mixed(d):
     return BipartiteOperator(BipartiteShape(d, d), np.eye(d * d, dtype=complex) / (d * d))
 
 
+def test_productization_finds_the_product_basis_of_a_separable_bell_diagonal_state():
+    """(I (x) I + X (x) X / 2) / 4 is separable, and its two eigenblocks are
+    spanned by Bell states; the pivoted rotation alone keeps them, and
+    upper_bound_spectral read 2 until the Jacobi sweeps rotated them to
+    product vectors."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = BipartiteOperator(BipartiteShape(2, 2), (np.eye(4) + 0.5 * np.kron(x, x)) / 4)
+    assert upper_bound_spectral(op)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_productization_lowers_a_random_degenerate_block():
+    """A random 2-dimensional eigenblock: 1.8400 without the sweeps, 1.1783 with them."""
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    op = BipartiteOperator(BipartiteShape(2, 2), q @ q.conj().T / 2)
+    assert upper_bound_spectral(op)[0] <= 1.18
+
+
 @pytest.mark.parametrize("make", [
     lambda: _maximally_mixed(3), lambda: _maximally_mixed(4), lambda: _maximally_mixed(5),
     lambda: isotropic(0.2, 3), lambda: isotropic(0.5, 3), lambda: isotropic(0.3, 4),
@@ -1224,7 +1242,7 @@ def test_min_weight_lp_reports_an_infeasible_program(monkeypatch):
                         lambda atoms: np.zeros((len(atoms), op.shape.total ** 2)))
     res = robustness_upper(op, CFG)
     assert res.rounds_used == 1 and res.message.endswith("; LP failed: " + message)
-    assert res.value == hermitian_upper(op)[0]
+    assert res.value == hermitian_upper(op)[1].weight
 
 
 def _reference_column(atom):
@@ -1512,7 +1530,7 @@ def test_brackets_hold_at_the_edges_of_the_float_range(scale, which):
         elif name in ref:  # the product overflows
             assert value == (np.inf if up else np.finfo(float).max)
         if up:
-            assert value >= low * (1 - 1e-12)
+            assert value >= low
         if dec is not None and np.isfinite(value):
             report = validate_decomposition(op, dec)
             assert report.certifies_h_upper if name == "hermitian_upper" else report.valid
@@ -1547,6 +1565,45 @@ def test_bell_h_upper_is_at_least_the_exact_norm(scale):
     assert Fraction(nb.h_upper) >= exact_h
     assert Fraction(nb.pi_lower) <= 2 * exact_h / 3 <= Fraction(nb.pi_upper)
     assert nb.h_value() is None and nb.pi_value() == pytest.approx(2 * scale, rel=1e-12)
+
+
+def _rounding_operators() -> dict:
+    """Operators whose brackets pinch, so a bound that misses the outward
+    margin shows as one below a lower bound or below the exact norm."""
+    return {"bell": max_entangled(2),
+            "mixed-3x3": BipartiteOperator(BipartiteShape(3, 3), np.eye(9) / 9),
+            "random-2x2": random_density(BipartiteShape(2, 2), 1),
+            "isotropic-3": isotropic(0.5, 3)}
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1.0, 1.5e308])
+@pytest.mark.parametrize("name", ["bell", "mixed-3x3", "random-2x2", "isotropic-3"])
+def test_single_providers_round_outward_like_pi_bounds(name, scale):
+    """The single providers used to scale back with no outward margin:
+    upper_bound_spectral(Bell) read 1.9999999999999991, below both the float
+    matrix's exact norm 1.9999999999999996 and lower_bound_realignment's
+    1.9999999999999996, and upper_bound_realignment(I/9) read
+    0.9999999999999999, below its trace.  Now each returns, bit for bit, what
+    pi_bounds reports when its method wins there."""
+    from fractions import Fraction
+
+    base = _rounding_operators()[name]
+    op = BipartiteOperator(base.shape, base.matrix * scale)
+    ups = {"spectral": upper_bound_spectral(op)[0], "realignment": upper_bound_realignment(op)[0],
+           "signed": hermitian_upper(op)[0]}
+    lows = {"realignment": lower_bound_realignment(op),
+            "witness": lower_bound_witness(op, SeeSawConfig(seed=1))[0]}
+    assert max(lows.values()) <= min(ups.values())
+    tr = sum(Fraction(float(x.real)) for x in np.diag(op.matrix))
+    exact = {"bell": 2 * tr, "mixed-3x3": tr}.get(name)  # ||D||_pi of the float matrix
+    if exact is not None:
+        assert all(np.isinf(v) or Fraction(v) >= exact for v in ups.values())
+    nb = pi_bounds(op, SeeSawConfig(seed=1), include_robustness=False)
+    won = [(getattr(nb, key), ups[nb.methods[key]]) for key in ("pi_upper", "h_upper")
+           if nb.methods[key] in ups]
+    if nb.methods["pi_lower"] == "realignment":
+        won.append((nb.pi_lower, lows["realignment"]))
+    assert won and all(reported == single for reported, single in won)
 
 
 def test_pinch_tolerance_scales_with_the_operator():
@@ -1818,6 +1875,30 @@ def test_validate_detects_normalization_violation():
     rep = validate_decomposition(v.projector(), bad)
     assert not rep.valid
     assert any("normalization" in m or "reconstruction" in m for m in rep.messages)
+
+
+def test_validate_rejects_each_mutation_of_a_certificate():
+    """Every rejection of the validator, each from one mutation of a valid
+    certificate and each with its own message (a changed reconstruction
+    may add its own)."""
+    op = random_density(BipartiteShape(2, 2), 1)
+    signed, standard = hermitian_upper(op)[1], upper_bound_spectral(op)[1]
+    assert validate_decomposition(op, signed).valid and validate_decomposition(op, standard).valid
+    (t0, rho0, sig0), (t1, rho1, sig1), rest = *signed.terms[:2], signed.terms[2:]
+    first_two = {
+        "factor not PSD": [(t0, np.diag([2.0, -1.0]), sig0), (t1, rho1, sig1)],
+        "factor trace off by": [(t0, 1.1 * rho0, sig0), (t1, rho1, sig1)],
+        "zero weight term": [(0.0, rho0, sig0), (t1 + t0, rho1, sig1)],  # the same sum
+        "weights sum to trace off by": [(t0 + 1e-6, rho0, sig0), (t1, rho1, sig1)],
+    }
+    cases = {key: SignedDecomposition(terms + rest, op.shape) for key, terms in first_two.items()}
+    r0, x0, y0 = standard.terms[0]
+    cases["negative weight"] = StandardDecomposition([(-r0, x0, y0)] + standard.terms[1:],
+                                                     op.shape)
+    for expected, dec in cases.items():
+        rep = validate_decomposition(op, dec)
+        found = {key for key in cases if any(m.startswith(key) for m in rep.messages)}
+        assert rep.valid is False and found == {expected}, (expected, rep.messages)
 
 
 def test_validate_positive_decomposition_tags_optimal():

@@ -256,6 +256,17 @@ def test_classify_stdout(tmp_path, capsys):
     assert rep["results"]["detection_value"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_classify_reports_the_bounds_of_an_undecided_state(tmp_path):
+    from crossnorm import BipartiteShape, random_density
+
+    state_file, out = tmp_path / "rho.json", tmp_path / "classify.json"
+    state_file.write_text(json.dumps(to_state_dict(random_density(BipartiteShape(2, 3), 100))))
+    assert run(["classify", state_file, "--seed", 1, "--no-timestamp", "--json-out", out]) == 0
+    res = json.loads(out.read_text())["results"]
+    assert res["verdict"] == "Undecided"
+    assert res["bounds"]["pi_lower"] <= res["bounds"]["pi_upper"]
+
+
 @pytest.mark.parametrize("coeffs", [[0.8, 0.6], [0.8, 0.5, np.sqrt(0.11)],
                                     [0.6, 0.5, 0.5, np.sqrt(0.14)]])
 def test_witness_g_bracket_is_not_inverted(tmp_path, coeffs):

@@ -17,7 +17,7 @@ from crossnorm import (
     random_pure,
     schmidt_decompose,
 )
-from crossnorm.core import outward, rng_from_seed
+from crossnorm.core import rng_from_seed, scaled_outward
 from crossnorm.gnorm import _operator_schmidt_start
 
 CFG = SeeSawConfig(seed=101, restarts=8, max_iters=120)
@@ -266,7 +266,7 @@ def _reference_g_norm_seesaw(L, config):
     obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
     if abs(obj) > 0.0:
         phi = phi * (obj / abs(obj))
-    return dict(lower_bound=outward(best_val, L.shape.total, up=False), phi=phi, psi=psi,
+    return dict(lower_bound=scaled_outward(best_val, L.shape.total, 0, up=False), phi=phi, psi=psi,
                 eta=eta, chi=chi, best_restart=r, iterations_used=iters, converged=converged,
                 histories=histories)
 

@@ -129,6 +129,16 @@ def test_witness_check_flat_sum_on_bell():
     assert rep.w1 and rep.w2
 
 
+def test_witness_check_reads_the_exact_injective_norm_of_a_hermitian_rank_one_operator():
+    """A raw operator 2|c><c|: ||.||_G = 2 a_1(c)^2, read off its one eigenvector."""
+    c = random_pure(BipartiteShape(2, 3), seed=5)
+    op = BipartiteOperator(c.shape, 2 * np.outer(c.entries, c.entries.conj()))
+    rep = witness_check(op)
+    a1 = np.linalg.svd(c.as_matrix(), compute_uv=False)[0]
+    assert rep.g_norm_exact == pytest.approx(2 * a1**2, rel=1e-12)
+    assert rep.g_norm_certified_upper == rep.g_norm_exact < rep.operator_norm
+
+
 def test_witness_check_identity_is_not_a_witness():
     eye = BipartiteOperator(BipartiteShape(2, 2), np.eye(4, dtype=complex))
     rng = np.random.default_rng(5)
