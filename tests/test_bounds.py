@@ -1024,15 +1024,21 @@ def test_robustness_bell():
 
 def _record_ascent_calls(monkeypatch):
     """Route the product ascent ``bounds._product_ascent`` through a recorder
-    of (number of matrices, n_starts) per call."""
+    of every call: its matrices, rng, n_starts, iters, extra_starts and the
+    values it returns."""
+    from types import SimpleNamespace
+
     from crossnorm import bounds
 
     calls = []
     ascent = bounds._product_ascent
 
-    def recorded(mats, *args, **kwargs):
-        calls.append((len(mats), kwargs.get("n_starts", 5)))
-        return ascent(mats, *args, **kwargs)
+    def recorded(mats, shape, rng, **kwargs):
+        out = ascent(mats, shape, rng, **kwargs)
+        calls.append(SimpleNamespace(mats=mats, rng=rng, n_starts=kwargs.get("n_starts", 5),
+                                     iters=kwargs.get("iters", 40),
+                                     extra=kwargs.get("extra_starts"), vals=out[1]))
+        return out
 
     monkeypatch.setattr(bounds, "_product_ascent", recorded)
     return calls
@@ -1047,41 +1053,87 @@ def test_one_product_ascent_per_separable_fit_round(monkeypatch):
     op, _ = random_separable(BipartiteShape(2, 3), 5, seed=11)
     dec, rounds = separable_fit(op, SeeSawConfig(seed=1))
     assert dec is not None and validate_decomposition(op, dec).valid
-    assert calls == [(1, 5)] * (rounds - 1)
+    assert [(len(c.mats), c.n_starts, c.iters, c.extra) for c in calls] == \
+        [(1, 5, 40, None)] * (rounds - 1)
+
+
+def _found(call) -> bool:
+    """Whether a pricing call found a product state above 1 + PRICING_TOL."""
+    from crossnorm.bounds import PRICING_TOL
+
+    return float(np.abs(call.vals).max()) > 1.0 + PRICING_TOL
 
 
 def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch):
+    """Each round prices [Y, -Y] once in 5 steps from the lead start and at
+    most 8 of the LP's support atoms, those of positive weight on Y and
+    those of negative weight on -Y, with no random start; the 40-step
+    pricing runs only after a short one found nothing."""
     from crossnorm import bounds
 
     calls = _record_ascent_calls(monkeypatch)
     fit, lp, columns_of = bounds.separable_fit, bounds._min_weight_lp, bounds._columns
-    fits, phase_two, columns = [], [], []
+    fits, lps, columns = [], [], []
 
     def counted_fit(*args, **kwargs):
         fits.append(args)
         return fit(*args, **kwargs)
 
-    def lp_then_mark(a_mat, d, highs):
-        if not phase_two:
-            phase_two.append(len(calls))  # the ascent calls before the first LP
-        return lp(a_mat, d, highs)
+    def recorded_lp(a_mat, d, highs):
+        lps.append((len(calls), a_mat, lp(a_mat, d, highs)))  # the ascent calls before it
+        return lps[-1][2]
 
     def counted_columns(atoms):
         columns.extend(atoms)
         return columns_of(atoms)
 
     monkeypatch.setattr(bounds, "separable_fit", counted_fit)
-    monkeypatch.setattr(bounds, "_min_weight_lp", lp_then_mark)
+    monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     monkeypatch.setattr(bounds, "_columns", counted_columns)
     op = random_density(BipartiteShape(2, 2), 7)
-    res = bounds.robustness_upper(op, CFG, max_rounds=8)
+    res = bounds.robustness_upper(op, CFG)
     assert bounds._Analysis(op, CFG).npt
     assert fits == []  # phase 1 is skipped: no product mixture of an NPT state exists
-    assert res.rounds_used >= 3
-    rounds = calls[phase_two[0]:]
-    assert rounds == [(2, 4)] * len(rounds)  # [ymat, -ymat] together, four starts each
-    assert res.rounds_used - 1 <= len(rounds) <= res.rounds_used
+    assert "converged" in res.message and res.rounds_used == len(lps) >= 3
     assert len({id(a) for a in columns}) == len(columns)  # no atom's column is rebuilt
+    full = 0
+    for (first, a_mat, (_, t, _, _)), (end, *_) in zip(lps, lps[1:] + [(len(calls),)]):
+        short, *rest = calls[first:end]
+        assert len(short.mats) == 2 and np.array_equal(short.mats[1], -short.mats[0])
+        assert short.iters == 5 and short.n_starts == 1 and short.rng is None
+        assert sum(len(starts) for starts in short.extra) <= 8
+        for starts, sign in zip(short.extra, (1.0, -1.0)):  # each start is a signed support atom
+            for col in columns_of(starts) if starts else ():
+                k = np.flatnonzero(np.abs(a_mat.T - col).max(axis=1) <= 1e-12)
+                assert k.size and np.all(sign * t[k] > 0.0)
+        if rest:  # the full pricing: the same dual and starts, after a short one found nothing
+            (again,) = rest
+            full += 1
+            assert not _found(short) and again.iters == 40 and again.extra is short.extra
+            assert all(np.array_equal(a, b) for a, b in zip(again.mats, short.mats))
+    assert full >= 1
+
+
+@pytest.mark.parametrize("dh,dj,seed", [(2, 2, 7), (2, 3, 1)])
+def test_phase_two_converges_only_after_a_full_pricing_finds_nothing(monkeypatch, dh, dj, seed):
+    from crossnorm import bounds
+
+    calls = _record_ascent_calls(monkeypatch)
+    duals, lp = [], bounds._min_weight_lp
+
+    def recorded_lp(a_mat, d, highs):
+        out = lp(a_mat, d, highs)
+        duals.append(out[2])
+        return out
+
+    monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
+    res = bounds.robustness_upper(random_density(BipartiteShape(dh, dj), seed), CFG)
+    assert res.success and "converged" in res.message
+    short, full = calls[-2:]
+    assert (short.iters, full.iters) == (5, 40) and not _found(short) and not _found(full)
+    ymat = bounds._hermitian_from(duals[-1], dh * dj)  # the last LP's dual, priced both times
+    assert all(np.array_equal(c.mats[0], ymat) and np.array_equal(c.mats[1], -ymat)
+               for c in (short, full))
 
 
 # ---------------------------------------------------------------------------
@@ -1220,8 +1272,8 @@ def test_min_weight_lp_equals_linprog_bit_for_bit(monkeypatch, dh, dj, seed):
         return lps[-1][2]
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
-    robustness_upper(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
-    assert len(lps) >= 50
+    res = robustness_upper(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
+    assert len(lps) == res.rounds_used >= 25  # one LP per round, over a search of some length
     for a_mat, d, (ok, t, y, _) in lps:
         k = a_mat.shape[1]
         ref = linprog(c=np.ones(2 * k), A_eq=np.hstack([a_mat, -a_mat]), b_eq=d, bounds=(0, None),
@@ -1462,6 +1514,20 @@ def test_robustness_h_upper_no_looser_than_the_one_column_search(dh, dj, seed, p
     nb = pi_bounds(op, SeeSawConfig(seed=7))
     assert nb.methods["h_upper"] == "robustness" and nb.h_upper <= parent
     assert validate_decomposition(op, nb.certificates["h_upper"]).valid
+
+
+@pytest.mark.parametrize("dh,dj,seed,parent", [
+    (2, 2, 1, 1.0754586299746305), (2, 2, 8, 1.066320052231754),
+    (2, 3, 1, 1.1202267192316104), (2, 3, 2, 1.2921910587081082),
+    (2, 3, 100, 1.5328272773678628)])
+def test_robustness_value_no_looser_than_the_forty_step_pricing(dh, dj, seed, parent):
+    """``parent``: the value when every round priced from random starts to the
+    40-step cap; 2x3 seed 1 then ran out its 200 rounds."""
+    op = random_density(BipartiteShape(dh, dj), seed)
+    res = robustness_upper(op, SeeSawConfig(seed=7))
+    assert res.success and res.value <= parent * (1.0 + 1e-7)
+    assert "converged" in res.message
+    assert validate_decomposition(op, res.decomposition).valid
 
 
 @pytest.mark.parametrize("scale", [1e10, 1.0, 1e-10, 1e-13, 1e-16])
