@@ -5,21 +5,21 @@ private ``_Analysis``.  It divides D once by 2^k, k the integer nearest
 log2 ||D||_1 (:func:`core.unit_scale`, whose SVD also gives the unit trace
 norm), and computes the shared work on that unit operator at most once, on
 first use: the Hermitian, PSD and negative partial transpose (NPT) flags,
-which every input check reads, realignment bound, witness see-saw,
-spectral-Schmidt expansion and its signed atoms.  No kernel scales for
-itself: every bound reported for D, by ``pi_bounds`` or a single provider,
-passes one rounding rule, :meth:`_Analysis.reported`.
+which every input check reads, realignment bound, witness and product-mixture
+searches, spectral-Schmidt expansion and its signed atoms.  No kernel scales
+for itself: every bound reported for D, by ``pi_bounds`` or a single
+provider, passes one rounding rule, :meth:`_Analysis.reported`.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
-rank-one witness (:attr:`_Analysis.lower`); a witness see-saw that already
-ran in the analysis still counts.  Upper: the spectral-Schmidt and
-operator-Schmidt expansions, a signed decomposition over product densities,
-a robustness-style search for affine combinations of separable states, and
-supplied decompositions; non-Hermitian input is bounded through its two
-Hermitian parts.  Every bound carries a certificate that can be re-checked
-independently of how it was produced, and every reported bound is rounded
-outward by 4 n eps (relative) to cover floating-point error.
+rank-one witness (:attr:`_Analysis.lower`).  Upper: the spectral-Schmidt
+and operator-Schmidt expansions, a signed decomposition over product
+densities and a robustness-style search for affine combinations of separable
+states.  A witness or product mixture the analysis already found counts
+too.  Non-Hermitian input is bounded through its two Hermitian parts.
+Every bound carries a certificate that can be re-checked independently of
+how it was produced, and every reported bound is rounded outward by 4 n eps
+(relative) to cover floating-point error.
 
 The signed decomposition is closed form (:func:`_signed_atoms`), and its
 atoms also start the robustness search.  The witness see-saw is projected
@@ -32,14 +32,14 @@ NumPy's LAPACK driver for ``eigh`` directly (:func:`_eigh`).  Both searches
 share one column format, :func:`_embed_hermitian` of the stack of entering
 atoms' densities (:func:`_columns`), so residuals come from the columns and
 no product matrix is kept, and either returns a mixture only after it
-reconstructs the target to VALIDATE_TOL in trace norm.  ``separable_fit``
-also moves its weighted atoms by Levenberg-Marquardt on the factors of the
-mixture (:func:`_polish_mixture`), which ends Frank-Wolfe's slow tail on
-the boundary of the separable set.  Phase 2 solves each
-round's linear program cold through scipy's bundled HiGHS, called directly
-(:func:`_min_weight_lp`): the constraint matrix goes over as CSC arrays,
-into one HiGHS workspace per search that is cleared before every solve and
-dropped with the search.
+reconstructs the target to VALIDATE_TOL in trace norm, within MAX_ROUNDS
+rounds.  ``separable_fit`` also moves its weighted atoms by
+Levenberg-Marquardt on the factors of the mixture (:func:`_polish_mixture`),
+which ends Frank-Wolfe's slow tail on the boundary of the separable set.
+Phase 2 solves each round's linear program cold through scipy's bundled
+HiGHS, called directly (:func:`_min_weight_lp`): the constraint matrix goes
+over as CSC arrays, into one HiGHS workspace per search that is cleared
+before every solve and dropped with the search.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
@@ -88,6 +88,7 @@ from .gnorm import SeeSawConfig, g_norm_rank_one
 VALIDATE_TOL = 1e-8
 PINCH_TOL = 1e-6
 PRICING_TOL = 1e-7  # the signed search stops when no product state prices above 1 + this
+MAX_ROUNDS = 200  # rounds of each mixture search, separable_fit and robustness phase 2
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,6 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
     bases over Bell bases inside maximally mixed blocks).
     """
     b = block.shape[1]
-    if b < 2:
-        return block
     block = block @ _pivoted_rotation(block)
     dh, dj = shape.dh, shape.dj
     cols = [block[:, j].copy() for j in range(b)]
@@ -666,7 +665,7 @@ def _atom_budget(n: int) -> int:
     return max(64, n * n + 32)
 
 
-def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200):
+def separable_fit(op: BipartiteOperator, config: SeeSawConfig):
     """Nonnegative product-mixture fit of a (candidate separable) operator.
 
     Fully corrective Frank-Wolfe with drop steps and a local step, the
@@ -678,15 +677,15 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
     atoms themselves by Levenberg-Marquardt, and the moved atoms, refit by
     NNLS, replace the dictionary when their trace-norm error is lower; this
     ends Frank-Wolfe's slow tail on the curved faces of the separable set.
-    Then every
-    distinct local maximum of the product ascent on the residual above
-    1e-13 ||D||_1 enters, largest first.  NNLS keeps linearly independent
-    columns, so the dictionary never holds more than n^2 atoms plus one
-    round's five fresh ones, within :func:`_atom_budget`.  Succeeds when the
-    mixture reconstructs ``op`` to VALIDATE_TOL in trace norm relative to
-    the target's (1 for the zero operator); every weight cutoff is relative
-    to it too.  The fit runs on the unit operator of ``op``
-    (:class:`_Analysis`), and the mixture is scaled back.
+    Then every distinct local maximum of the product ascent on the residual
+    above 1e-13 ||D||_1 enters, largest first.  NNLS keeps linearly
+    independent columns, so the dictionary never holds more than n^2 atoms
+    plus one round's five fresh ones, within :func:`_atom_budget`.  Succeeds
+    when the mixture reconstructs ``op`` to VALIDATE_TOL in trace norm
+    relative to the target's (1 for the zero operator) within MAX_ROUNDS
+    rounds; every weight cutoff is relative to it too.  The fit runs on the
+    unit operator of ``op`` (:class:`_Analysis`), and the mixture is scaled
+    back; its weight is unrounded: :func:`pi_bounds` rounds it outward.
     """
     an = _Analysis(op, config)
     op, rng, n = an.unit, rng_from_seed(config.seed), op.shape.total
@@ -698,7 +697,7 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int =
 
     rounds = 0
     recent = []
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         weights, residual, err = _nnls_fit(cols, d, n, tn_target)
         if VALIDATE_TOL < err <= 0.1:
             polished = _polished_atoms(atoms, weights, d, op.shape.dh, cut)
@@ -800,7 +799,7 @@ def _polish_mixture(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
     rows z_k = (u_k, v_k), returning the best rows found.
 
     Each of at most _POLISH_STEPS iterations takes one ``np.linalg.solve``
-    in the smaller of the residual length n^2 and the parameter count p:
+    in the residual length n^2, mostly below the parameter count p:
     (J^T J + lam I)^-1 J^T r = J^T (J J^T + lam I)^-1 r.  A step is taken
     only if it lowers the residual; then lam falls by 3 and J is rebuilt,
     else lam doubles.  lam starts at 1e-3 of J^T J's mean diagonal, which
@@ -810,14 +809,12 @@ def _polish_mixture(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
     for _ in range(_POLISH_STEPS):
         if jt is None:
             jt = _mixture_jacobian(z, dh).reshape(-1, r.size)
-            dual = jt.shape[0] > r.size
-            gram, rhs = (jt.T @ jt, r) if dual else (jt @ jt.T, jt @ r)
+            gram = jt.T @ jt
             diag = gram.diagonal().copy()
             if lam is None:  # tr(J J^T) = tr(J^T J)
                 lam = 1e-3 * diag.sum() / len(jt)
         gram.flat[::len(gram) + 1] = diag + lam  # the damped Gram matrix, in place
-        sol = np.linalg.solve(gram, rhs)
-        step = (jt @ sol if dual else sol).reshape(len(z), 2, -1)
+        step = (jt @ np.linalg.solve(gram, r)).reshape(len(z), 2, -1)
         trial = z - (step[:, 0] + 1j * step[:, 1])
         r_new = _mixture_residual(trial, dh, d)
         c_new = r_new @ r_new
@@ -910,13 +907,12 @@ def _prune(weights: np.ndarray, budget: int) -> np.ndarray:
     return np.sort(order[:budget])
 
 
-def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
-                     max_rounds: int = 200) -> RobustnessResult:
+def robustness_upper(op: BipartiteOperator, config: SeeSawConfig) -> RobustnessResult:
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
-    Phase 1 tries a pure nonnegative product-mixture fit (alpha = 1),
-    unless ``_Analysis.npt`` rules such a mixture out.  Phase 2 is column
-    generation for the weight-minimizing signed combination.  The dictionary
+    Phase 1 is the product-mixture search (alpha = 1), which
+    ``_Analysis.npt`` may rule out.  Phase 2 is column generation for the
+    weight-minimizing signed combination.  The dictionary
     starts from the atoms of the signed decomposition of
     :func:`hermitian_upper` (so the result never exceeds its weight), then
     the local eigenbasis products.  Each round solves the l1-minimal
@@ -933,7 +929,7 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     first, then the newest (an atom with weight is never dropped).  When
     the short pricing finds nothing, the same starts run to 40 steps, and
     the search stops as converged only if that finds nothing either; it
-    also stops after ``max_rounds`` or when the LP fails, and its
+    also stops after MAX_ROUNDS rounds or when the LP fails, and its
     ``message`` says which.
 
     Failure to reach reconstruction tolerance returns an explicit
@@ -944,21 +940,20 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig,
     an = _Analysis(op, config)
     if not an.psd:
         raise ValueError("robustness_upper expects a (near-)density operator")
-    res = _robustness(an, max_rounds)
+    res = _robustness(an)
     if res.success:
         res.decomposition = res.decomposition.scaled(an.k)
     return res
 
 
-def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
+def _robustness(an: _Analysis) -> RobustnessResult:
     """:func:`robustness_upper` with its decomposition left at unit scale."""
-    op, config, shape, n = an.unit, an.config, an.op.shape, an.op.shape.total
+    op, shape, n = an.unit, an.op.shape, an.op.shape.total
     tn_lp = an.trace_norm or 1.0
 
-    if not an.npt:
-        mixture, rounds1 = separable_fit(op, config, max_rounds)
-        if mixture is not None:  # weight equals the trace; 1 for a density
-            return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
+    mixture, rounds1 = an.mixture
+    if mixture is not None:  # weight equals the trace; 1 for a density
+        return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
@@ -970,8 +965,8 @@ def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
     cut = 1e-12 * tn_lp
     budget = _atom_budget(n)
     best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
-    rounds, stop = 0, f"max_rounds ({max_rounds}) exhausted"
-    for rounds in range(1, max_rounds + 1):
+    rounds, stop = 0, f"max_rounds ({MAX_ROUNDS}) exhausted"
+    for rounds in range(1, MAX_ROUNDS + 1):
         a_mat = cols.T.copy()
         ok, t, y, message = _min_weight_lp(a_mat, d, highs)
         if not ok:
@@ -998,7 +993,7 @@ def _robustness(an: _Analysis, max_rounds: int = 200) -> RobustnessResult:
         if gain <= 1.0 + PRICING_TOL:
             stop = f"converged: pricing gain {gain:.10f} <= 1 + {PRICING_TOL:g}"
             break
-        stop = f"max_rounds ({max_rounds}) exhausted, last pricing gain {gain:.10f}"
+        stop = f"max_rounds ({MAX_ROUNDS}) exhausted, last pricing gain {gain:.10f}"
         fresh = _distinct_atoms(np.abs(vals), phis, psis, 1.0 + PRICING_TOL)
         if len(atoms) + len(fresh) > budget:
             keep = _prune(np.abs(t), max(budget - len(fresh), int(np.count_nonzero(t))))
@@ -1037,9 +1032,9 @@ class _Analysis:
     ``unit`` is the operator divided by 2^k (:func:`core.unit_scale`), and
     every attribute below is about it.  Every bound reported for the
     operator leaves through :meth:`reported`, decompositions through their
-    ``scaled(k)``.  Each attribute is computed at most once, on first use;
-    the trace norm comes with the scale.  An analysis serves one top-level
-    call; nothing is stored on the operator.  ``config`` seeds the searches
+    ``scaled(k)``.  Each attribute, each search too, is computed at most
+    once, on first use; the trace norm comes with the scale.  An analysis
+    serves one top-level call; nothing is stored on the operator.  ``config`` seeds the searches
     and may be None where none runs.
     """
 
@@ -1107,6 +1102,11 @@ class _Analysis:
         return max(lows, key=lambda p: p[0])
 
     @cached_property
+    def mixture(self) -> tuple:
+        """:func:`separable_fit` of ``unit``, or (None, 0) when :attr:`npt` rules it out."""
+        return (None, 0) if self.npt else separable_fit(self.unit, self.config)
+
+    @cached_property
     def spectral(self) -> list:
         return _spectral_schmidt(self.unit)
 
@@ -1119,27 +1119,25 @@ class _Analysis:
     def signed(self) -> SignedDecomposition:
         return _decomposition_from(*self.signed_atoms, self.op.shape, cutoff=0.0)
 
-    def bounds(self, include_robustness: bool = True,
-               extra_decompositions: tuple = ()) -> NormBounds:
-        """The brackets :func:`pi_bounds` reports, from the provider lists."""
-        op, unit = self.op, self.unit
+    def bounds(self, include_robustness: bool = True) -> NormBounds:
+        """The brackets :func:`pi_bounds` reports, from the provider lists; a
+        mixture found here already counts, after the robustness search,
+        which returns the same mixture and so wins the tie."""
         if not self.hermitian:
-            value, dec = _hermitian_split_upper(unit)
+            value, dec = _hermitian_split_upper(self.unit)
             split = (value, "hermitian_split", dec)
             return self.norm_bounds({"pi_lower": self.lower, "pi_upper": split}, indirect=True)
 
-        us, dec_s = _spectral_standard(self.spectral, op.shape)
-        ur, dec_r = _realignment_upper(unit)
+        us, dec_s = _spectral_standard(self.spectral, self.op.shape)
+        ur, dec_r = _realignment_upper(self.unit)
         ups = [(us, "spectral", dec_s), (ur, "realignment", dec_r),
                (self.signed.weight, "signed", self.signed)]
         if include_robustness and self.psd:
             rb = _robustness(self)
             if rb.success:
                 ups.append((rb.decomposition.weight, "robustness", rb.decomposition))
-        for dec in extra_decompositions:  # supplied at the operator's scale
-            if validate_decomposition(op, dec).valid:
-                dec = dec.scaled(-self.k)
-                ups.append((dec.weight, "supplied", dec))
+        if "mixture" in vars(self) and self.mixture[0] is not None:
+            ups.append((self.mixture[0].weight, "separable_fit", self.mixture[0]))
         up, low = min(ups, key=lambda p: p[0]), self.lower
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
@@ -1175,27 +1173,23 @@ def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
     return up, StandardDecomposition(terms, op.shape)
 
 
-def pi_bounds(
-    op: BipartiteOperator,
-    config: SeeSawConfig,
-    include_robustness: bool = True,
-    extra_decompositions: tuple = (),
-) -> NormBounds:
+def pi_bounds(op: BipartiteOperator, config: SeeSawConfig,
+              include_robustness: bool = True) -> NormBounds:
     """Certified projective / Hermitian-norm brackets for an operator.
 
     Lower: max of trace norm and realignment, which no rank-one witness
     exceeds (see :attr:`_Analysis.lower`), so no witness search runs.
     Upper: min over the spectral-Schmidt, operator-Schmidt and signed
-    certificates, the robustness search when asked for, and the supplied
-    decompositions that validate (a signed decomposition is also a standard
+    certificates and the robustness search when asked for, whose phase 1 is
+    the product-mixture search (a signed decomposition is also a standard
     one, so its weight bounds both norms).  Non-Hermitian input keeps the
     same lower bounds; its upper bound splits it into Hermitian parts,
     bounded by the triangle inequality, and is flagged ``indirect``.
     """
-    return _Analysis(op, config).bounds(include_robustness, extra_decompositions)
+    return _Analysis(op, config).bounds(include_robustness)
 
 
-def ent(op: BipartiteOperator, config: SeeSawConfig, **kwargs) -> NormBounds:
+def ent(op: BipartiteOperator, config: SeeSawConfig, include_robustness: bool = True) -> NormBounds:
     """Entanglement-function bounds for a density operator.
 
     At finite dimension every state has finite entanglement equal to its
@@ -1207,7 +1201,7 @@ def ent(op: BipartiteOperator, config: SeeSawConfig, **kwargs) -> NormBounds:
     an = _Analysis(op, config)
     if not an.density:
         raise ValueError("ent expects a density operator (PSD, unit trace)")
-    return an.bounds(**kwargs)
+    return an.bounds(include_robustness)
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,8 @@ def cmd_sweep(args) -> int:
         for p in _parse_grid(_require(args.p, "--p")):
             op = isotropic(p, d)
             an = _Analysis(op, cfg)  # one see-saw for all columns; a density's k is 0
-            cls = _classify(an)  # Undecided carries its bounds; Separable's mixture certifies 1
-            mixture = (cls.certificate,) if cls.verdict == "Separable" else ()
-            nb = cls.bounds or an.bounds(include_robustness=False, extra_decompositions=mixture)
+            cls = _classify(an)  # Undecided carries its bounds; a found mixture counts in an.bounds
+            nb = cls.bounds or an.bounds(include_robustness=False)
             rows.append(
                 {
                     "p": p,

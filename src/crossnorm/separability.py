@@ -24,7 +24,6 @@ from .bounds import (
     SignedDecomposition,
     _Analysis,
     pi_bounds,  # unused here; the benchmark's tests patch and restore separability.pi_bounds
-    separable_fit,
     witness_value,
 )
 from .core import (
@@ -192,7 +191,7 @@ def _certify_g_upper(op: BipartiteOperator):
 # classification
 
 
-def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200) -> Classification:
+def classify(op: BipartiteOperator, config: SeeSawConfig) -> Classification:
     """Extended Cross Norm Criterion verdict with certificate.
 
     Separable is tried first (product-mixture search with weight one),
@@ -201,15 +200,15 @@ def classify(op: BipartiteOperator, config: SeeSawConfig, max_rounds: int = 200)
     carrying the norm bounds.  Verdicts are never guessed inside the
     PINCH_TOL band around one.
     """
-    return _classify(_Analysis(op, config), max_rounds)
+    return _classify(_Analysis(op, config))
 
 
-def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
+def _classify(an: _Analysis) -> Classification:
     """:func:`classify` over an analysis the caller may read further; the
-    witness, the realignment bound and the Undecided bounds all come from it.
+    product mixture, the witness, the realignment bound and the Undecided
+    bounds all come from it, so its later ``bounds`` count the mixture.
     Only densities get past the first check, and their k is 0: the analysis'
     unit values are the state's own."""
-    op, config = an.op, an.config
     if not an.density:
         raise ValueError("classify expects a density operator")
 
@@ -218,8 +217,8 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     # tried first: a validated one and a witness above one cannot both
     # exist, and on separable states the mixture skips the witness search
     realign_low = an.realignment_lower
-    if not an.npt and realign_low <= 1.0 + PINCH_TOL:
-        mixture, rounds = separable_fit(op, config, max_rounds=max_rounds)
+    if realign_low <= 1.0 + PINCH_TOL:
+        mixture, rounds = an.mixture  # (None, 0) when the partial transpose rules it out
         if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
             return Classification(
                 verdict="Separable",
@@ -233,7 +232,7 @@ def _classify(an: _Analysis, max_rounds: int = 200) -> Classification:
     q, c = an.witness if realign_low > 1.0 else (realign_low, None)
     if q > 1.0 + PINCH_TOL:
         cert = witness_from_vector(c)
-        detection = witness_value(op, cert.vector)
+        detection = witness_value(an.op, cert.vector)
         if detection > 1.0 + 1e-9:
             return Classification(
                 verdict="Entangled",

@@ -2,13 +2,14 @@
 
 Block families carry a block-diagonal operator D_N = sum_{l<=N} w_l D_l
 with D_l maximally entangled on H (x) J_l over disjoint J index ranges.
-Lower bounds on the projective norm of D_N are evaluated blockwise, so the
-growth can be followed far beyond the sizes where the dense matrix fits.
+Lower bounds on the projective norm of D_N are evaluated blockwise, with no
+dense matrix, up to VECTOR_CUTOFF entries of the certificate vector (N = 6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .gnorm import g_norm_rank_one
 from .separability import pure_with_schmidt
 
 DENSE_CUTOFF = 512
+VECTOR_CUTOFF = 2**25  # entries of a truncation's dense vector
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class BlockFamily:
         if not 1 <= l <= n:
             raise ValueError(f"level must lie in [1, {n}]")
         shape = self.shape(n)
+        if shape.total > VECTOR_CUTOFF:
+            raise ValueError(f"{shape.total} vector entries exceed the cutoff {VECTOR_CUTOFF}")
         off = self.offsets(n)[l - 1]
         _, m = self.levels[l - 1]
         vec = np.zeros(shape.total, dtype=complex)
@@ -143,7 +147,10 @@ def divergent_lower_bound(family: BlockFamily, n: int) -> DivergenceBound:
     """
     family._check_n(n)
     products = [w * m for w, m in family.levels[:n]]
-    lemosd = sum(products) / n
+    exact = sum(Fraction(w) * m for w, m in family.levels[:n]) / n
+    lemosd = float(exact)  # the nearest float; the one below it when that is above
+    if Fraction(lemosd) > exact:
+        lemosd = float(np.nextafter(lemosd, -np.inf))
     best_block = int(np.argmax(products)) + 1
     witness = products[best_block - 1]
 

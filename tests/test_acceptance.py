@@ -102,7 +102,7 @@ def test_criterion_3_separable_branch():
     for i, (dh, dj) in enumerate(shapes):
         op, _ = random_separable(BipartiteShape(dh, dj), 2 + i % 7, seed=12_000 + i)
         cfg = SeeSawConfig(seed=13_000 + i, restarts=4, max_iters=40)
-        cls = classify(op, cfg, max_rounds=300)
+        cls = classify(op, cfg)
         if cls.verdict != "Separable":
             failures.append(f"state {i} ({dh}x{dj}): {cls.verdict}")
             continue
@@ -123,7 +123,7 @@ def test_criterion_4_two_qubit_oracle_consistency():
         cfg = SeeSawConfig(seed=15_000 + i, restarts=4, max_iters=40)
         ppt = ppt_oracle(op)
         realign_low = lower_bound_realignment(op)
-        cls = classify(op, cfg, max_rounds=60)
+        cls = classify(op, cfg)
         if ppt.is_ppt:
             if cls.verdict == "Entangled":
                 failures.append(f"state {i}: Entangled verdict on PPT state")

@@ -741,7 +741,7 @@ def test_separable_mixture_certifies_unit_h_norm():
     rep = validate_decomposition(op, mixture)
     assert rep.valid and rep.certifies_h_upper and rep.positive and rep.optimal
     assert rep.weight == pytest.approx(1.0, abs=1e-10)
-    nb = pi_bounds(op, CFG, include_robustness=False, extra_decompositions=(mixture,))
+    nb = pi_bounds(op, CFG)  # robustness phase 1 finds a mixture of weight one
     assert nb.h_upper <= 1.0 + 1e-8
 
 
@@ -872,10 +872,10 @@ def test_separable_fit_certifies_the_isotropic_qubit_boundary_state(seed):
 def test_separable_fit_does_not_raise_on_a_degenerate_target(seed):
     """NNLS at scipy's default iteration limit raised RuntimeError in rounds
     34, 56 and 60 on this state at seeds 1-3."""
-    from crossnorm.bounds import separable_fit
+    from crossnorm.bounds import MAX_ROUNDS, separable_fit
 
-    dec, rounds = separable_fit(isotropic(0.25, 3), SeeSawConfig(seed=seed), max_rounds=60)
-    assert rounds == 60 or dec is not None
+    dec, rounds = separable_fit(isotropic(0.25, 3), SeeSawConfig(seed=seed))
+    assert rounds == MAX_ROUNDS or dec is not None
 
 
 def test_separable_fit_certifies_the_separable_gallery():
@@ -953,8 +953,8 @@ def test_polish_never_raises_the_residual(monkeypatch, steps):
 
 @pytest.mark.parametrize("dh,dj,k", [(3, 3, 4), (2, 2, 3)])
 def test_polish_repeats_itself(dh, dj, k):
-    """Both the parameter-space solve (3x3: p = 48 <= n^2 = 81) and the
-    residual-space one (2x2: p = 24 > 16)."""
+    """The one residual-space solve, with fewer parameters than residuals
+    (3x3: p = 48 <= n^2 = 81) and with more (2x2: p = 24 > 16)."""
     from crossnorm.bounds import _mixture_residual, _polish_mixture
 
     z, d = _polish_problem(dh, dj, k, 3)
@@ -1242,8 +1242,9 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
         return lp(a_mat, d, highs)
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
+    monkeypatch.setattr(bounds, "MAX_ROUNDS", 1)
     op = random_density(BipartiteShape(2, 2), 7)
-    robustness_upper(op, CFG, max_rounds=1)
+    robustness_upper(op, CFG)
     atoms = bounds._Analysis(op, CFG).signed_atoms[0] + bounds._seed_atoms(op)
     a_mat = bounds._columns(atoms).T
     assert np.array_equal(first[0], a_mat)
@@ -1494,13 +1495,16 @@ def test_pinched_bracket_keeps_a_finished_witness():
     assert an.bounds(include_robustness=False).methods["pi_lower"] == "witness"
 
 
-def test_phase_two_says_why_it_stopped():
+def test_phase_two_says_why_it_stopped(monkeypatch):
+    from crossnorm import bounds
+
     op = random_density(BipartiteShape(2, 2), 1)
     res = robustness_upper(op, SeeSawConfig(seed=7))
     assert res.success and res.message.startswith("signed decomposition found; converged")
     gain = float(res.message.split("pricing gain ")[1].split()[0])
     assert gain <= 1.0 + 1e-7
-    res = robustness_upper(op, SeeSawConfig(seed=7), max_rounds=3)
+    monkeypatch.setattr(bounds, "MAX_ROUNDS", 3)
+    res = robustness_upper(op, SeeSawConfig(seed=7))
     assert res.rounds_used == 3
     assert "max_rounds (3) exhausted" in res.message and "converged" not in res.message
 
@@ -1852,7 +1856,9 @@ def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
     assert classify(rho, cfg).verdict == "Undecided" and calls == []
 
     op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
-    cls = classify(op, cfg, max_rounds=1)
+    with monkeypatch.context() as patched:
+        patched.setattr(bounds, "MAX_ROUNDS", 1)
+        cls = classify(op, cfg)
     assert cls.verdict == "Undecided"
     nb = pi_bounds(op, cfg, include_robustness=False)
     pi_bounds(op, cfg)
@@ -1872,12 +1878,24 @@ def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
             assert mine.to_dict() == cert.to_dict()
 
 
-def test_pi_bounds_user_decomposition_tightens():
-    op, mixture = random_separable(BipartiteShape(2, 2), 3, seed=53)
-    loose = pi_bounds(op, CFG, include_robustness=False)
-    tight = pi_bounds(op, CFG, include_robustness=False, extra_decompositions=(mixture,))
-    assert tight.pi_upper <= loose.pi_upper + 1e-12
-    assert tight.pi_upper == pytest.approx(1.0, abs=1e-9)
+def test_one_mixture_search_per_analysis(monkeypatch):
+    """classify, the bounds and the robustness search share one separable_fit,
+    and the bounds count classify's mixture without validating it again."""
+    from crossnorm import bounds
+    from crossnorm.separability import _classify
+
+    fits, validations = [], []
+    fit, validate = bounds.separable_fit, bounds.validate_decomposition
+    monkeypatch.setattr(bounds, "separable_fit", lambda *a: fits.append(a) or fit(*a))
+    monkeypatch.setattr(bounds, "validate_decomposition",
+                        lambda *a: validations.append(a) or validate(*a))
+    an = bounds._Analysis(isotropic(0.25, 2), CFG)
+    cls = _classify(an)
+    assert cls.verdict == "Separable"
+    nb = an.bounds(include_robustness=False)
+    assert nb.pi_upper <= 1.0 + 1e-12 and nb.methods["pi_upper"] == "separable_fit"
+    assert bounds._robustness(an).decomposition is cls.certificate is an.mixture[0]
+    assert len(fits) == 1 and validations == []
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,14 @@ def test_sweep_divergence_csv(tmp_path):
     assert seedless.read_bytes() == out.read_bytes()
 
 
+def test_sweep_divergence_above_the_vector_cutoff_is_input_error(monkeypatch, tmp_path):
+    from crossnorm import truncation
+
+    monkeypatch.setattr(truncation, "VECTOR_CUTOFF", 1000)  # N = 3 needs 5376 entries
+    assert run(["sweep", "divergence", "--levels", 3, "--csv-out", tmp_path / "div.csv"]) == 1
+    assert run(["sweep", "divergence", "--levels", 2, "--csv-out", tmp_path / "div.csv"]) == 0
+
+
 def test_sweep_missing_args_is_input_error(tmp_path):
     assert run(["sweep", "isotropic", "--seed", 1]) == 1  # missing --csv-out/--d
     assert run(["sweep", "isotropic", "--d", 2, "--p", "0:1:0.5",

@@ -79,10 +79,10 @@ def test_classify_requires_density():
 
 @pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3)])
 def test_classify_skips_the_product_search_on_an_npt_state(monkeypatch, dh, dj):
-    from crossnorm import separability
+    from crossnorm import bounds
 
     fits = []
-    monkeypatch.setattr(separability, "separable_fit", lambda *a, **k: fits.append(a))
+    monkeypatch.setattr(bounds, "separable_fit", lambda *a, **k: fits.append(a))
     op = random_density(BipartiteShape(dh, dj), 0)  # no witness or realignment detects it
     cls = classify(op, CFG)
     assert cls.verdict == "Undecided"
@@ -108,7 +108,7 @@ def test_classify_2x2_consistency_smoke():
     # soundness on a small batch; the acceptance suite runs 500
     for i in range(40):
         op = random_density(BipartiteShape(2, 2), seed=900 + i)
-        cls = classify(op, CFG, max_rounds=60)
+        cls = classify(op, CFG)
         ppt = ppt_oracle(op)
         if cls.verdict == "Entangled":
             assert not ppt.is_ppt

@@ -1,5 +1,8 @@
 """Block families, divergence bounds, blockwise-vs-dense agreement."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,32 @@ def test_lemosd_bounds_match_closed_form():
         b = divergent_lower_bound(PAPER_PRESET, n)
         assert abs(b.lemosd_bound - (2 ** (n + 1) - 2) / n) <= 1e-12
         assert abs(b.lemosd_bound - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lemosd_bound_is_at_or_below_the_exact_mean(n):
+    """(2^(N+1) - 2) / N rounded down, within one ulp: at N = 3 it read
+    4.666666666666667, above 14/3.  Blocks w_l = 1/8, m_l = 2^(l+3) have the
+    paper preset's products w_l m_l = 2^l, so N = 6 costs 0.5 M entries, not
+    the preset's 22 M."""
+    exact = Fraction(2 ** (n + 1) - 2, n)
+    fam = BlockFamily(tuple((0.125, 2 ** (l + 3)) for l in range(1, 7)))
+    x = divergent_lower_bound(fam, n).lemosd_bound
+    assert Fraction(x) <= exact < Fraction(x) + Fraction(math.ulp(x))
+    if n <= 3:
+        assert divergent_lower_bound(PAPER_PRESET, n).lemosd_bound == x == \
+            (2.0, 3.0, 4.666666666666666)[n - 1]
+
+
+def test_truncation_vector_refused_above_the_cutoff(monkeypatch):
+    from crossnorm import truncation
+
+    monkeypatch.setattr(truncation, "VECTOR_CUTOFF", 1000)
+    assert divergent_lower_bound(PAPER_PRESET, 2).witness_bound == 4.0  # 16 x 20 = 320 entries
+    with pytest.raises(ValueError, match="5376 vector entries"):
+        PAPER_PRESET.block_vector(1, 3)  # 64 x 84
+    with pytest.raises(ValueError, match="exceed the cutoff 1000"):
+        divergent_lower_bound(PAPER_PRESET, 3)
 
 
 def test_witness_bounds_double():
