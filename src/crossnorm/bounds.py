@@ -21,8 +21,11 @@ Every bound carries a certificate that can be re-checked independently of
 how it was produced, and every reported bound is rounded outward by 4 n eps
 (relative) to cover floating-point error.
 
-The signed decomposition is closed form (:func:`_signed_atoms`), and its
-atoms also start the robustness search.  The witness see-saw is projected
+The spectral-Schmidt, signed (:func:`_signed_atoms`) and operator-Schmidt
+certificates are closed form, each built by broadcasts over stacked arrays
+with the arithmetic and term order of a loop over its terms.  Every atom
+set is a pair of stacks (phis, psis), and the signed atoms also start the
+robustness search.  The witness see-saw is projected
 power iteration on co-isometries (:func:`_witness_seesaw`); only PSD
 operators reach it, from ``classify``, the CLI isotropic sweep and
 :func:`lower_bound_witness`.  The product-state ascent
@@ -51,7 +54,7 @@ the Hermitian norm; the robustness search and ``separable_fit`` return it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 from scipy.linalg import qr
@@ -78,7 +81,7 @@ from .core import (
     rng_from_seed,
     operator_schmidt,
     scaled_outward,
-    schmidt_decompose,
+    schmidt_forms,
     trace_norm,
     unit_scale,
     _fix_phases,
@@ -287,18 +290,16 @@ def _pivoted_rotation(block: np.ndarray) -> np.ndarray:
 
 
 def _spectral_schmidt(op: BipartiteOperator):
-    """Eigen-decompose and Schmidt-decompose each eigenvector.
-
-    Degenerate blocks are rotated toward product bases first.  Returns a
-    list of (eigenvalue, SchmidtForm) with negligible eigenvalues dropped.
-    """
+    """Eigen-decompose, then Schmidt-decompose the eigenvectors all at once
+    (:func:`core.schmidt_forms`), degenerate blocks rotated toward product bases
+    first: (eigenvalue, SchmidtForm) pairs, negligible eigenvalues dropped."""
     w, u, blocks = eigh_blocks(op.matrix)
     cut = 1e-13 * np.abs(w).max(initial=0.0)
     for blk in blocks:
         if blk.stop - blk.start > 1 and abs(w[blk.start]) > cut:
             u[:, blk] = _productize_block(u[:, blk], op.shape)
-    return [(float(w[j]), schmidt_decompose(BipartiteVector(op.shape, u[:, j])))
-            for j in range(w.size) if abs(w[j]) > cut]
+    kept = np.flatnonzero(np.abs(w) > cut)
+    return [(float(w[j]), sf) for j, sf in zip(kept, schmidt_forms(u[:, kept].T, op.shape))]
 
 
 def upper_bound_spectral(op: BipartiteOperator):
@@ -316,18 +317,18 @@ def upper_bound_spectral(op: BipartiteOperator):
 
 
 def _spectral_standard(spectral: list, shape: BipartiteShape):
-    """Weight and standard decomposition of a spectral-Schmidt expansion."""
+    """Weight and standard decomposition of a spectral-Schmidt expansion; each
+    lam gives |lam| a_k a_l, sign(lam) u_k u_l^dag (x) v_k v_l^dag in one broadcast."""
     terms = []
     value = 0.0
     for lam, sf in spectral:
-        a = sf.coefficients
+        a, lv, rv = sf.coefficients, sf.left_vectors, sf.right_vectors
         value += abs(lam) * float(a.sum() ** 2)
         sgn = 1.0 if lam >= 0 else -1.0
-        for k in range(sf.rank):
-            for l in range(sf.rank):
-                x = sgn * np.outer(sf.left_vectors[k], sf.left_vectors[l].conj())
-                y = np.outer(sf.right_vectors[k], sf.right_vectors[l].conj())
-                terms.append((abs(lam) * a[k] * a[l], x, y))
+        xs = sgn * (lv[:, None, :, None] * lv.conj()[None, :, None, :])
+        ys = rv[:, None, :, None] * rv.conj()[None, :, None, :]
+        terms += zip((abs(lam) * a[:, None] * a[None, :]).ravel(),
+                     xs.reshape(-1, shape.dh, shape.dh), ys.reshape(-1, shape.dj, shape.dj))
     return value, StandardDecomposition(terms, shape)
 
 
@@ -345,23 +346,20 @@ def upper_bound_realignment(op: BipartiteOperator):
 
 
 def _realignment_upper(op: BipartiteOperator) -> tuple:
-    """:func:`upper_bound_realignment` of a unit operator."""
+    """:func:`upper_bound_realignment` of a unit operator; the trace norms of
+    all G_k, and of all H_k, come from one stacked values-only SVD each."""
     form = operator_schmidt(op)
-    sv, gs, hs = form.singular_values, np.array(form.left_ops), np.array(form.right_ops)
+    sv, gs, hs = form.singular_values, form.left_ops, form.right_ops
     for run in equal_runs(sv):
         if run.stop - run.start > 1:  # G -> G Q, H -> Q^dag H keeps sum_k G_k (x) H_k
             q = _pivoted_rotation(gs[run].reshape(run.stop - run.start, -1).T)
             gs[run], hs[run] = np.tensordot(q.T, gs[run], 1), np.tensordot(q.conj().T, hs[run], 1)
-    terms = []
-    value = 0.0
-    for s, g, h in zip(sv, gs, hs):
-        ng, nh = trace_norm(g), trace_norm(h)
-        if ng * nh == 0.0:
-            continue
-        r = float(s * ng * nh)
-        terms.append((r, g / ng, h / nh))
-        value += r
-    return value, StandardDecomposition(terms, op.shape)
+    ng, nh = (np.linalg.svd(f, compute_uv=False).sum(axis=-1) for f in (gs, hs))
+    live = ng * nh != 0.0
+    rs = (sv[live] * ng[live] * nh[live]).tolist()
+    value = reduce(float.__add__, rs, 0.0)  # summed left to right, term by term
+    terms = zip(rs, gs[live] / ng[live, None, None], hs[live] / nh[live, None, None])
+    return value, StandardDecomposition(list(terms), op.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +466,13 @@ def hermitian_upper(op: BipartiteOperator):
     return an.reported_upper(an.signed.weight, an.signed)
 
 
-def _signed_atoms(spectral: list) -> tuple:
+# an off-diagonal Schmidt pair's eight atoms, phi outer: s phi, t phi (columns) and +-s t
+_PAIR_U, _PAIR_V, _PAIR_SIGN = (np.array(c) for c in zip(*[
+    ([s * phi], [t * phi], sign * s * t) for phi, sign in ((1.0, 1.0), (1j, -1.0))
+    for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]))
+
+
+def _signed_atoms(spectral: list, shape: BipartiteShape) -> tuple:
     """A spectral-Schmidt expansion as real weights on pure product atoms.
 
     A diagonal Schmidt term lam a_k^2 is the atom (u_k, v_k).  For
@@ -476,24 +480,23 @@ def _signed_atoms(spectral: list) -> tuple:
     2 lam a_k a_l (X_R (x) Y_R - X_I (x) Y_I), is exactly the eight atoms
     ((u_k + s phi u_l) / sqrt 2, (v_k + t phi v_l) / sqrt 2), s, t = +-1 and
     phi in {1, i}, each of weight lam a_k a_l / 2 times s t for phi = 1 and
-    -s t for phi = i.  Returns (atoms, weights) without the weights at most
-    1e-15 max|lam|, so the cutoff scales with the operator.
+    -s t for phi = i.  Returns (phis (K, d_h), psis (K, d_j), weights (K,)),
+    atom k the rows phis[k], psis[k], without the weights at most 1e-15
+    max|lam|, so the cutoff scales with the operator.  Each eigenvalue gives
+    its diagonal atoms, then its pairs k < l, k outer, from one broadcast.
     """
     cut = 1e-15 * max((abs(lam) for lam, _ in spectral), default=0.0)
-    atoms, weights = [], []
+    phis, psis, ws = [np.empty((0, shape.dh), complex)], [np.empty((0, shape.dj), complex)], [[]]
     for lam, sf in spectral:
         a, lv, rv = sf.coefficients, sf.left_vectors, sf.right_vectors
-        atoms += zip(lv, rv)
-        weights += [lam * ak**2 for ak in a]
-        for k in range(sf.rank):
-            for l in range(k + 1, sf.rank):
-                for phi, sign in ((1.0, 1.0), (1j, -1.0)):
-                    for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                        atoms.append(((lv[k] + s * phi * lv[l]) / np.sqrt(2.0),
-                                      (rv[k] + t * phi * rv[l]) / np.sqrt(2.0)))
-                        weights.append(sign * s * t * lam * a[k] * a[l] / 2)
-    keep = [i for i, w in enumerate(weights) if abs(w) > cut]
-    return [atoms[i] for i in keep], np.array([weights[i] for i in keep])
+        k, l = _upper_indices(sf.rank)
+        phis += [lv, ((lv[k, None] + _PAIR_U * lv[l, None]) / np.sqrt(2.0)).reshape(-1, shape.dh)]
+        psis += [rv, ((rv[k, None] + _PAIR_V * rv[l, None]) / np.sqrt(2.0)).reshape(-1, shape.dj)]
+        # scalar powers: np.float64 ** 2 is pow(), which an array's square can miss by an ulp
+        ws += [[lam * ak**2 for ak in a], (_PAIR_SIGN * lam * a[k, None] * a[l, None] / 2).ravel()]
+    ws = np.concatenate(ws)
+    keep = np.abs(ws) > cut
+    return np.concatenate(phis)[keep], np.concatenate(psis)[keep], ws[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +566,10 @@ def _hermitian_from(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _columns(atoms) -> np.ndarray:
+def _columns(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """The atoms' product densities as real columns of both searches, one row
-    per atom: :func:`_embed_hermitian` of the stack of |v><v|, v = phi (x) psi."""
-    ps = np.array([p for p, _ in atoms], dtype=complex)
-    qs = np.array([q for _, q in atoms], dtype=complex)
-    v = (ps[:, :, None] * qs[:, None, :]).reshape(len(atoms), -1)
+    per atom: :func:`_embed_hermitian` of the stack of |v><v|, v = phis[k] (x) psis[k]."""
+    v = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), phis.shape[1] * psis.shape[1])
     return _embed_hermitian(v[:, :, None] * v.conj()[:, None, :])
 
 
@@ -649,14 +650,11 @@ def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extr
     return owner, val, phi, psi
 
 
-def _seed_atoms(op: BipartiteOperator) -> list:
-    """Products of the local eigenbases of the partial traces."""
-    ph = partial_trace(op, "j")
-    pj = partial_trace(op, "h")
-    _, uh = np.linalg.eigh((ph + ph.conj().T) / 2)
-    _, uj = np.linalg.eigh((pj + pj.conj().T) / 2)
-    return [(uh[:, i].copy(), uj[:, k].copy())
-            for i in range(uh.shape[1]) for k in range(uj.shape[1])]
+def _seed_atoms(op: BipartiteOperator) -> tuple:
+    """Products of the local eigenbases of the partial traces, (phis, psis), H's outer."""
+    uh, uj = (np.linalg.eigh((p + p.conj().T) / 2)[1] for p in (partial_trace(op, "j"),
+                                                              partial_trace(op, "h")))
+    return np.repeat(uh.T, len(uj), axis=0), np.tile(uj.T, (len(uh), 1))
 
 
 def _atom_budget(n: int) -> int:
@@ -692,21 +690,21 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig):
     tn_target = an.trace_norm or 1.0
     cut = 1e-14 * tn_target
     d = _embed_hermitian(op.matrix)
-    atoms = _seed_atoms(op)
-    cols = _columns(atoms)  # row k: atom k's column
+    phis, psis = _seed_atoms(op)
+    cols = _columns(phis, psis)  # row k: atom k's column
 
     rounds = 0
     recent = []
     for rounds in range(1, MAX_ROUNDS + 1):
         weights, residual, err = _nnls_fit(cols, d, n, tn_target)
         if VALIDATE_TOL < err <= 0.1:
-            polished = _polished_atoms(atoms, weights, d, op.shape.dh, cut)
-            cols2 = _columns(polished)
+            moved = _polished_atoms(phis, psis, weights, d, cut)
+            cols2 = _columns(*moved)
             weights2, residual2, err2 = _nnls_fit(cols2, d, n, tn_target)
             if err2 < err:
-                atoms, cols, weights, residual, err = polished, cols2, weights2, residual2, err2
+                (phis, psis), cols, weights, residual, err = moved, cols2, weights2, residual2, err2
         if err <= VALIDATE_TOL:
-            dec = _decomposition_from(atoms, weights, op.shape, cutoff=cut)
+            dec = _decomposition_from(phis, psis, weights, op.shape, cutoff=cut)
             if _reconstruction_error(op, dec, tn_target) > VALIDATE_TOL:
                 return None, rounds  # a part of the target the Hermitian columns cannot see
             return dec.scaled(an.k), rounds
@@ -715,13 +713,13 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig):
             recent.pop(0)
             if recent[0] <= recent[-1] * 1.01:
                 break  # plateau well above tolerance: target is outside the cone
-        _, vals, phis, psis = _product_ascent([residual], op.shape, rng, scale=tn_target)
-        fresh = _distinct_atoms(vals, phis, psis, 1e-13 * tn_target)
-        if not fresh:
+        _, vals, new_phis, new_psis = _product_ascent([residual], op.shape, rng, scale=tn_target)
+        fresh = _distinct_atoms(vals, new_phis, new_psis, 1e-13 * tn_target)
+        if not len(fresh[0]):
             break  # no product direction improves: target is outside the cone
         kept = np.flatnonzero(weights > cut)  # the drop step
-        atoms = [atoms[i] for i in kept] + fresh
-        cols = np.concatenate([cols[kept], _columns(fresh)])
+        phis, psis = np.concatenate([phis[kept], fresh[0]]), np.concatenate([psis[kept], fresh[1]])
+        cols = np.concatenate([cols[kept], _columns(*fresh)])
     return None, rounds
 
 
@@ -736,15 +734,16 @@ def _nnls_fit(cols: np.ndarray, d: np.ndarray, n: int, tn_target: float) -> tupl
     return weights, residual, trace_norm(residual) / tn_target
 
 
-def _polished_atoms(atoms, weights, d: np.ndarray, dh: int, cut: float) -> list:
+def _polished_atoms(phis, psis, weights, d: np.ndarray, cut: float) -> tuple:
     """The atoms with weight above ``cut`` after :func:`_polish_mixture`, each
-    started at w^(1/4) (phi, psi) and normalized again; an atom polished to
-    zero is dropped."""
-    live = np.flatnonzero(weights > cut)
-    z = np.array([np.concatenate(atoms[i]) for i in live]) * weights[live, None] ** 0.25
+    started at w^(1/4) (phi, psi) and normalized again, as (phis, psis); an
+    atom polished to zero is dropped."""
+    live, dh = np.flatnonzero(weights > cut), phis.shape[1]
+    z = np.concatenate([phis[live], psis[live]], axis=1) * weights[live, None] ** 0.25
     z = _polish_mixture(z, dh, d)
     nu, nv = np.linalg.norm(z[:, :dh], axis=1), np.linalg.norm(z[:, dh:], axis=1)
-    return [(p / a, q / b) for p, q, a, b in zip(z[:, :dh], z[:, dh:], nu, nv) if a * b > 0.0]
+    ok = nu * nv > 0.0
+    return z[ok, :dh] / nu[ok, None], z[ok, dh:] / nv[ok, None]
 
 
 def _mixture_residual(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
@@ -832,17 +831,15 @@ def _reconstruction_error(op: BipartiteOperator, dec, tn_target: float) -> float
     return trace_norm(op.matrix - dec.reconstruct()) / tn_target
 
 
-def _decomposition_from(atoms, weights, shape, cutoff: float) -> SignedDecomposition:
+def _decomposition_from(phis, psis, weights, shape, cutoff: float) -> SignedDecomposition:
     """sum_k w_k |phi_k><phi_k| (x) |psi_k><psi_k| over the atoms (phi_k, psi_k),
-    pairs of unit vectors, whose |w_k| exceeds ``cutoff``."""
-    kept = [(float(w), p, q) for w, (p, q) in zip(weights, atoms) if abs(w) > cutoff]
-    if not kept:
-        return SignedDecomposition([], shape)
-    ws, ps, qs = zip(*kept)
-    ps, qs = np.array(ps), np.array(qs)
-    rhos = ps[:, :, None] * ps.conj()[:, None, :]  # every outer product in one broadcast
+    rows of ``phis`` and ``psis`` and unit vectors, whose |w_k| exceeds
+    ``cutoff``: one mask, then every outer product in one broadcast."""
+    keep = np.abs(weights) > cutoff
+    ps, qs = phis[keep], psis[keep]
+    rhos = ps[:, :, None] * ps.conj()[:, None, :]
     sigmas = qs[:, :, None] * qs.conj()[:, None, :]
-    return SignedDecomposition(list(zip(ws, rhos, sigmas)), shape)
+    return SignedDecomposition(list(zip(weights[keep].tolist(), rhos, sigmas)), shape)
 
 
 def _polish_signed(a_mat: np.ndarray, t: np.ndarray, d: np.ndarray, cut: float) -> np.ndarray:
@@ -957,14 +954,15 @@ def _robustness(an: _Analysis) -> RobustnessResult:
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
-    atoms = an.signed_atoms[0] + _seed_atoms(op)
+    (phis, psis, _), (seed_phis, seed_psis) = an.signed_atoms, _seed_atoms(op)
+    phis, psis = np.concatenate([phis, seed_phis]), np.concatenate([psis, seed_psis])
 
     d = _embed_hermitian(op.matrix)
-    cols = _columns(atoms)  # row k: atom k's column, built as it enters
+    cols = _columns(phis, psis)  # row k: atom k's column, built as it enters
     highs = _lp_workspace()
     cut = 1e-12 * tn_lp
     budget = _atom_budget(n)
-    best_weight, best_fit = base_dec.weight, None  # the fit is (atoms, weights)
+    best_weight, best_fit = base_dec.weight, None  # the fit is (phis, psis, weights)
     rounds, stop = 0, f"max_rounds ({MAX_ROUNDS}) exhausted"
     for rounds in range(1, MAX_ROUNDS + 1):
         a_mat = cols.T.copy()
@@ -979,14 +977,14 @@ def _robustness(an: _Analysis) -> RobustnessResult:
         if weight < best_weight:
             err = trace_norm(_hermitian_from(a_mat @ t - d, n)) / tn_lp
             if err <= VALIDATE_TOL:
-                best_weight, best_fit = weight, (list(atoms), t)
+                best_weight, best_fit = weight, (phis, psis, t)
         ymat = _hermitian_from(y, n)
         # the heaviest support atoms price at exactly 1: t_k > 0 on Y, t_k < 0 on -Y
         heavy = [i for i in np.argsort(-np.abs(t), kind="stable")[:8] if t[i] != 0.0]
-        starts = [[atoms[i] for i in heavy if t[i] > 0.0], [atoms[i] for i in heavy if t[i] < 0.0]]
+        starts = [[(phis[i], psis[i]) for i in heavy if sign * t[i] > 0.0] for sign in (1.0, -1.0)]
         for iters in (5, 40):  # a short pricing each round, the full one only to prove the stop
-            _, vals, phis, psis = _product_ascent([ymat, -ymat], shape, None, n_starts=1,
-                                                  iters=iters, extra_starts=starts)
+            _, vals, new_phis, new_psis = _product_ascent([ymat, -ymat], shape, None, n_starts=1,
+                                                          iters=iters, extra_starts=starts)
             gain = float(np.abs(vals).max())
             if gain > 1.0 + PRICING_TOL:
                 break
@@ -994,12 +992,12 @@ def _robustness(an: _Analysis) -> RobustnessResult:
             stop = f"converged: pricing gain {gain:.10f} <= 1 + {PRICING_TOL:g}"
             break
         stop = f"max_rounds ({MAX_ROUNDS}) exhausted, last pricing gain {gain:.10f}"
-        fresh = _distinct_atoms(np.abs(vals), phis, psis, 1.0 + PRICING_TOL)
-        if len(atoms) + len(fresh) > budget:
-            keep = _prune(np.abs(t), max(budget - len(fresh), int(np.count_nonzero(t))))
-            atoms, cols = [atoms[i] for i in keep], cols[keep]
-        atoms += fresh
-        cols = np.concatenate([cols, _columns(fresh)])
+        fresh = _distinct_atoms(np.abs(vals), new_phis, new_psis, 1.0 + PRICING_TOL)
+        if len(phis) + len(fresh[0]) > budget:
+            keep = _prune(np.abs(t), max(budget - len(fresh[0]), int(np.count_nonzero(t))))
+            phis, psis, cols = phis[keep], psis[keep], cols[keep]
+        phis, psis = np.concatenate([phis, fresh[0]]), np.concatenate([psis, fresh[1]])
+        cols = np.concatenate([cols, _columns(*fresh)])
 
     best = base_dec if best_fit is None else _decomposition_from(*best_fit, shape, cutoff=cut)
     err = _reconstruction_error(op, best, tn_lp)
@@ -1009,17 +1007,17 @@ def _robustness(an: _Analysis) -> RobustnessResult:
     return RobustnessResult(best, rounds, f"signed decomposition found; {stop}")
 
 
-def _distinct_atoms(vals, phis, psis, floor: float) -> list:
-    """The ascent's maxima with value above ``floor`` as atoms, largest first,
-    skipping any whose product fidelity with an earlier one exceeds 1 - 1e-8."""
-    atoms = []
+def _distinct_atoms(vals, phis, psis, floor: float) -> tuple:
+    """The ascent's maxima with value above ``floor`` as atoms (phis, psis), largest
+    first, skipping any whose product fidelity with an earlier one exceeds 1 - 1e-8."""
+    kept = []
     for i in np.argsort(-vals, kind="stable"):
         if vals[i] <= floor:
             break
-        if all(abs(np.vdot(p, phis[i])) ** 2 * abs(np.vdot(q, psis[i])) ** 2 <= 1.0 - 1e-8
-               for p, q in atoms):
-            atoms.append((phis[i], psis[i]))
-    return atoms
+        if all(abs(np.vdot(phis[j], phis[i])) ** 2 * abs(np.vdot(psis[j], psis[i])) ** 2
+               <= 1.0 - 1e-8 for j in kept):
+            kept.append(i)
+    return phis[kept], psis[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -1112,8 +1110,8 @@ class _Analysis:
 
     @cached_property
     def signed_atoms(self) -> tuple:
-        """The spectral-Schmidt expansion as (atoms, weights) over pure products."""
-        return _signed_atoms(self.spectral)
+        """The spectral-Schmidt expansion as (phis, psis, weights) over pure products."""
+        return _signed_atoms(self.spectral, self.op.shape)
 
     @cached_property
     def signed(self) -> SignedDecomposition:

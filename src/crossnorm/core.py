@@ -11,7 +11,7 @@ ascent of :mod:`crossnorm.bounds` reuses it for its lead starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,10 +140,8 @@ class SchmidtForm:
         return int(self.coefficients.size)
 
     def reconstruct(self) -> BipartiteVector:
-        acc = np.zeros(self.shape.total, dtype=complex)
-        for a, phi, psi in zip(self.coefficients, self.left_vectors, self.right_vectors):
-            acc += a * np.kron(phi, psi)
-        return BipartiteVector(self.shape, acc)
+        v = np.einsum("l,li,lk->ik", self.coefficients, self.left_vectors, self.right_vectors)
+        return BipartiteVector(self.shape, v.reshape(-1))
 
     def flat_sum(self, n: int) -> np.ndarray:
         """sum_{l<=n} phi_l (x) psi_l: the first n Schmidt pairs, unweighted."""
@@ -161,20 +159,17 @@ class OperatorSchmidtForm:
     """
 
     singular_values: np.ndarray
-    left_ops: list = field(default_factory=list)
-    right_ops: list = field(default_factory=list)
-    shape: BipartiteShape = None
+    left_ops: np.ndarray  # (rank, d_h, d_h)
+    right_ops: np.ndarray  # (rank, d_j, d_j)
+    shape: BipartiteShape
 
     @property
     def rank(self) -> int:
         return int(self.singular_values.size)
 
     def reconstruct(self) -> BipartiteOperator:
-        n = self.shape.total
-        acc = np.zeros((n, n), dtype=complex)
-        for s, g, h in zip(self.singular_values, self.left_ops, self.right_ops):
-            acc += s * np.kron(g, h)
-        return BipartiteOperator(self.shape, acc)
+        t = np.einsum("k,kab,kcd->acbd", self.singular_values, self.left_ops, self.right_ops)
+        return BipartiteOperator(self.shape, t.reshape(self.shape.total, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +330,18 @@ def schmidt_decompose(v: BipartiteVector, cutoff: float = SCHMIDT_CUTOFF) -> Sch
     """
     if v.norm() == 0.0:
         raise ValueError("Schmidt decomposition of the zero vector is undefined")
-    u, s, vh = np.linalg.svd(v.as_matrix(), full_matrices=False)
-    keep = s > cutoff * s[0]
-    left, right = _fix_phases(u[:, keep].T, vh[keep, :])  # psi_l[k] = Vh[l, k]: no conjugation
-    return SchmidtForm(s[keep], left, right, v.shape)
+    return schmidt_forms(v.entries[None], v.shape, cutoff)[0]
+
+
+def schmidt_forms(vecs: np.ndarray, shape: BipartiteShape, cutoff: float = SCHMIDT_CUTOFF) -> list:
+    """:func:`schmidt_decompose` of each row of ``vecs``, nonzero vectors, from one
+    stacked SVD; each row keeps the coefficients above ``cutoff`` times its own largest."""
+    dh, dj = shape.dh, shape.dj
+    u, s, vh = np.linalg.svd(vecs.reshape(len(vecs), dh, dj), full_matrices=False)
+    # the rows phi_l = U[:, l] and psi_l = Vh[l, :]: no conjugation
+    left, right = _fix_phases(np.swapaxes(u, 1, 2).reshape(-1, dh), vh.reshape(-1, dj))
+    return [SchmidtForm(a[c], lv[c], rv[c], shape) for a, c, lv, rv in
+            zip(s, s > cutoff * s[:, :1], left.reshape(*s.shape, dh), right.reshape(*s.shape, dj))]
 
 
 def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple:
@@ -363,8 +366,7 @@ def operator_schmidt(op: BipartiteOperator, cutoff: float = SCHMIDT_CUTOFF) -> O
     u, s, vh = np.linalg.svd(realign(op), full_matrices=False)
     keep = s > (cutoff * s[0] if s.size and s[0] > 0.0 else 0.0)
     gs, hs = _fix_phases(u[:, keep].T, vh[keep, :])
-    return OperatorSchmidtForm(s[keep], list(gs.reshape(-1, dh, dh)), list(hs.reshape(-1, dj, dj)),
-                               op.shape)
+    return OperatorSchmidtForm(s[keep], gs.reshape(-1, dh, dh), hs.reshape(-1, dj, dj), op.shape)
 
 
 def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):

@@ -801,11 +801,12 @@ def test_distinct_atoms_keeps_distinct_maxima_above_the_floor():
     psis = np.array([random_pure(BipartiteShape(1, 2), rng).entries for _ in range(5)])
     phis[3], psis[3] = 1j * phis[1], -psis[1]  # the atom of start 1, up to phases
     vals = np.array([0.5, 3.0, 2.0, 2.5, 0.1])
-    atoms = _distinct_atoms(vals, phis, psis, 0.5)
-    assert len(atoms) == 2
-    for (p, q), i in zip(atoms, (1, 2)):
+    kept_phis, kept_psis = _distinct_atoms(vals, phis, psis, 0.5)
+    assert len(kept_phis) == len(kept_psis) == 2
+    for p, q, i in zip(kept_phis, kept_psis, (1, 2)):
         assert np.array_equal(p, phis[i]) and np.array_equal(q, psis[i])
-    assert _distinct_atoms(vals, phis, psis, 3.0) == []
+    none_phis, none_psis = _distinct_atoms(vals, phis, psis, 3.0)
+    assert none_phis.shape == (0, 3) and none_psis.shape == (0, 2)
 
 
 def _record_separable_fit_rounds(monkeypatch):
@@ -822,7 +823,7 @@ def _record_separable_fit_rounds(monkeypatch):
 
     def recorded_distinct(vals, phis, psis, floor):
         atoms = distinct(vals, phis, psis, floor)
-        admissions.append((vals, phis, floor, list(atoms)))  # the caller extends it
+        admissions.append((vals, phis, floor, list(zip(*atoms))))  # as (phi, psi) pairs
         return atoms
 
     monkeypatch.setattr(bounds, "nnls", recorded_nnls)
@@ -1083,9 +1084,9 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
         lps.append((len(calls), a_mat, lp(a_mat, d, highs)))  # the ascent calls before it
         return lps[-1][2]
 
-    def counted_columns(atoms):
-        columns.extend(atoms)
-        return columns_of(atoms)
+    def counted_columns(phis, psis):
+        columns.extend(zip(phis, psis))
+        return columns_of(phis, psis)
 
     monkeypatch.setattr(bounds, "separable_fit", counted_fit)
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
@@ -1095,7 +1096,8 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
     assert bounds._Analysis(op, CFG).npt
     assert fits == []  # phase 1 is skipped: no product mixture of an NPT state exists
     assert "converged" in res.message and res.rounds_used == len(lps) >= 3
-    assert len({id(a) for a in columns}) == len(columns)  # no atom's column is rebuilt
+    # no atom's column is rebuilt: no atom is built twice, bit for bit
+    assert len({p.tobytes() + q.tobytes() for p, q in columns}) == len(columns)
     full = 0
     for (first, a_mat, (_, t, _, _)), (end, *_) in zip(lps, lps[1:] + [(len(calls),)]):
         short, *rest = calls[first:end]
@@ -1103,7 +1105,7 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
         assert short.iters == 5 and short.n_starts == 1 and short.rng is None
         assert sum(len(starts) for starts in short.extra) <= 8
         for starts, sign in zip(short.extra, (1.0, -1.0)):  # each start is a signed support atom
-            for col in columns_of(starts) if starts else ():
+            for col in columns_of(*map(np.array, zip(*starts))) if starts else ():
                 k = np.flatnonzero(np.abs(a_mat.T - col).max(axis=1) <= 1e-12)
                 assert k.size and np.all(sign * t[k] > 0.0)
         if rest:  # the full pricing: the same dual and starts, after a short one found nothing
@@ -1211,9 +1213,9 @@ def _record_lp_and_columns(monkeypatch):
         events.append(("lp", (a_mat.shape[0], 2 * a_mat.shape[1])))
         return lp(a_mat, d, highs)
 
-    def recorded_columns(atoms):
-        events.extend([("col", None)] * len(atoms))
-        return columns(atoms)
+    def recorded_columns(phis, psis):
+        events.extend([("col", None)] * len(phis))
+        return columns(phis, psis)
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     monkeypatch.setattr(bounds, "_columns", recorded_columns)
@@ -1245,8 +1247,9 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
     monkeypatch.setattr(bounds, "MAX_ROUNDS", 1)
     op = random_density(BipartiteShape(2, 2), 7)
     robustness_upper(op, CFG)
-    atoms = bounds._Analysis(op, CFG).signed_atoms[0] + bounds._seed_atoms(op)
-    a_mat = bounds._columns(atoms).T
+    phis, psis, _ = bounds._Analysis(op, CFG).signed_atoms
+    seed_phis, seed_psis = bounds._seed_atoms(op)
+    a_mat = bounds._columns(np.concatenate([phis, seed_phis]), np.concatenate([psis, seed_psis])).T
     assert np.array_equal(first[0], a_mat)
 
 
@@ -1292,7 +1295,7 @@ def test_min_weight_lp_reports_an_infeasible_program(monkeypatch):
     # columns that cannot reach the target: phase 2 stops on the LP and keeps the signed bound
     op = random_density(BipartiteShape(2, 2), 7)
     monkeypatch.setattr(bounds, "_columns",
-                        lambda atoms: np.zeros((len(atoms), op.shape.total ** 2)))
+                        lambda phis, psis: np.zeros((len(phis), op.shape.total ** 2)))
     res = robustness_upper(op, CFG)
     assert res.rounds_used == 1 and res.message.endswith("; LP failed: " + message)
     assert res.value == hermitian_upper(op)[1].weight
@@ -1314,7 +1317,7 @@ def test_columns_equal_the_per_atom_formula(dh, dj):
     atoms = [(random_pure(BipartiteShape(1, dh), rng).entries,
               random_pure(BipartiteShape(1, dj), rng).entries) for _ in range(7)]
     atoms.append((np.eye(dh)[0], np.eye(dj)[-1]))  # a real product, as the seed atoms are
-    cols = _columns(atoms)
+    cols = _columns(np.array([p for p, _ in atoms]), np.array([q for _, q in atoms]))
     assert cols.shape == (len(atoms), (dh * dj) ** 2)
     for col, atom in zip(cols, atoms, strict=True):
         assert np.array_equal(col, _reference_column(atom))
@@ -1454,14 +1457,14 @@ def test_decomposition_factors_equal_outer_products():
     from crossnorm import bounds
 
     op = random_density(BipartiteShape(2, 3), 4)
-    atoms, weights = bounds._Analysis(op, CFG).signed_atoms
-    dec = bounds._decomposition_from(atoms, weights, op.shape, cutoff=0.0)
-    assert len(dec.terms) == len(atoms)
-    for (w, rho, sigma), (p, q), t in zip(dec.terms, atoms, weights):
+    phis, psis, weights = bounds._Analysis(op, CFG).signed_atoms
+    dec = bounds._decomposition_from(phis, psis, weights, op.shape, cutoff=0.0)
+    assert len(dec.terms) == len(phis) == len(psis) == len(weights)
+    for (w, rho, sigma), p, q, t in zip(dec.terms, phis, psis, weights):
         assert w == float(t)
         assert np.array_equal(rho, np.outer(p, p.conj()))
         assert np.array_equal(sigma, np.outer(q, q.conj()))
-    assert bounds._decomposition_from(atoms, weights, op.shape, cutoff=np.inf).terms == []
+    assert bounds._decomposition_from(phis, psis, weights, op.shape, cutoff=np.inf).terms == []
 
 
 def _refuse_witness_seesaw(*args, **kwargs):
