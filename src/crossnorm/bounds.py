@@ -121,12 +121,18 @@ class StandardDecomposition:
             terms = [(float(np.ldexp(w, k)), x, y) for w, x, y in self.terms]
         return type(self)(terms, self.shape)
 
+    def _stacks(self) -> tuple:
+        """The terms as arrays: coefficients (K,), X_k (K, d_h, d_h), Y_k (K, d_j, d_j)."""
+        dh, dj = self.shape.dh, self.shape.dj
+        w = np.array([t[0] for t in self.terms])
+        x = np.array([t[1] for t in self.terms], dtype=complex).reshape(-1, dh, dh)
+        y = np.array([t[2] for t in self.terms], dtype=complex).reshape(-1, dj, dj)
+        return w, x, y
+
     def reconstruct(self) -> np.ndarray:
+        """sum_k w_k (X_k (x) Y_k) in one contraction."""
         n = self.shape.total
-        acc = np.zeros((n, n), dtype=complex)
-        for w, x, y in self.terms:
-            acc += w * np.kron(x, y)
-        return acc
+        return np.einsum("k,kac,kbd->abcd", *self._stacks(), optimize=True).reshape(n, n)
 
     def to_dict(self) -> dict:
         kw, kx, ky = self._term_keys
@@ -1229,7 +1235,10 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
     signed decomposition of a density is flagged optimal: its weight equals
     the trace, which pins every norm in the chain.  The checks compare the
     target's unit operator (:func:`core.unit_scale`) with the decomposition
-    scaled by the same 2^k, so they hold at every scale.
+    scaled by the same 2^k, so they hold at every scale.  Each check runs
+    over the stacked factors at once (one ``eigvalsh`` or values-only ``svd``
+    per tensor side, one contraction for the reconstruction); the messages
+    keep term order.
     """
     if not isinstance(dec, StandardDecomposition):
         return ValidationReport(
@@ -1240,17 +1249,20 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
         )
     an = _Analysis(target)
     target, unit_dec, tn_target = an.unit, dec.scaled(-an.k), an.trace_norm or 1.0
-    messages, norm_err, positive = [], 0.0, False
+    messages, positive = [], False
     # signed first: a signed decomposition is also a StandardDecomposition
+    ts, xs, ys = unit_dec._stacks()
     if isinstance(dec, SignedDecomposition):
-        for t, rho, sig in unit_dec.terms:
-            for fac in (rho, sig):
-                w = np.linalg.eigvalsh((fac + fac.conj().T) / 2)
-                if w.min(initial=0.0) < -EPS_PSD:
-                    messages.append("factor not PSD")
-                norm_err = max(norm_err, abs(float(np.trace(fac).real) - 1.0))
-            if abs(t) == 0.0:
-                messages.append("zero weight term")
+        not_psd, trace_err = [], []
+        for fac in (xs, ys):
+            w = np.linalg.eigvalsh((fac + fac.conj().transpose(0, 2, 1)) / 2)
+            not_psd.append(w.min(axis=1, initial=0.0) < -EPS_PSD)
+            trace_err.append(np.abs(np.trace(fac, axis1=1, axis2=2).real - 1.0))
+        norm_err = float(np.fmax.reduce(np.concatenate(trace_err), initial=0.0))
+        zero = np.abs(ts) == 0.0
+        for i in np.flatnonzero(not_psd[0] | not_psd[1] | zero):  # in term order
+            messages += (["factor not PSD"] * (int(not_psd[0][i]) + int(not_psd[1][i]))
+                         + ["zero weight term"] * int(zero[i]))
         if norm_err > 1e-8:
             messages.append(f"factor trace off by {norm_err:.3e}")
         tr_err = abs(sum(t for t, _, _ in unit_dec.terms) - target.trace().real)
@@ -1258,10 +1270,9 @@ def validate_decomposition(target: BipartiteOperator, dec) -> ValidationReport:
             messages.append(f"weights sum to trace off by {tr_err:.3e}")
         positive = dec.is_positive
     else:
-        for r, x, y in unit_dec.terms:
-            norm_err = max(norm_err, abs(trace_norm(x) * trace_norm(y) - 1.0))
-            if r < -1e-12:
-                messages.append(f"negative weight {r}")
+        tn_x, tn_y = (np.linalg.svd(f, compute_uv=False).sum(axis=1) for f in (xs, ys))
+        norm_err = float(np.fmax.reduce(np.abs(tn_x * tn_y - 1.0), initial=0.0))
+        messages += [f"negative weight {unit_dec.terms[i][0]}" for i in np.flatnonzero(ts < -1e-12)]
         if norm_err > 1e-9:
             messages.append(f"factor normalization off by {norm_err:.3e}")
 

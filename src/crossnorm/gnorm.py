@@ -3,7 +3,10 @@
 ||L||_G = sup |<phi (x) psi, L (eta (x) chi)>| over unit product vectors.
 Exact closed forms for simple tensors and rank-one operators; alternating
 (see-saw) ascent with certified upper bound ||L||_inf otherwise, all its
-restarts advanced as one stack: one stacked matvec and ``svd`` per half-step.
+restarts advanced as one stack.  The first half-step takes each restart's
+exact top Schmidt pair (one stacked ``svd``); every later one is a power
+step, a few stacked matvecs, with the exact step kept for a row whose power
+step has zero norm.  The winning restart is polished by exact half-steps.
 """
 
 from __future__ import annotations
@@ -77,13 +80,51 @@ def g_norm_rank_one(c: BipartiteVector) -> float:
     return float(s[0] ** 2)
 
 
-def _half_step(mat: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Each row's top Schmidt pair (phi, psi) and coefficient of mat (left_r (x)
-    right_r), one product per row so that no restart's iterates depend on its stack."""
+def _products(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each row's mat (left_r (x) right_r) as a d_h x d_j matrix, one product per
+    row so that no restart's iterates depend on its stack."""
     n_r, dh, dj = len(left), left.shape[1], right.shape[1]
     w = mat @ (left[:, :, None] * right[:, None, :]).reshape(n_r, -1, 1)
-    u, s, vh = np.linalg.svd(w.reshape(n_r, dh, dj))
+    return w.reshape(n_r, dh, dj)
+
+
+def _top_pair(w: np.ndarray):
+    """Each matrix's top singular pair (u, conj(v)) and value: the unit (a, b)
+    maximizing |a^dag w conj(b)|."""
+    u, s, vh = np.linalg.svd(w)
     return u[:, :, 0], vh[:, 0, :], s[:, 0]
+
+
+def _half_step(mat: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Each row's top Schmidt pair (phi, psi) and coefficient of mat (left_r (x) right_r)."""
+    return _top_pair(_products(mat, left, right))
+
+
+def _power_step(mat: np.ndarray, left: np.ndarray, right: np.ndarray, second: np.ndarray):
+    """One power step on each row's W = mat (left_r (x) right_r) from its
+    previous second vector b_r: a = W conj(b_r) / ||.||, then b = conj(W^dag a)
+    / ||.||, with value ||W^dag a||.  Each update maximizes |a^dag W conj(b)|
+    over one vector with the other held, so the value is at least
+    |a_r^dag W conj(b_r)| for the previous pair.  A row whose step has zero
+    norm (W conj(b_r) = 0) takes the exact step of :func:`_top_pair`."""
+    w = _products(mat, left, right)
+    a = (w @ second.conj()[:, :, None])[:, :, 0]
+    b = (a.conj()[:, None, :] @ w)[:, 0, :]
+    na, nb = (np.sqrt(np.add.reduce(v.view(float) ** 2, axis=1)) for v in (a, b))
+    lost = nb == 0.0  # W conj(b_r) = 0, or a step that underflows
+    na[lost] = nb[lost] = 1.0
+    a /= na[:, None]
+    b /= nb[:, None]
+    val = nb / na
+    if lost.any():
+        a[lost], b[lost], val[lost] = _top_pair(w[lost])
+    return a, b, val
+
+
+def _stopped(val, prev, prev2, tol):
+    """The tol rule: a value within tol (relative) of the two before it."""
+    cut = tol * np.maximum(val, 1e-300)
+    return (np.abs(val - prev) < cut) & (np.abs(val - prev2) < cut)
 
 
 def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
@@ -91,14 +132,20 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
 
     Fixing (eta, chi), the optimal (phi, psi) is the leading Schmidt pair of
     L(eta (x) chi); fixing (phi, psi), the optimal (eta, chi) is the leading
-    Schmidt pair of L^*(phi (x) psi).  The objective never decreases across
-    half-steps.  Restart 0 starts from the leading operator-Schmidt pair of
-    L, the rest from seeded random product vectors, and all advance together
-    as one stack.  A restart stops when its value after a full step is
-    within ``tol`` (relative) of its values one and two steps earlier.  The
-    best restart wins, ties broken by the lowest restart index.  The search
-    runs on the unit operator L / 2^k of :func:`core.unit_scale`, and the
-    bounds and ``histories`` are scaled back.
+    Schmidt pair of L^*(phi (x) psi).  The first half-step takes that pair
+    exactly; every later one takes one power step towards it from the pair
+    it holds (:func:`_power_step`; the higher-order power method of De
+    Lathauwer, De Moor & Vandewalle 2000).  Either way the objective never
+    decreases across half-steps.  Restart 0 starts from the leading
+    operator-Schmidt pair of L, the rest from seeded random product
+    vectors, and all advance together as one stack.  A restart stops when
+    its value after a full step is within ``tol`` (relative) of its values
+    one and two steps earlier.  The best restart wins, ties broken by the
+    lowest restart index, and is then polished by exact half-step pairs
+    until the same rule holds, at most ``max_iters`` pairs; ``converged``
+    tells whether it held.  ``histories`` and ``iterations_used`` leave the
+    polish out.  The search runs on the unit operator L / 2^k of
+    :func:`core.unit_scale`, and the bounds and ``histories`` are scaled back.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
     vectors up to rounding and ``upper_bound`` is ||L||_inf, both rounded
@@ -116,29 +163,48 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     eta = np.array([eta0] + [z / np.linalg.norm(z) for z in draws[0::2]], dtype=complex)
     chi = np.array([chi0] + [z / np.linalg.norm(z) for z in draws[1::2]], dtype=complex)
     history = []  # one (restarts, 2) array of half-step values per step
-    iters, converged = np.zeros(n_r, dtype=int), np.zeros(n_r, dtype=bool)
-    prev, prev2 = np.full(n_r, -1.0), np.full(n_r, -1.0)  # each row's last two full-step values
-    active = np.arange(n_r)
+    iters = np.full(n_r, config.max_iters)
+    last = np.empty(n_r)  # each restart's final value
+    # the running restarts: indices, vectors and last two values, written back as they stop
+    active, ea, ca, pa, qa = np.arange(n_r), eta, chi, None, None
+    prev, prev2 = np.full(n_r, -1.0), np.full(n_r, -1.0)
     for it in range(1, config.max_iters + 1):
         step = np.zeros((n_r, 2))
         history.append(step)
-        phi, psi, step[active, 0] = _half_step(mat, eta[active], chi[active])
-        eta[active], chi[active], val = _half_step(adj, phi, psi)
+        if qa is None:
+            pa, qa, step[active, 0] = _half_step(mat, ea, ca)
+        else:
+            pa, qa, step[active, 0] = _power_step(mat, ea, ca, qa)
+        ea, ca, val = _power_step(adj, pa, qa, ca)
         step[active, 1] = val
-        iters[active] = it
-        cut = config.tol * np.maximum(val, 1e-300)
-        done = (np.abs(val - prev[active]) < cut) & (np.abs(val - prev2[active]) < cut)
-        converged[active] = done
-        prev2[active], prev[active] = prev[active], val
-        active = active[~done]
-        if active.size == 0:
-            break
+        done = _stopped(val, prev, prev2, config.tol)
+        prev2, prev = prev, val
+        if done.any():
+            stop, go = active[done], ~done
+            eta[stop], chi[stop], last[stop] = ea[done], ca[done], val[done]
+            iters[stop] = it
+            active, ea, ca, pa, qa, prev, prev2 = (
+                active[go], ea[go], ca[go], pa[go], qa[go], prev[go], prev2[go])
+            if active.size == 0:
+                break
+    # the restarts that ran out of steps
+    eta[active], chi[active], last[active] = ea, ca, prev
 
-    best = int(np.argmax(prev))
+    best = int(np.argmax(last))
+    e, c = eta[best:best + 1], chi[best:best + 1]
+    best_val, prev, prev2, converged = last[best], -1.0, -1.0, False
+    for _ in range(config.max_iters):  # the polish: exact pairs, not in histories
+        phi, psi, _ = _half_step(mat, e, c)
+        e, c, val = _half_step(adj, phi, psi)
+        best_val = max(best_val, val[0])
+        converged = bool(_stopped(val[0], prev, prev2, config.tol))
+        prev2, prev = prev, val[0]
+        if converged:
+            break
     # one more half-step keeps (phi, psi) consistent with the final (eta, chi)
-    phi, psi, val = _half_step(mat, eta[best:best + 1], chi[best:best + 1])
-    best_val = max(prev[best], val[0])
-    phi, psi, eta, chi = phi[0], psi[0], eta[best], chi[best]
+    phi, psi, val = _half_step(mat, e, c)
+    best_val = max(best_val, val[0])
+    phi, psi, eta, chi = phi[0], psi[0], e[0], c[0]
     obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
     if abs(obj) > 0.0:
         phi = phi * (obj / abs(obj))  # make the reported objective real nonnegative
@@ -147,7 +213,7 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     return GNormEstimate(scaled_outward(best_val, dh * dj, k, up=False),
                          scaled_outward(operator_norm(mat), dh * dj, k, up=True),
                          phi, psi, eta, chi, iterations_used=int(iters[best]),
-                         converged=bool(converged[best]), best_restart=best, histories=histories)
+                         converged=converged, best_restart=best, histories=histories)
 
 
 def _operator_schmidt_start(L: BipartiteOperator):

@@ -346,8 +346,11 @@ def random_separable(shape: BipartiteShape, k: int, seed: int):
         rho = random_density(hshape, rng).matrix
         sig = random_density(jshape, rng).matrix
         terms.append((float(p[i]), rho, sig))
-    dec = SignedDecomposition(terms, shape)
-    return BipartiteOperator(shape, dec.reconstruct()), dec
+    # the running sum in term order, not dec.reconstruct()'s contraction: it pins
+    # the state's bits, from which tests and the benchmark build their inputs
+    mat = sum((t * np.kron(rho, sig) for t, rho, sig in terms),
+              np.zeros((shape.total, shape.total), dtype=complex))
+    return BipartiteOperator(shape, mat), SignedDecomposition(terms, shape)
 
 
 def isotropic(p: float, d: int) -> BipartiteOperator:

@@ -35,7 +35,8 @@ from crossnorm import (
     validate_decomposition,
     witness_value,
 )
-from crossnorm.core import unit_scale
+from crossnorm.bounds import VALIDATE_TOL
+from crossnorm.core import EPS_PSD, unit_scale
 from crossnorm.separability import isotropic
 
 CFG = SeeSawConfig(seed=201, restarts=6, max_iters=80)
@@ -1986,6 +1987,72 @@ def test_validate_rejects_each_mutation_of_a_certificate():
         rep = validate_decomposition(op, dec)
         found = {key for key in cases if any(m.startswith(key) for m in rep.messages)}
         assert rep.valid is False and found == {expected}, (expected, rep.messages)
+
+
+def _validate_per_term(target, dec):
+    """The validator's checks one term at a time, with one kron per term:
+    (valid, messages, reconstruction error, normalization error)."""
+    unit, k, tn = unit_scale(target.matrix)
+    tn = tn or 1.0
+    dec = dec.scaled(-k)
+    messages, norm_err = [], 0.0
+    if isinstance(dec, SignedDecomposition):
+        for t, rho, sig in dec.terms:
+            for fac in (rho, sig):
+                w = np.linalg.eigvalsh((fac + fac.conj().T) / 2)
+                if w.min(initial=0.0) < -EPS_PSD:
+                    messages.append("factor not PSD")
+                norm_err = max(norm_err, abs(float(np.trace(fac).real) - 1.0))
+            if abs(t) == 0.0:
+                messages.append("zero weight term")
+        if norm_err > 1e-8:
+            messages.append(f"factor trace off by {norm_err:.3e}")
+        tr_err = abs(sum(t for t, _, _ in dec.terms) - np.trace(unit).real)
+        if not tr_err <= VALIDATE_TOL * tn:
+            messages.append(f"weights sum to trace off by {tr_err:.3e}")
+    else:
+        for r, x, y in dec.terms:
+            norm_err = max(norm_err, abs(trace_norm(x) * trace_norm(y) - 1.0))
+            if r < -1e-12:
+                messages.append(f"negative weight {r}")
+        if norm_err > 1e-9:
+            messages.append(f"factor normalization off by {norm_err:.3e}")
+    acc = np.zeros_like(unit)
+    for w, x, y in dec.terms:
+        acc += w * np.kron(x, y)
+    recon_err = trace_norm(unit - acc) / tn
+    if not recon_err <= VALIDATE_TOL:
+        messages.append(f"reconstruction error {recon_err:.3e} above tolerance")
+    return not messages, messages, recon_err, norm_err
+
+
+def test_validate_matches_the_per_term_reference():
+    """The stacked checks give the per-term loop's verdicts and messages, in
+    term order, on valid certificates and on mutations of them, several at once."""
+    cases = []
+    for op in (random_density(BipartiteShape(2, 2), 1), random_density(BipartiteShape(2, 3), 5),
+               BipartiteOperator(BipartiteShape(2, 2), 3e-200 * random_density(BipartiteShape(2, 2), 1).matrix)):
+        signed, standard = hermitian_upper(op)[1], upper_bound_spectral(op)[1]
+        t, rho, sig = zip(*signed.terms)
+        bad = [(0.0 if i == 2 else t[i], rho[i] - np.eye(op.shape.dh) if i in (1, 3) else rho[i],
+                -sig[i] if i in (3, 4) else sig[i]) for i in range(len(t))]
+        r, x, y = zip(*standard.terms)
+        neg = [(-r[i] if i in (0, 2) else r[i], 1.5 * x[i] if i == 1 else x[i], y[i])
+               for i in range(len(r))]
+        cases += [(op, signed), (op, standard), (op, SignedDecomposition(bad, op.shape)),
+                  (op, StandardDecomposition(neg, op.shape)),
+                  (op, SignedDecomposition([], op.shape)), (op, StandardDecomposition([], op.shape))]
+    big = random_density(BipartiteShape(5, 5), 7)
+    nb = pi_bounds(big, SeeSawConfig(seed=1), include_robustness=False)
+    cases += [(big, nb.certificates[name]) for name in ("pi_upper", "h_upper")]
+    for op, dec in cases:
+        rep = validate_decomposition(op, dec)
+        valid, messages, recon_err, norm_err = _validate_per_term(op, dec)
+        assert (rep.valid, rep.messages) == (valid, messages)
+        assert rep.normalization_error == norm_err
+        assert abs(rep.reconstruction_error - recon_err) <= 1e-13 * max(1.0, recon_err)
+        acc = sum((w * np.kron(x, y) for w, x, y in dec.terms), np.zeros_like(op.matrix))
+        np.testing.assert_allclose(dec.reconstruct(), acc, rtol=0, atol=1e-13 * max(1.0, np.abs(acc).max()))
 
 
 def test_validate_positive_decomposition_tags_optimal():

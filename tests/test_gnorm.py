@@ -1,5 +1,8 @@
 """Injective norm: closed forms, see-saw ascent, grid-oracle agreement."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from crossnorm import (
     BipartiteShape,
     BipartiteVector,
     SeeSawConfig,
+    from_state_dict,
     g_norm_product,
     g_norm_rank_one,
     g_norm_seesaw,
@@ -223,7 +227,85 @@ def test_seesaw_rejects_bad_input():
 
 
 def _reference_g_norm_seesaw(L, config):
-    """The see-saw run one restart at a time: the oracle for the stacked kernel."""
+    """The see-saw run one restart at a time, by power steps after an exact first
+    half-step, then the exact polish of the winner: the oracle for the stacked kernel."""
+    mat, adj = L.matrix, L.matrix.conj().T
+    dh, dj = L.shape.dh, L.shape.dj
+    rng = rng_from_seed(config.seed)
+
+    def leading_pair(m, a, b):
+        u, s, vh = np.linalg.svd((m @ np.kron(a, b)).reshape(dh, dj))
+        return u[:, 0], vh[0, :], float(s[0])
+
+    def power_pair(m, a, b, second):
+        w = (m @ np.kron(a, b)).reshape(dh, dj)
+        x = w @ second.conj()
+        y = x.conj() @ w
+        nx, ny = norm(x), norm(y)
+        if ny > 0.0:
+            return x / nx, y / ny, float(ny / nx)
+        return leading_pair(m, a, b)
+
+    def norm(x):  # the stacked kernel's rounding
+        return np.sqrt(np.add.reduce(x.view(float) ** 2, axis=-1))
+
+    def stopped(val, prev, prev2):
+        scale = max(val, 1e-300)
+        return abs(val - prev) < config.tol * scale and abs(val - prev2) < config.tol * scale
+
+    def random_unit(d):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return z / np.linalg.norm(z)
+
+    best_val, best = -1.0, None
+    histories = []
+    for r in range(config.restarts):
+        if r == 0:
+            eta, chi = _operator_schmidt_start(L)
+        else:
+            eta, chi = random_unit(dh), random_unit(dj)
+        history = []
+        prev, prev2 = -1.0, -1.0
+        psi = None
+        for iters in range(1, config.max_iters + 1):
+            if psi is None:
+                phi, psi, val = leading_pair(mat, eta, chi)
+            else:
+                phi, psi, val = power_pair(mat, eta, chi, psi)
+            history.append(val)
+            eta, chi, val = power_pair(adj, phi, psi, chi)
+            history.append(val)
+            done = stopped(val, prev, prev2)
+            prev2, prev = prev, val
+            if done:
+                break
+        histories.append(history)
+        if history[-1] > best_val:
+            best_val, best = history[-1], (eta, chi, r, iters)
+
+    eta, chi, r, iters = best
+    prev, prev2, converged = -1.0, -1.0, False
+    for _ in range(config.max_iters):
+        phi, psi, _ = leading_pair(mat, eta, chi)
+        eta, chi, val = leading_pair(adj, phi, psi)
+        best_val = max(best_val, val)
+        converged = stopped(val, prev, prev2)
+        prev2, prev = prev, val
+        if converged:
+            break
+    phi, psi, val = leading_pair(mat, eta, chi)
+    best_val = max(best_val, val)
+    obj = np.kron(phi, psi).conj() @ (mat @ np.kron(eta, chi))
+    if abs(obj) > 0.0:
+        phi = phi * (obj / abs(obj))
+    return dict(lower_bound=scaled_outward(best_val, L.shape.total, 0, up=False), phi=phi, psi=psi,
+                eta=eta, chi=chi, best_restart=r, iterations_used=iters, converged=converged,
+                histories=histories)
+
+
+def _exact_g_norm_seesaw(L, config):
+    """The see-saw by exact half-steps, one restart at a time: the oracle the
+    power steps must reach at the default budget."""
     mat = L.matrix
     dh, dj = L.shape.dh, L.shape.dj
     rng = rng_from_seed(config.seed)
@@ -301,6 +383,37 @@ def test_stacked_seesaw_matches_the_per_restart_loop(dh, dj, kind):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
         for name in ("phi", "psi", "eta", "chi"):
             np.testing.assert_allclose(getattr(est, name), ref[name], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dh,dj", [(1, 1), (1, 3), (2, 3), (5, 5)])
+@pytest.mark.parametrize("kind", ["hermitian", "rank-one", "zero", "general"])
+def test_power_steps_reach_the_exact_see_saw(dh, dj, kind):
+    """At the default budget the power steps and the polish end no lower than
+    the see-saw by exact half-steps.  Tiny budgets can end lower: at seed 2,
+    restarts=5, max_iters=7, the 3x3 Hermitian ``_operator`` of this test's
+    rng rule ends 1.0e-3 lower (relative)."""
+    L = _operator(kind, dh, dj, np.random.default_rng(31 + 7 * dh + dj))
+    for seed in (1, 2):
+        cfg = SeeSawConfig(seed=seed)
+        exact = _exact_g_norm_seesaw(L, cfg)["lower_bound"]
+        assert g_norm_seesaw(L, cfg).lower_bound >= exact * (1 - 1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_power_steps_reach_the_exact_see_saw_on_the_benchmark_operators(seed, tmp_path,
+                                                                         monkeypatch):
+    """The non-Hermitian 3x3, 4x4 and 5x5 operators of the benchmark's ``gnorm``
+    cases: no lower than the exact see-saw, converged alike."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    workloads.build("lab", seed, False, tmp_path)
+    for n in (3, 4, 5):
+        L = from_state_dict(json.loads((tmp_path / f"operator-{n}.json").read_text()))
+        cfg = SeeSawConfig(seed=seed)
+        est, exact = g_norm_seesaw(L, cfg), _exact_g_norm_seesaw(L, cfg)
+        assert est.lower_bound >= exact["lower_bound"] and est.converged == exact["converged"]
 
 
 def test_restarts_do_not_depend_on_the_stack():
