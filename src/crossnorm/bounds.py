@@ -382,24 +382,31 @@ def lower_bound_realignment(op: BipartiteOperator) -> float:
 _STALL_STEPS = 4  # a witness restart stops after this many steps in a row that gain at most tol
 
 
-def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig):
+def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig,
+                    ceiling: float):
     """Maximize <c|D|c> / a_1(c)^2 by projected power iteration on co-isometries.
 
     Each step replaces c by the polar factor of D c, the maximizer of
     Re <D c, x> over a_1(x) <= 1; for PSD D, all that reaches it, the
     objective is convex, so q never falls.
     Restart 0 starts from the top eigenvector of the Hermitian part
-    (D + D^dag) / 2, the others from seeded random vectors, and all advance
-    together as one stack.  A restart stops after _STALL_STEPS steps in a row
-    that gain no more than ``tol`` (relative, or absolute below |q| = 1: D
-    is the unit operator of its analysis).  Its best is the first step that
+    (D + D^dag) / 2, the others from seeded random vectors, drawn in one
+    call, and all advance together as one stack.  A restart stops after
+    _STALL_STEPS steps in a row that gain no more than ``tol`` (relative, or
+    absolute below |q| = 1: D is the unit operator of its analysis).  The
+    whole stack stops once a restart comes within that same ``tol`` of
+    ``ceiling``, a bound no q exceeds: ||R(D)||_1 (:attr:`_Analysis.lower`)
+    stops it at the cost of at most ``tol``, and ``np.inf`` runs every
+    restart to its stall.  Each restart's best is the first step that
     reached its largest q; the best restart wins, ties to the lowest index.
     """
     rng = rng_from_seed(config.seed)
     n = shape.total
     w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    zs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(config.restarts - 1)]
-    c = np.array([u[:, np.argsort(-w)[0]]] + [z / np.linalg.norm(z) for z in zs], dtype=complex)
+    z = rng.standard_normal((config.restarts - 1, 2, n))  # each restart's real, then imaginary part
+    z = z[:, 0] + 1j * z[:, 1]
+    c = np.concatenate([u[None, :, np.argsort(-w)[0]], z / np.linalg.norm(z, axis=1)[:, None]])
+    reach = ceiling - config.tol * max(abs(ceiling), 1.0) if np.isfinite(ceiling) else np.inf
     # one product per row, so no restart's iterates depend on its stack
     dc = (mat @ c[:, :, None])[:, :, 0]
     best_q, best_c = np.full(len(c), -np.inf), c.copy()
@@ -411,6 +418,8 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
         q = (x.conj() * g).sum(axis=1).real
         better = q > best_q[active]
         best_q[active[better]], best_c[active[better]] = q[better], x[better]
+        if best_q.max() >= reach:
+            break
         flat = q <= prev[active] + config.tol * np.maximum(np.abs(q), 1.0)
         stall[active] = np.where(flat, stall[active] + 1, 0)
         prev[active] = q
@@ -1086,8 +1095,11 @@ class _Analysis:
 
     @cached_property
     def witness(self) -> tuple:
-        """Best rank-one witness value (of the unit D) and vector."""
-        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config)
+        """Best rank-one witness value (of the unit D) and vector.  The search
+        stops once a restart reaches :attr:`realignment_lower`, which no
+        witness exceeds (:attr:`lower`), within the search's ``tol``."""
+        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config,
+                               self.realignment_lower)
         return q, BipartiteVector(self.op.shape, c)
 
     @property

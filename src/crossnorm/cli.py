@@ -166,6 +166,7 @@ def cmd_gnorm(args) -> int:
             },
             "iterations_used": est.iterations_used,
             "best_restart": est.best_restart,
+            "polish_steps": est.polish_steps,
         }
         vectors = {"phi": est.phi, "psi": est.psi, "eta": est.eta, "chi": est.chi}
         return results, {k: [[z.real, z.imag] for z in v] for k, v in vectors.items()}
@@ -252,6 +253,8 @@ def _parse_grid(spec: str) -> list:
     while x <= stop + 1e-12:
         out.append(round(x, 12))
         x += step
+    if not out:
+        raise InputError(f"grid is empty: {spec!r} starts above its stop")
     return out
 
 

@@ -56,6 +56,7 @@ class GNormEstimate:
     converged: bool
     best_restart: int = 0
     histories: list = field(default_factory=list)
+    polish_steps: int = 0
 
     def objective(self, L: BipartiteOperator) -> complex:
         """Recompute <phi (x) psi, L (eta (x) chi)> from the stored vectors."""
@@ -143,9 +144,10 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     one and two steps earlier.  The best restart wins, ties broken by the
     lowest restart index, and is then polished by exact half-step pairs
     until the same rule holds, at most ``max_iters`` pairs; ``converged``
-    tells whether it held.  ``histories`` and ``iterations_used`` leave the
-    polish out.  The search runs on the unit operator L / 2^k of
-    :func:`core.unit_scale`, and the bounds and ``histories`` are scaled back.
+    tells whether it held and ``polish_steps`` counts the pairs.
+    ``histories`` and ``iterations_used`` leave the polish out.  The search
+    runs on the unit operator L / 2^k of :func:`core.unit_scale`, and the
+    bounds and ``histories`` are scaled back.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
     vectors up to rounding and ``upper_bound`` is ||L||_inf, both rounded
@@ -193,7 +195,7 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     best = int(np.argmax(last))
     e, c = eta[best:best + 1], chi[best:best + 1]
     best_val, prev, prev2, converged = last[best], -1.0, -1.0, False
-    for _ in range(config.max_iters):  # the polish: exact pairs, not in histories
+    for polish in range(1, config.max_iters + 1):  # the polish: exact pairs, not in histories
         phi, psi, _ = _half_step(mat, e, c)
         e, c, val = _half_step(adj, phi, psi)
         best_val = max(best_val, val[0])
@@ -213,7 +215,8 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     return GNormEstimate(scaled_outward(best_val, dh * dj, k, up=False),
                          scaled_outward(operator_norm(mat), dh * dj, k, up=True),
                          phi, psi, eta, chi, iterations_used=int(iters[best]),
-                         converged=converged, best_restart=best, histories=histories)
+                         converged=converged, best_restart=best, histories=histories,
+                         polish_steps=polish)
 
 
 def _operator_schmidt_start(L: BipartiteOperator):

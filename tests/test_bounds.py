@@ -386,11 +386,11 @@ def test_witness_seesaw_closed_forms():
 
     for d in (2, 3, 4):
         op = max_entangled(d)
-        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d))
+        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d), np.inf)
         assert abs(q - d) <= 1e-12 * d
     coeffs = [0.8, 0.5, np.sqrt(0.11)]
     op = pure_with_schmidt(coeffs).projector()
-    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1))
+    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1), np.inf)
     assert abs(q - sum(coeffs) ** 2) <= 1e-12 * sum(coeffs) ** 2
     assert witness_value(op, BipartiteVector(op.shape, c)) == pytest.approx(q, rel=1e-12)
 
@@ -483,7 +483,7 @@ def test_witness_seesaw_matches_the_loop_reference():
     for op in _seesaw_test_operators():
         # the kernel runs on the analysis' unit operator; the reference scales for itself
         unit, k, _ = unit_scale(op.matrix)
-        q, _ = _witness_seesaw(unit, op.shape, cfg)
+        q, _ = _witness_seesaw(unit, op.shape, cfg, np.inf)
         # the same steps, summed in another order: agreement to rounding
         assert np.ldexp(q, k) == pytest.approx(_reference_polar(op.matrix, op.shape, cfg),
                                                rel=1e-12)
@@ -494,7 +494,7 @@ def test_witness_seesaw_reaches_the_schmidt_rebalancing_search():
 
     cfg = SeeSawConfig(seed=5)
     for op in _seesaw_test_operators():
-        q, _ = _witness_seesaw(op.matrix, op.shape, cfg)
+        q, _ = _witness_seesaw(op.matrix, op.shape, cfg, np.inf)
         ref = _reference_seesaw(op.matrix, op.shape, cfg)
         # the ascent is monotone only where the objective is convex
         rel = 1e-12 if op.is_psd() else 1e-9
@@ -506,7 +506,7 @@ def test_witness_seesaw_returns_a_co_isometry():
 
     cfg = SeeSawConfig(seed=4, restarts=4, max_iters=40)
     for op in _seesaw_test_operators():
-        _, c = _witness_seesaw(op.matrix, op.shape, cfg)
+        _, c = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
         s = np.linalg.svd(c.reshape(op.shape.dh, op.shape.dj), compute_uv=False)
         assert np.allclose(s, 1.0, rtol=0, atol=1e-12)
 
@@ -516,8 +516,8 @@ def test_witness_seesaw_is_deterministic():
 
     op = random_density(BipartiteShape(3, 3), 12)
     cfg = SeeSawConfig(seed=9)
-    q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg)
-    q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg)
+    q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
+    q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
     assert q1 == q2 and np.array_equal(c1, c2)
 
 
@@ -530,7 +530,7 @@ def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step():
     v = 0.8 * np.kron(e[0], e[0]) + 0.6 * np.kron(e[1], e[1])
     w = np.kron(e[2], e[2])
     op = BipartiteOperator(shape, 0.7 * np.outer(v, v) + 0.3 * np.outer(w, w))
-    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2))
+    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), np.inf)
     assert witness_value(op, BipartiteVector(shape, c)) == pytest.approx(q, rel=1e-12)
     # c = I: 0.7 (0.8 + 0.6)^2 + 0.3
     assert q == pytest.approx(1.672, rel=1e-12)
@@ -540,12 +540,101 @@ def test_witness_seesaw_more_restarts_never_lower():
     from crossnorm.bounds import _witness_seesaw
 
     v = pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)])  # the warm start is v itself
-    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1))
+    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1), np.inf)
     assert q == pytest.approx(pure_pi_norm(v), rel=1e-12)
     op = random_density(BipartiteShape(2, 3), 21)
-    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k))[0]
+    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k), np.inf)[0]
           for k in (1, 2, 5, 16, 32)]
     assert qs == sorted(qs)
+
+
+def _ceiling(op):
+    """||R(D)||_1, the bound no witness exceeds."""
+    from crossnorm.core import nuclear_norm, realign
+
+    return nuclear_norm(realign(op))
+
+
+def _ceiling_states():
+    """States whose warm start, the top eigenvector, meets realignment at once:
+    Bell-type, the isotropic states of the CI sweeps' grids and a pure state."""
+    from crossnorm.cli import _parse_grid
+
+    ops = [max_entangled(d) for d in (2, 3, 4)]
+    ops += [isotropic(p, 2) for p in _parse_grid("0:1:0.05")]
+    ops += [isotropic(p, 3) for p in _parse_grid("0:1:0.1")]
+    return ops + [pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)]).projector()]
+
+
+def test_witness_seesaw_stops_at_the_realignment_ceiling(monkeypatch):
+    from crossnorm import bounds
+
+    steps = []  # one _polar_rows call per step
+    polar = bounds._polar_rows
+    monkeypatch.setattr(bounds, "_polar_rows", lambda *a: steps.append(a) or polar(*a))
+    tol = SeeSawConfig(seed=1).tol
+    for op in _ceiling_states():
+        an = bounds._Analysis(op, SeeSawConfig(seed=1))
+        steps.clear()
+        q, c = an.witness
+        assert len(steps) == 1, op.shape
+        ceiling = an.realignment_lower
+        assert abs(q - ceiling) <= tol * max(ceiling, 1.0)
+        assert witness_value(an.unit, c) == pytest.approx(q, rel=1e-12)
+
+
+def _lab_ginibre_densities(seed, tmp_path, monkeypatch):
+    """The Ginibre densities the benchmark's ``lab`` workload classifies."""
+    from pathlib import Path
+
+    from crossnorm import separability
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    ops = []
+    with monkeypatch.context() as m:
+        m.setattr(separability, "classify", lambda op, cfg: ops.append(op))
+        for case in workloads.build("lab", seed, False, tmp_path):
+            if case.name.startswith("ginibre"):
+                case.call()
+    return ops
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_witness_seesaw_ceiling_costs_at_most_tol(seed, tmp_path, monkeypatch):
+    """The stop ends no lower than the full search, less the search's tol."""
+    from crossnorm import bounds
+
+    ops = _seesaw_test_operators() + _lab_ginibre_densities(seed, tmp_path, monkeypatch)
+    assert len(ops) == 7 + 11
+    cfg = SeeSawConfig(seed=seed)
+    for op in ops:
+        an = bounds._Analysis(op, cfg)
+        full, _ = bounds._witness_seesaw(an.unit.matrix, op.shape, cfg, np.inf)
+        q, _ = an.witness
+        assert q >= full - cfg.tol * max(abs(full), 1.0)
+
+
+def test_witness_seesaw_draws_its_starts_in_one_call(monkeypatch):
+    """One (restarts - 1, 2, n) draw is the per-restart draws of real and
+    imaginary parts, bit for bit; the kernel starts from them, normalized."""
+    from crossnorm import bounds
+    from crossnorm.core import rng_from_seed
+
+    cfg, n = SeeSawConfig(seed=8, restarts=7, max_iters=1), 6
+    rng = rng_from_seed(cfg.seed)
+    loop = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(cfg.restarts - 1)]
+    raw = rng_from_seed(cfg.seed).standard_normal((cfg.restarts - 1, 2, n))
+    assert np.array_equal(raw[:, 0] + 1j * raw[:, 1], np.array(loop))
+
+    firsts = []
+    polar = bounds._polar_rows
+    monkeypatch.setattr(bounds, "_polar_rows",
+                        lambda g, shape: firsts.append(g.copy()) or polar(g, shape))
+    bounds._witness_seesaw(np.eye(n, dtype=complex), BipartiteShape(2, 3), cfg, np.inf)
+    starts = firsts[0][1:]  # D = I: the first step's input is the starts themselves
+    np.testing.assert_allclose(starts, [z / np.linalg.norm(z) for z in loop], rtol=0, atol=4e-16)
 
 
 # ---------------------------------------------------------------------------

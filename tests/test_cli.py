@@ -240,6 +240,17 @@ def test_sweep_missing_args_is_input_error(tmp_path):
                 "--csv-out", tmp_path / "iso.csv"]) == 1  # missing --seed
 
 
+def test_sweep_empty_grid_is_input_error(tmp_path, capsys):
+    """A grid that starts above its stop wrote a header-only CSV and exited 0."""
+    out = tmp_path / "iso.csv"
+    assert run(["sweep", "isotropic", "--d", 2, "--p", "0.3:0.2:0.1", "--seed", 1,
+                "--csv-out", out]) == 1
+    assert "grid is empty" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["sweep", "isotropic", "--d", 2, "--p", "0.3:0.3:0.1", "--seed", 1,
+                "--csv-out", out]) == 0  # one point
+
+
 def test_bounds_non_hermitian_input_reports_indirect(tmp_path):
     from crossnorm import BipartiteOperator, BipartiteShape, to_state_dict
 

@@ -285,7 +285,7 @@ def _reference_g_norm_seesaw(L, config):
 
     eta, chi, r, iters = best
     prev, prev2, converged = -1.0, -1.0, False
-    for _ in range(config.max_iters):
+    for polish in range(1, config.max_iters + 1):
         phi, psi, _ = leading_pair(mat, eta, chi)
         eta, chi, val = leading_pair(adj, phi, psi)
         best_val = max(best_val, val)
@@ -300,7 +300,7 @@ def _reference_g_norm_seesaw(L, config):
         phi = phi * (obj / abs(obj))
     return dict(lower_bound=scaled_outward(best_val, L.shape.total, 0, up=False), phi=phi, psi=psi,
                 eta=eta, chi=chi, best_restart=r, iterations_used=iters, converged=converged,
-                histories=histories)
+                histories=histories, polish_steps=polish)
 
 
 def _exact_g_norm_seesaw(L, config):
@@ -374,8 +374,8 @@ def test_stacked_seesaw_matches_the_per_restart_loop(dh, dj, kind):
     for seed, restarts, max_iters in [(1, 1, 1), (2, 5, 7), (3, 32, 200)]:
         cfg = SeeSawConfig(seed=seed, restarts=restarts, max_iters=max_iters)
         est, ref = g_norm_seesaw(L, cfg), _reference_g_norm_seesaw(L, cfg)
-        assert (est.best_restart, est.iterations_used, est.converged) == (
-            ref["best_restart"], ref["iterations_used"], ref["converged"])
+        assert (est.best_restart, est.iterations_used, est.converged, est.polish_steps) == (
+            ref["best_restart"], ref["iterations_used"], ref["converged"], ref["polish_steps"])
         assert [len(h) for h in est.histories] == [len(h) for h in ref["histories"]]
         scale = max(ref["lower_bound"], 1e-300)
         assert abs(est.lower_bound - ref["lower_bound"]) <= 1e-12 * scale
@@ -414,6 +414,30 @@ def test_power_steps_reach_the_exact_see_saw_on_the_benchmark_operators(seed, tm
         cfg = SeeSawConfig(seed=seed)
         est, exact = g_norm_seesaw(L, cfg), _exact_g_norm_seesaw(L, cfg)
         assert est.lower_bound >= exact["lower_bound"] and est.converged == exact["converged"]
+
+
+def test_gnorm_reports_its_polish_on_the_benchmark_operators(tmp_path, monkeypatch):
+    """``polish_steps``, the exact half-step pairs of the winning restart's
+    polish, lies in [1, max_iters] on the benchmark's ``gnorm`` operators, and
+    ``crossnorm gnorm`` reports it next to ``g_norm``, whose keys stay."""
+    from crossnorm.cli import main
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    workloads.build("lab", 1, False, tmp_path)
+    cfg = SeeSawConfig(seed=1)
+    for n in (3, 4, 5):
+        src = tmp_path / f"operator-{n}.json"
+        est = g_norm_seesaw(from_state_dict(json.loads(src.read_text())), cfg)
+        assert 1 <= est.polish_steps <= cfg.max_iters
+        out = tmp_path / f"gnorm-{n}.json"
+        assert main(["gnorm", str(src), "--seed", "1", "--no-timestamp",
+                     "--json-out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert set(results["g_norm"]) == {"lower", "upper", "converged"}
+        assert results["polish_steps"] == est.polish_steps
 
 
 def test_restarts_do_not_depend_on_the_stack():

@@ -88,8 +88,8 @@ def test_realignment_dominates_the_witness_seesaw(shape, kind, seed, parts):
     """|<c|D|c>| / a_1(c)^2 <= ||R(D)||_1 for every D (Hoelder: R(|c><c|)
     has operator norm a_1(c)^2), so the see-saw never beats realignment.
     A drawn c checks every kind of D; the see-saw runs on densities, the
-    only input that reaches it."""
-    from crossnorm.bounds import _witness_seesaw, lower_bound_realignment
+    only input that reaches it, stopped at its realignment ceiling and not."""
+    from crossnorm.bounds import _Analysis, _witness_seesaw, lower_bound_realignment
 
     bshape = BipartiteShape(*shape)
     n = bshape.total
@@ -107,5 +107,9 @@ def test_realignment_dominates_the_witness_seesaw(shape, kind, seed, parts):
     a1 = np.linalg.svd(c.reshape(shape), compute_uv=False)[0]
     assert abs(np.vdot(c, mat @ c)) / a1**2 <= bound
     if kind == "psd":
-        q, _ = _witness_seesaw(mat, bshape, SeeSawConfig(seed=seed % 1000, restarts=8))
-        assert q <= bound
+        cfg = SeeSawConfig(seed=seed % 1000, restarts=8)
+        an = _Analysis(BipartiteOperator(bshape, mat), cfg)  # a density: k = 0, unit D is D
+        q, _ = an.witness
+        full, _ = _witness_seesaw(an.unit.matrix, bshape, cfg, np.inf)
+        assert q <= bound and full <= bound
+        assert q >= full - cfg.tol * max(abs(full), 1.0)
