@@ -75,6 +75,7 @@ from .core import (
     eigh_blocks,
     equal_runs,
     nuclear_norm,
+    on_support,
     partial_trace,
     partial_transpose,
     realign,
@@ -817,10 +818,17 @@ def _polish_mixture(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
     (J^T J + lam I)^-1 J^T r = J^T (J J^T + lam I)^-1 r.  A step is taken
     only if it lowers the residual; then lam falls by 3 and J is rebuilt,
     else lam doubles.  lam starts at 1e-3 of J^T J's mean diagonal, which
-    also keeps the solve regular along the factors' gauge directions."""
+    also keeps the solve regular along the factors' gauge directions.  Two
+    tests end the polish early, the epsilon stops of Madsen, Nielsen &
+    Tingleff (2004, sec. 3.2): before a solve, once ||r|| <= eps ||d||, as
+    nothing is left to fit in double precision; after a solve, once
+    ||step|| <= eps ||z||, as the step cannot move the factors."""
+    eps = np.finfo(float).eps
     r = _mixture_residual(z, dh, d)
-    cost, lam, jt = r @ r, None, None
+    cost, floor, lam, jt = r @ r, eps**2 * (d @ d), None, None
     for _ in range(_POLISH_STEPS):
+        if cost <= floor:
+            break
         if jt is None:
             jt = _mixture_jacobian(z, dh).reshape(-1, r.size)
             gram = jt.T @ jt
@@ -829,6 +837,8 @@ def _polish_mixture(z: np.ndarray, dh: int, d: np.ndarray) -> np.ndarray:
                 lam = 1e-3 * diag.sum() / len(jt)
         gram.flat[::len(gram) + 1] = diag + lam  # the damped Gram matrix, in place
         step = (jt @ np.linalg.solve(gram, r)).reshape(len(z), 2, -1)
+        if step.ravel() @ step.ravel() <= eps**2 * np.vdot(z, z).real:
+            break
         trial = z - (step[:, 0] + 1j * step[:, 1])
         r_new = _mixture_residual(trial, dh, d)
         c_new = r_new @ r_new
@@ -1091,7 +1101,10 @@ class _Analysis:
 
     @cached_property
     def realignment_lower(self) -> float:
-        return nuclear_norm(realign(self.unit))
+        """||R(D)||_1, the SVD on R(D)'s nonzero rows and columns only
+        (:func:`core.on_support`): a sparse operator, such as a truncated
+        family's, has many zero ones."""
+        return nuclear_norm(on_support(realign(self.unit)))
 
     @cached_property
     def witness(self) -> tuple:

@@ -167,6 +167,8 @@ def cmd_gnorm(args) -> int:
             "iterations_used": est.iterations_used,
             "best_restart": est.best_restart,
             "polish_steps": est.polish_steps,
+            "finish_restarts": est.finish_restarts,
+            "finish_steps": est.finish_steps,
         }
         vectors = {"phi": est.phi, "psi": est.psi, "eta": est.eta, "chi": est.chi}
         return results, {k: [[z.real, z.imag] for z in v] for k, v in vectors.items()}

@@ -201,6 +201,17 @@ def nuclear_norm(mat) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def on_support(mat: np.ndarray) -> np.ndarray:
+    """``mat`` restricted to its nonzero rows and columns (``mat`` itself when
+    none is zero), for an SVD: dropping a zero row or column removes no
+    nonzero singular value."""
+    nz = mat != 0
+    rows, cols = nz.any(axis=1), nz.any(axis=0)
+    if rows.all() and cols.all():
+        return mat
+    return mat[np.ix_(rows, cols)]
+
+
 def scaled_outward(value: float, n: int, k: int, up: bool) -> float:
     """A bound computed on an n-dimensional unit operator, moved up (``up``)
     or down by 4 n eps relative, capped at 1e-12, a cover for its rounding
@@ -226,7 +237,8 @@ def unit_scale(mat) -> tuple:
     scaled back by :func:`scaled_outward`.  An exact ldexp first takes the
     largest |re| or |im| to [1/2, 1), so no 2^k is formed and no step
     overflows; ldexp(unit, k) is mat bit for bit, but for entries that go
-    subnormal at unit scale.  The SVD that picks k gives the trace norm too."""
+    subnormal at unit scale.  The SVD that picks k gives the trace norm too;
+    it runs on the nonzero rows and columns only (:func:`on_support`)."""
     parts = np.ascontiguousarray(mat, dtype=complex).view(float)
     top = np.abs(parts).max(initial=0.0)
     if not np.isfinite(top):
@@ -235,7 +247,7 @@ def unit_scale(mat) -> tuple:
         return parts.view(complex).copy(), 0, 0.0
     e = int(np.frexp(top)[1])
     parts = np.ldexp(parts, -e)
-    tn = nuclear_norm(parts.view(complex))
+    tn = nuclear_norm(on_support(parts.view(complex)))
     shift = round(float(np.log2(tn)))
     return np.ldexp(parts, -shift, out=parts).view(complex), e + shift, float(np.ldexp(tn, -shift))
 

@@ -2,11 +2,13 @@
 
 ||L||_G = sup |<phi (x) psi, L (eta (x) chi)>| over unit product vectors.
 Exact closed forms for simple tensors and rank-one operators; alternating
-(see-saw) ascent with certified upper bound ||L||_inf otherwise, all its
-restarts advanced as one stack.  The first half-step takes each restart's
-exact top Schmidt pair (one stacked ``svd``); every later one is a power
-step, a few stacked matvecs, with the exact step kept for a row whose power
-step has zero norm.  The winning restart is polished by exact half-steps.
+(see-saw) ascent with certified upper bound ||L||_inf otherwise.  All its
+restarts are screened as one stack to a loose tolerance, sqrt(tol); only the
+contenders, those near the best, are finished to tol.  The first half-step
+takes each restart's exact top Schmidt pair (one stacked ``svd``); every
+later one is a power step, a few stacked matvecs, with the exact step kept
+for a row whose power step has zero norm.  The winning restart is polished
+by exact half-steps.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ class SeeSawConfig:
 
 @dataclass(eq=False)
 class GNormEstimate:
-    """Certified bracket on ||L||_G with the achieving product vectors."""
+    """Certified bracket on ||L||_G with the achieving product vectors.
+
+    ``histories`` (each restart's half-step values) and ``iterations_used``
+    (the best restart's steps) cover the screen of :func:`g_norm_seesaw`
+    only; ``finish_restarts`` and ``finish_steps`` count the restarts its
+    finish continued and the steps it took, ``polish_steps`` the exact pairs
+    of its polish."""
 
     lower_bound: float
     upper_bound: float
@@ -57,6 +65,8 @@ class GNormEstimate:
     best_restart: int = 0
     histories: list = field(default_factory=list)
     polish_steps: int = 0
+    finish_restarts: int = 0
+    finish_steps: int = 0
 
     def objective(self, L: BipartiteOperator) -> complex:
         """Recompute <phi (x) psi, L (eta (x) chi)> from the stored vectors."""
@@ -128,6 +138,47 @@ def _stopped(val, prev, prev2, tol):
     return (np.abs(val - prev) < cut) & (np.abs(val - prev2) < cut)
 
 
+def _ascend(mat, adj, eta, chi, psi, prev, prev2, tol, max_iters):
+    """Full see-saw steps on the rows (eta_r, chi_r), all advanced as one
+    stack, each row until its value after a full step is within ``tol``
+    (relative) of its values one and two steps earlier (:func:`_stopped`),
+    at most ``max_iters`` steps.  ``psi`` holds each row's psi for its first
+    power step; None takes the first half-step exactly.  ``prev`` and
+    ``prev2`` are each row's two earlier values (-1 for a fresh start), so
+    a row continued from where it stopped runs as if it never had.
+
+    Returns each row's final (eta, chi, psi), its last two values, its
+    step count, and the half-step values as one (rows, 2) array per step."""
+    n_r = len(eta)
+    out_eta, out_chi, out_psi = np.empty_like(eta), np.empty_like(chi), np.empty_like(chi)
+    last, before, iters, history = np.empty(n_r), np.empty(n_r), np.full(n_r, max_iters), []
+    # the running rows: indices, vectors and last two values, written out as they stop
+    active, ea, ca, qa, pv, pv2 = np.arange(n_r), eta, chi, psi, prev, prev2
+    for it in range(1, max_iters + 1):
+        step = np.zeros((n_r, 2))
+        history.append(step)
+        if qa is None:
+            pa, qa, step[active, 0] = _half_step(mat, ea, ca)
+        else:
+            pa, qa, step[active, 0] = _power_step(mat, ea, ca, qa)
+        ea, ca, val = _power_step(adj, pa, qa, ca)
+        step[active, 1] = val
+        done = _stopped(val, pv, pv2, tol)
+        pv2, pv = pv, val
+        if done.any():
+            stop, go = active[done], ~done
+            out_eta[stop], out_chi[stop], out_psi[stop] = ea[done], ca[done], qa[done]
+            last[stop], before[stop], iters[stop] = pv[done], pv2[done], it
+            active, ea, ca, qa, pv, pv2 = (
+                active[go], ea[go], ca[go], qa[go], pv[go], pv2[go])
+            if active.size == 0:
+                break
+    # the rows that ran out of steps
+    out_eta[active], out_chi[active], out_psi[active] = ea, ca, qa
+    last[active], before[active] = pv, pv2
+    return out_eta, out_chi, out_psi, last, before, iters, history
+
+
 def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     """Alternating maximization of |<phi (x) psi, L (eta (x) chi)>|.
 
@@ -139,15 +190,25 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     Lathauwer, De Moor & Vandewalle 2000).  Either way the objective never
     decreases across half-steps.  Restart 0 starts from the leading
     operator-Schmidt pair of L, the rest from seeded random product
-    vectors, and all advance together as one stack.  A restart stops when
-    its value after a full step is within ``tol`` (relative) of its values
-    one and two steps earlier.  The best restart wins, ties broken by the
-    lowest restart index, and is then polished by exact half-step pairs
-    until the same rule holds, at most ``max_iters`` pairs; ``converged``
-    tells whether it held and ``polish_steps`` counts the pairs.
-    ``histories`` and ``iterations_used`` leave the polish out.  The search
-    runs on the unit operator L / 2^k of :func:`core.unit_scale`, and the
-    bounds and ``histories`` are scaled back.
+    vectors.  The search has three phases (:func:`_ascend`):
+
+    - the screen advances all restarts as one stack, each until its value
+      after a full step is within ``sqrt(tol)`` (relative) of its values
+      one and two steps earlier, at most ``max_iters`` steps;
+    - the finish continues only the contenders, the restarts whose screened
+      value lies within ``sqrt(tol) * max(top, 1e-300)`` of the best one
+      ``top``, as one stack from where each stopped, under the same rule at
+      ``tol``, at most ``max_iters`` more steps; ``finish_restarts`` counts
+      them and ``finish_steps`` counts the stack's steps;
+    - the polish takes the finish's best restart, ties broken by the lowest
+      restart index, by exact half-step pairs until the rule at ``tol``
+      holds, at most ``max_iters`` pairs; ``converged`` tells whether it
+      held and ``polish_steps`` counts the pairs.
+
+    ``histories`` and ``iterations_used`` cover the screen only, so no
+    restart's record depends on the others.  The search runs on the unit
+    operator L / 2^k of :func:`core.unit_scale`, and the bounds and
+    ``histories`` are scaled back.
 
     Returns a certified bracket: ``lower_bound`` is attained by the stored
     vectors up to rounding and ``upper_bound`` is ||L||_inf, both rounded
@@ -158,44 +219,25 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
     mat, k, _ = unit_scale(L.matrix)
     adj = mat.conj().T
 
-    n_r = config.restarts
+    n_r, loose = config.restarts, np.sqrt(config.tol)
     draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
              for _ in range(n_r - 1) for d in (dh, dj)]
     eta0, chi0 = _operator_schmidt_start(BipartiteOperator(L.shape, mat))
     eta = np.array([eta0] + [z / np.linalg.norm(z) for z in draws[0::2]], dtype=complex)
     chi = np.array([chi0] + [z / np.linalg.norm(z) for z in draws[1::2]], dtype=complex)
-    history = []  # one (restarts, 2) array of half-step values per step
-    iters = np.full(n_r, config.max_iters)
-    last = np.empty(n_r)  # each restart's final value
-    # the running restarts: indices, vectors and last two values, written back as they stop
-    active, ea, ca, pa, qa = np.arange(n_r), eta, chi, None, None
-    prev, prev2 = np.full(n_r, -1.0), np.full(n_r, -1.0)
-    for it in range(1, config.max_iters + 1):
-        step = np.zeros((n_r, 2))
-        history.append(step)
-        if qa is None:
-            pa, qa, step[active, 0] = _half_step(mat, ea, ca)
-        else:
-            pa, qa, step[active, 0] = _power_step(mat, ea, ca, qa)
-        ea, ca, val = _power_step(adj, pa, qa, ca)
-        step[active, 1] = val
-        done = _stopped(val, prev, prev2, config.tol)
-        prev2, prev = prev, val
-        if done.any():
-            stop, go = active[done], ~done
-            eta[stop], chi[stop], last[stop] = ea[done], ca[done], val[done]
-            iters[stop] = it
-            active, ea, ca, pa, qa, prev, prev2 = (
-                active[go], ea[go], ca[go], pa[go], qa[go], prev[go], prev2[go])
-            if active.size == 0:
-                break
-    # the restarts that ran out of steps
-    eta[active], chi[active], last[active] = ea, ca, prev
+    fresh = np.full(n_r, -1.0)
+    eta, chi, psi, last, prev2, iters, history = _ascend(
+        mat, adj, eta, chi, None, fresh, fresh, loose, config.max_iters)
 
-    best = int(np.argmax(last))
-    e, c = eta[best:best + 1], chi[best:best + 1]
-    best_val, prev, prev2, converged = last[best], -1.0, -1.0, False
-    for polish in range(1, config.max_iters + 1):  # the polish: exact pairs, not in histories
+    top = last.max()
+    contenders = np.flatnonzero(top - last <= loose * max(top, 1e-300))
+    e, c, _, vals, _, steps, _ = _ascend(
+        mat, adj, eta[contenders], chi[contenders], psi[contenders], last[contenders],
+        prev2[contenders], config.tol, config.max_iters)
+    win = int(np.argmax(vals))
+    best, e, c = int(contenders[win]), e[win:win + 1], c[win:win + 1]
+    best_val, prev, prev2, converged = vals[win], -1.0, -1.0, False
+    for polish in range(1, config.max_iters + 1):  # the polish: exact pairs
         phi, psi, _ = _half_step(mat, e, c)
         e, c, val = _half_step(adj, phi, psi)
         best_val = max(best_val, val[0])
@@ -216,7 +258,8 @@ def g_norm_seesaw(L: BipartiteOperator, config: SeeSawConfig) -> GNormEstimate:
                          scaled_outward(operator_norm(mat), dh * dj, k, up=True),
                          phi, psi, eta, chi, iterations_used=int(iters[best]),
                          converged=converged, best_restart=best, histories=histories,
-                         polish_steps=polish)
+                         polish_steps=polish, finish_restarts=len(contenders),
+                         finish_steps=int(steps.max()))
 
 
 def _operator_schmidt_start(L: BipartiteOperator):

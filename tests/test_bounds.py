@@ -1055,6 +1055,48 @@ def test_polish_repeats_itself(dh, dj, k):
     assert np.array_equal(_polish_mixture(z, dh, d), out)
 
 
+def _counted_solves(monkeypatch):
+    """A list that grows by one at each ``np.linalg.solve`` call."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    return calls
+
+
+@pytest.mark.parametrize("dh,dj", [(2, 2), (3, 3)])
+def test_polish_stops_at_a_stationary_start(monkeypatch, dh, dj):
+    """Atoms on |aa> with a residual on the other |bb>, which no atom's
+    tangent space reaches: J^T r = 0, so the first step is zero and the polish
+    ends after one solve; at the exact factors it ends before any solve."""
+    from crossnorm.bounds import _embed_hermitian, _mixture_residual, _polish_mixture
+
+    d = _embed_hermitian(np.diag(np.eye(dh, dj).ravel()).astype(complex))
+    z = np.hstack([np.eye(dh - 1, dh), np.eye(dh - 1, dj)]).astype(complex)
+    assert np.linalg.norm(_mixture_residual(z, dh, d)) == 1.0
+    calls = _counted_solves(monkeypatch)
+    assert np.array_equal(_polish_mixture(z, dh, d), z) and len(calls) == 1
+    exact = np.hstack([np.eye(dh), np.eye(dh, dj)]).astype(complex)
+    assert np.array_equal(_polish_mixture(exact, dh, d), exact) and len(calls) == 1
+
+
+@pytest.mark.parametrize("dh,dj,k", [(2, 2, 2), (2, 3, 3), (3, 3, 4), (4, 4, 5)])
+def test_polish_stops_at_the_rounding_floor(monkeypatch, dh, dj, k):
+    """A mixture the factor rows can fit exactly, started 0.1 away: the
+    polish reaches ||r|| ~ eps ||d|| and stops there, within 12 of its 30
+    solves."""
+    from crossnorm.bounds import _mixture_residual, _polish_mixture
+
+    eps, m = np.finfo(float).eps, dh + dj
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        exact = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / np.sqrt(m)
+        d = _mixture_residual(exact, dh, np.zeros((dh * dj) ** 2))
+        z = exact + 0.1 * (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
+        calls = _counted_solves(monkeypatch)
+        out = _polish_mixture(z, dh, d)
+        assert len(calls) <= 12
+        assert np.linalg.norm(_mixture_residual(out, dh, d)) <= 4 * eps * np.linalg.norm(d)
+
+
 def test_product_ascent_stop_is_scale_free(monkeypatch):
     """The same search, step for step, on R x 1e-6, R and R x 1e6, counted in
     calls of the loop's eigh helper, two per step; with an absolute floor of

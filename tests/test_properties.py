@@ -113,3 +113,52 @@ def test_realignment_dominates_the_witness_seesaw(shape, kind, seed, parts):
         full, _ = _witness_seesaw(an.unit.matrix, bshape, cfg, np.inf)
         assert q <= bound and full <= bound
         assert q >= full - cfg.tol * max(abs(full), 1.0)
+
+
+def _support_shape(mat):
+    nz = np.asarray(mat) != 0
+    return int(nz.any(axis=1).sum()), int(nz.any(axis=0).sum())
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, SCALES)
+@example((3, 3), 1, 0)
+@example((2, 3), 2, -200)
+def test_the_analysis_svds_run_on_the_support(shape, seed, k):
+    """An operator drawn among zero rows and columns: ``unit_scale``'s trace
+    norm and ``realignment_lower`` equal the dense SVD's to 1e-13 relative,
+    and each SVD sees only the nonzero rows and columns."""
+    from crossnorm import bounds, core
+
+    bshape, n = BipartiteShape(*shape), shape[0] * shape[1]
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mat[rng.random(n) < 0.5] = 0.0
+    mat[:, rng.random(n) < 0.5] = 0.0
+    mat *= 10.0**k
+    seen, dense = [], core.nuclear_norm
+
+    def recording(m):
+        seen.append(np.shape(m))
+        return dense(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "nuclear_norm", recording)
+        mp.setattr(bounds, "nuclear_norm", recording)
+        an = bounds._Analysis(BipartiteOperator(bshape, mat))
+        realigned = core.realign(an.unit)
+        low = an.realignment_lower
+    svd_sum = [np.linalg.svd(m, compute_uv=False).sum() for m in (an.unit.matrix, realigned)]
+    assert abs(an.trace_norm - svd_sum[0]) <= 1e-13 * svd_sum[0]
+    assert abs(low - svd_sum[1]) <= 1e-13 * svd_sum[1]
+    support = [_support_shape(mat), _support_shape(realigned)]
+    assert seen == (support if mat.any() else support[1:])
+
+
+def test_the_analysis_svds_of_the_zero_operator():
+    from crossnorm.bounds import _Analysis
+    from crossnorm.core import unit_scale
+
+    zero = np.zeros((6, 6), dtype=complex)
+    assert unit_scale(zero)[1:] == (0, 0.0)
+    assert _Analysis(BipartiteOperator(BipartiteShape(2, 3), zero)).realignment_lower == 0.0
