@@ -4,11 +4,12 @@ Each provider, search or validator call wraps its operator D in one
 private ``_Analysis``.  It divides D once by 2^k, k the integer nearest
 log2 ||D||_1 (:func:`core.unit_scale`, whose SVD also gives the unit trace
 norm), and computes the shared work on that unit operator at most once, on
-first use: the Hermitian, PSD and negative partial transpose (NPT) flags,
-which every input check reads, realignment bound, witness and product-mixture
-searches, spectral-Schmidt expansion and its signed atoms.  No kernel scales
-for itself: every bound reported for D, by ``pi_bounds`` or a single
-provider, passes one rounding rule, :meth:`_Analysis.reported`.
+first use: the eigendecomposition, the Hermitian, PSD and negative partial
+transpose (NPT) flags, which every input check reads, realignment bound,
+witness and product-mixture searches, spectral-Schmidt expansion and its
+signed atoms.  No kernel scales for itself: every bound reported for D, by
+``pi_bounds`` or a single provider, passes one rounding rule,
+:meth:`_Analysis.reported`.
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
@@ -227,16 +228,11 @@ def pure_pi_norm(v: BipartiteVector) -> float:
     n = v.norm()
     if abs(n - 1.0) > 1e-8:
         raise ValueError(f"pure_pi_norm expects a unit vector, got norm {n}")
-    s = np.linalg.svd(v.as_matrix(), compute_uv=False)
-    return float(s.sum() ** 2)
+    return nuclear_norm(v.as_matrix()) ** 2
 
 
 # ---------------------------------------------------------------------------
 # upper bounds
-
-
-def _schmidt_sum(vec: np.ndarray, dh: int, dj: int) -> float:
-    return float(np.linalg.svd(vec.reshape(dh, dj), compute_uv=False).sum())
 
 
 _JACOBI_THETAS = tuple(np.pi * k / 16 for k in range(1, 8))
@@ -263,7 +259,7 @@ def _productize_block(block: np.ndarray, shape: BipartiteShape, max_sweeps: int 
     block = block @ _pivoted_rotation(block)
     dh, dj = shape.dh, shape.dj
     cols = [block[:, j].copy() for j in range(b)]
-    sums = [_schmidt_sum(c, dh, dj) for c in cols]
+    sums = [nuclear_norm(c.reshape(dh, dj)) for c in cols]
     for _ in range(max_sweeps):
         improved = False
         for p in range(b):
@@ -296,17 +292,18 @@ def _pivoted_rotation(block: np.ndarray) -> np.ndarray:
     return qr(block.conj().T, pivoting=True, mode="economic")[0]
 
 
-def _spectral_schmidt(op: BipartiteOperator):
-    """Eigen-decompose, then Schmidt-decompose the eigenvectors all at once
-    (:func:`core.schmidt_forms`), degenerate blocks rotated toward product bases
-    first: (eigenvalue, SchmidtForm) pairs, negligible eigenvalues dropped."""
-    w, u, blocks = eigh_blocks(op.matrix)
+def _spectral_schmidt(eig: tuple, shape: BipartiteShape):
+    """Schmidt-decompose the eigenvectors of :func:`core.eigh_blocks` all at once
+    (:func:`core.schmidt_forms`), degenerate blocks of a copy rotated toward product
+    bases first: (eigenvalue, SchmidtForm) pairs, negligible eigenvalues dropped."""
+    w, u, blocks = eig
+    u = u.copy()  # the caller's vectors stay as eigh returned them
     cut = 1e-13 * np.abs(w).max(initial=0.0)
     for blk in blocks:
         if blk.stop - blk.start > 1 and abs(w[blk.start]) > cut:
-            u[:, blk] = _productize_block(u[:, blk], op.shape)
+            u[:, blk] = _productize_block(u[:, blk], shape)
     kept = np.flatnonzero(np.abs(w) > cut)
-    return [(float(w[j]), sf) for j, sf in zip(kept, schmidt_forms(u[:, kept].T, op.shape))]
+    return [(float(w[j]), sf) for j, sf in zip(kept, schmidt_forms(u[:, kept].T, shape))]
 
 
 def upper_bound_spectral(op: BipartiteOperator):
@@ -384,15 +381,15 @@ _STALL_STEPS = 4  # a witness restart stops after this many steps in a row that 
 
 
 def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig,
-                    ceiling: float):
+                    ceiling: float, start: np.ndarray):
     """Maximize <c|D|c> / a_1(c)^2 by projected power iteration on co-isometries.
 
     Each step replaces c by the polar factor of D c, the maximizer of
     Re <D c, x> over a_1(x) <= 1; for PSD D, all that reaches it, the
     objective is convex, so q never falls.
-    Restart 0 starts from the top eigenvector of the Hermitian part
-    (D + D^dag) / 2, the others from seeded random vectors, drawn in one
-    call, and all advance together as one stack.  A restart stops after
+    Restart 0 starts from the unit vector ``start``, the top eigenvector of
+    (D + D^dag) / 2 (:attr:`_Analysis.eig`), the others from seeded random
+    vectors, drawn in one call; all advance as one stack.  A restart stops after
     _STALL_STEPS steps in a row that gain no more than ``tol`` (relative, or
     absolute below |q| = 1: D is the unit operator of its analysis).  The
     whole stack stops once a restart comes within that same ``tol`` of
@@ -402,11 +399,9 @@ def _witness_seesaw(mat: np.ndarray, shape: BipartiteShape, config: SeeSawConfig
     reached its largest q; the best restart wins, ties to the lowest index.
     """
     rng = rng_from_seed(config.seed)
-    n = shape.total
-    w, u = np.linalg.eigh((mat + mat.conj().T) / 2)
-    z = rng.standard_normal((config.restarts - 1, 2, n))  # each restart's real, then imaginary part
+    z = rng.standard_normal((config.restarts - 1, 2, shape.total))  # real, then imaginary part
     z = z[:, 0] + 1j * z[:, 1]
-    c = np.concatenate([u[None, :, np.argsort(-w)[0]], z / np.linalg.norm(z, axis=1)[:, None]])
+    c = np.concatenate([start[None, :], z / np.linalg.norm(z, axis=1)[:, None]])
     reach = ceiling - config.tol * max(abs(ceiling), 1.0) if np.isfinite(ceiling) else np.inf
     # one product per row, so no restart's iterates depend on its stack
     dc = (mat @ c[:, :, None])[:, :, 0]
@@ -1056,9 +1051,10 @@ class _Analysis:
     every attribute below is about it.  Every bound reported for the
     operator leaves through :meth:`reported`, decompositions through their
     ``scaled(k)``.  Each attribute, each search too, is computed at most
-    once, on first use; the trace norm comes with the scale.  An analysis
-    serves one top-level call; nothing is stored on the operator.  ``config`` seeds the searches
-    and may be None where none runs.
+    once, on first use; the trace norm comes with the scale, and :attr:`eig`
+    is the one eigendecomposition.  An analysis serves one top-level call;
+    nothing is stored on the operator.  ``config`` seeds the searches and
+    may be None where none runs.
     """
 
     def __init__(self, op: BipartiteOperator, config: SeeSawConfig | None = None):
@@ -1082,8 +1078,14 @@ class _Analysis:
         return self.unit.is_hermitian(EPS_HERM)
 
     @cached_property
+    def eig(self) -> tuple:
+        """:func:`core.eigh_blocks` of ``unit``: PSD flag, witness start and spectral read it."""
+        return eigh_blocks(self.unit.matrix)
+
+    @cached_property
     def psd(self) -> bool:
-        return self.hermitian and self.unit.is_psd(EPS_PSD)
+        """No eigenvalue below -EPS_PSD max|entry|, the rule of ``BipartiteOperator.is_psd``."""
+        return self.hermitian and bool(self.eig[0][-1] >= -EPS_PSD * self.unit.scale())
 
     @cached_property
     def density(self) -> bool:
@@ -1112,7 +1114,7 @@ class _Analysis:
         stops once a restart reaches :attr:`realignment_lower`, which no
         witness exceeds (:attr:`lower`), within the search's ``tol``."""
         q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config,
-                               self.realignment_lower)
+                               self.realignment_lower, self.eig[1][:, 0])
         return q, BipartiteVector(self.op.shape, c)
 
     @property
@@ -1137,7 +1139,7 @@ class _Analysis:
 
     @cached_property
     def spectral(self) -> list:
-        return _spectral_schmidt(self.unit)
+        return _spectral_schmidt(self.eig, self.op.shape)
 
     @cached_property
     def signed_atoms(self) -> tuple:
@@ -1195,7 +1197,8 @@ def _hermitian_split_upper(op: BipartiteOperator) -> tuple:
     up, terms = 0.0, []
     for phase, part in ((1.0, (mat + mat.conj().T) / 2), (1j, (mat - mat.conj().T) / 2j)):
         hop = BipartiteOperator(op.shape, part)
-        value, dec = min(_spectral_standard(_spectral_schmidt(hop), op.shape),
+        spectral = _spectral_schmidt(eigh_blocks(part), op.shape)
+        value, dec = min(_spectral_standard(spectral, op.shape),
                          _realignment_upper(hop), key=lambda p: p[0])
         up += value
         terms += [(r, phase * x, y) for r, x, y in dec.terms]

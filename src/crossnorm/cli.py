@@ -177,13 +177,15 @@ def cmd_gnorm(args) -> int:
 
 
 def _load_vector(path: str) -> BipartiteVector:
-    """The vector state at ``path``; a pure operator becomes its vector."""
+    """The vector state at ``path``, or a pure operator's: PSD by its analysis, top eigenvalue
+    lam > 0, every other at most 1e-10 lam; its vector u_top sqrt(lam) keeps the input's norm."""
     state = load_state(path)
     if isinstance(state, BipartiteOperator):
-        w, u = np.linalg.eigh(state.matrix)
-        if w[:-1].max(initial=0.0) > 1e-10 * max(w[-1], 1e-300):
+        an = _Analysis(state)
+        w, u, _ = an.eig
+        if not (an.psd and w[0] > 0 and w[1:].max(initial=0.0) <= 1e-10 * w[0]):
             raise InputError("witness construction needs a vector state or a pure operator")
-        state = BipartiteVector(state.shape, u[:, -1] * np.sqrt(max(w[-1], 0.0)))
+        state = BipartiteVector(state.shape, u[:, 0] * np.sqrt(np.ldexp(w[0], an.k)))
     return state
 
 

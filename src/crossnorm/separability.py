@@ -28,7 +28,6 @@ from .bounds import (
 )
 from .core import (
     EPS_HERM,
-    EPS_PSD,
     BipartiteOperator,
     BipartiteShape,
     BipartiteVector,
@@ -148,12 +147,8 @@ def witness_check(E: Witness | BipartiteOperator, state: BipartiteOperator | Non
         g_upper, g_exact = _certify_g_upper(op)
     herm = op.is_hermitian(EPS_HERM)
     onorm = operator_norm(op.matrix)
-    seesaw_lower = None
-    if config is not None:
-        seesaw_lower = g_norm_seesaw(op, config).lower_bound
-    expec = None
-    if state is not None:
-        expec = float(np.trace(state.matrix @ op.matrix).real)
+    seesaw_lower = None if config is None else g_norm_seesaw(op, config).lower_bound
+    expec = None if state is None else float(np.trace(state.matrix @ op.matrix).real)
     is_unit_g = abs(g_upper - 1.0) <= 1e-9
     w1 = bool(herm and is_unit_g and expec is not None and abs(expec) > 1.0)
     w2 = bool(herm and is_unit_g and onorm > 1.0 + 1e-9)
@@ -164,21 +159,21 @@ def witness_check(E: Witness | BipartiteOperator, state: BipartiteOperator | Non
         g_norm_seesaw_lower=seesaw_lower,
         operator_norm=float(onorm),
         expectation=expec,
-        w1=w1,
-        w2=w2,
-        detects=w1,
+        w1=w1, w2=w2, detects=w1,
     )
 
 
 def _certify_g_upper(op: BipartiteOperator):
-    """Exact injective norm for Hermitian rank-one operators and simple tensors, else ||.||_inf."""
-    if op.is_hermitian(EPS_HERM):
-        w, u = np.linalg.eigh((op.matrix + op.matrix.conj().T) / 2)
-        nz = np.abs(w) > 1e-12 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    """Exact injective norm for Hermitian rank-one operators and simple tensors, else ||.||_inf;
+    rank one (one eigenvalue above 1e-12 max|lambda|, positive) is read off the analysis."""
+    an = _Analysis(op)
+    if an.hermitian:
+        w, u, _ = an.eig
+        nz = np.abs(w) > 1e-12 * np.abs(w).max(initial=0.0)
         if nz.sum() == 1 and w[nz][0] > 0:
-            lam = float(w[nz][0])
             vec = BipartiteVector(op.shape, u[:, nz][:, 0])
-            return lam * g_norm_rank_one(vec), lam * g_norm_rank_one(vec)
+            g = float(np.ldexp(w[nz][0] * g_norm_rank_one(vec), an.k))
+            return g, g
     form = operator_schmidt(op)
     if form.rank == 1:  # a simple tensor: its injective norm factorizes
         s = float(form.singular_values[0])
@@ -304,11 +299,10 @@ def max_entangled_vector(d: int) -> BipartiteVector:
 
 
 def product_state(rho: np.ndarray, sigma: np.ndarray) -> BipartiteOperator:
-    """rho (x) sigma for densities rho, sigma."""
-    for fac in (rho, sigma):
-        w = np.linalg.eigvalsh((np.asarray(fac) + np.asarray(fac).conj().T) / 2)
-        if w.min() < -EPS_PSD or abs(np.trace(fac).real - 1.0) > 1e-8:
-            raise ValueError("product_state factors must be density matrices")
+    """rho (x) sigma; each factor, as a (d, 1) operator, must pass :attr:`_Analysis.density`."""
+    if not all(_Analysis(BipartiteOperator(BipartiteShape(len(f), 1), f)).density
+               for f in (rho, sigma)):
+        raise ValueError("product_state factors must be density matrices")
     return kron(rho, sigma)
 
 

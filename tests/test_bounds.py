@@ -36,7 +36,7 @@ from crossnorm import (
     witness_value,
 )
 from crossnorm.bounds import VALIDATE_TOL
-from crossnorm.core import EPS_PSD, unit_scale
+from crossnorm.core import EPS_PSD, eigh_blocks, nuclear_norm, unit_scale
 from crossnorm.separability import isotropic
 
 CFG = SeeSawConfig(seed=201, restarts=6, max_iters=80)
@@ -158,7 +158,7 @@ def _productize_block_per_candidate(block, shape, max_sweeps=50):
     block = block @ bounds._pivoted_rotation(block)
     dh, dj = shape.dh, shape.dj
     cols = [block[:, j].copy() for j in range(b)]
-    sums = [bounds._schmidt_sum(c, dh, dj) for c in cols]
+    sums = [nuclear_norm(c.reshape(dh, dj)) for c in cols]
     for _ in range(max_sweeps):
         improved = False
         for p in range(b):
@@ -170,8 +170,8 @@ def _productize_block_per_candidate(block, shape, max_sweeps=50):
                         e = np.exp(1j * ph)
                         vp = ct * cols[p] + e * st * cols[q]
                         vq = -np.conj(e) * st * cols[p] + ct * cols[q]
-                        sp = bounds._schmidt_sum(vp, dh, dj)
-                        sq = bounds._schmidt_sum(vq, dh, dj)
+                        sp = nuclear_norm(vp.reshape(dh, dj))
+                        sq = nuclear_norm(vq.reshape(dh, dj))
                         val = sp**2 + sq**2
                         if val < best[1] - 1e-12:
                             best = ((vp, vq, sp, sq), val)
@@ -195,10 +195,11 @@ def test_product_pair_skip_matches_the_full_sweep(monkeypatch, make):
     op = make()
     svd, svds = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-    ours = bounds._spectral_schmidt(op)
+    eig = eigh_blocks(op.matrix)
+    ours = bounds._spectral_schmidt(eig, op.shape)
     skipped = len(svds)
     monkeypatch.setattr(bounds, "_PRODUCT_SUM", -np.inf)  # every pair swept
-    ref = bounds._spectral_schmidt(op)
+    ref = bounds._spectral_schmidt(eig, op.shape)
     assert len(ours) == len(ref)
     for (lam, sf), (lam_ref, sf_ref) in zip(ours, ref):
         assert lam == lam_ref
@@ -241,9 +242,10 @@ def test_stacked_productization_matches_the_per_candidate_loop(monkeypatch, make
     from crossnorm import bounds
 
     op = make()
-    ours = bounds._spectral_schmidt(op)
+    eig = eigh_blocks(op.matrix)
+    ours = bounds._spectral_schmidt(eig, op.shape)
     monkeypatch.setattr(bounds, "_productize_block", _productize_block_per_candidate)
-    ref = bounds._spectral_schmidt(op)
+    ref = bounds._spectral_schmidt(eig, op.shape)
     assert len(ours) == len(ref)
     for (lam, sf), (lam_ref, sf_ref) in zip(ours, ref):
         assert lam == lam_ref
@@ -381,16 +383,23 @@ def test_density_gates_read_the_hermitian_flag_of_the_bounds():
             gate(op, CFG)
 
 
+def _top(mat):
+    """The see-saw's warm start as its analysis passes it: the first column
+    of core.eigh_blocks, the top eigenvector of the Hermitian part."""
+    return eigh_blocks(mat)[1][:, 0]
+
+
 def test_witness_seesaw_closed_forms():
     from crossnorm.bounds import _witness_seesaw
 
     for d in (2, 3, 4):
         op = max_entangled(d)
-        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d), np.inf)
+        q, _ = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=d), np.inf,
+                               _top(op.matrix))
         assert abs(q - d) <= 1e-12 * d
     coeffs = [0.8, 0.5, np.sqrt(0.11)]
     op = pure_with_schmidt(coeffs).projector()
-    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1), np.inf)
+    q, c = _witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=1), np.inf, _top(op.matrix))
     assert abs(q - sum(coeffs) ** 2) <= 1e-12 * sum(coeffs) ** 2
     assert witness_value(op, BipartiteVector(op.shape, c)) == pytest.approx(q, rel=1e-12)
 
@@ -483,7 +492,7 @@ def test_witness_seesaw_matches_the_loop_reference():
     for op in _seesaw_test_operators():
         # the kernel runs on the analysis' unit operator; the reference scales for itself
         unit, k, _ = unit_scale(op.matrix)
-        q, _ = _witness_seesaw(unit, op.shape, cfg, np.inf)
+        q, _ = _witness_seesaw(unit, op.shape, cfg, np.inf, _top(unit))
         # the same steps, summed in another order: agreement to rounding
         assert np.ldexp(q, k) == pytest.approx(_reference_polar(op.matrix, op.shape, cfg),
                                                rel=1e-12)
@@ -494,7 +503,7 @@ def test_witness_seesaw_reaches_the_schmidt_rebalancing_search():
 
     cfg = SeeSawConfig(seed=5)
     for op in _seesaw_test_operators():
-        q, _ = _witness_seesaw(op.matrix, op.shape, cfg, np.inf)
+        q, _ = _witness_seesaw(op.matrix, op.shape, cfg, np.inf, _top(op.matrix))
         ref = _reference_seesaw(op.matrix, op.shape, cfg)
         # the ascent is monotone only where the objective is convex
         rel = 1e-12 if op.is_psd() else 1e-9
@@ -506,7 +515,7 @@ def test_witness_seesaw_returns_a_co_isometry():
 
     cfg = SeeSawConfig(seed=4, restarts=4, max_iters=40)
     for op in _seesaw_test_operators():
-        _, c = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
+        _, c = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op), _top(op.matrix))
         s = np.linalg.svd(c.reshape(op.shape.dh, op.shape.dj), compute_uv=False)
         assert np.allclose(s, 1.0, rtol=0, atol=1e-12)
 
@@ -516,8 +525,8 @@ def test_witness_seesaw_is_deterministic():
 
     op = random_density(BipartiteShape(3, 3), 12)
     cfg = SeeSawConfig(seed=9)
-    q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
-    q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op))
+    q1, c1 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op), _top(op.matrix))
+    q2, c2 = _witness_seesaw(op.matrix, op.shape, cfg, _ceiling(op), _top(op.matrix))
     assert q1 == q2 and np.array_equal(c1, c2)
 
 
@@ -530,7 +539,8 @@ def test_witness_seesaw_with_mixed_schmidt_ranks_in_one_step():
     v = 0.8 * np.kron(e[0], e[0]) + 0.6 * np.kron(e[1], e[1])
     w = np.kron(e[2], e[2])
     op = BipartiteOperator(shape, 0.7 * np.outer(v, v) + 0.3 * np.outer(w, w))
-    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), np.inf)
+    q, c = bounds._witness_seesaw(op.matrix, shape, SeeSawConfig(seed=2), np.inf,
+                                  _top(op.matrix))
     assert witness_value(op, BipartiteVector(shape, c)) == pytest.approx(q, rel=1e-12)
     # c = I: 0.7 (0.8 + 0.6)^2 + 0.3
     assert q == pytest.approx(1.672, rel=1e-12)
@@ -540,10 +550,12 @@ def test_witness_seesaw_more_restarts_never_lower():
     from crossnorm.bounds import _witness_seesaw
 
     v = pure_with_schmidt([0.8, 0.5, np.sqrt(0.11)])  # the warm start is v itself
-    q, _ = _witness_seesaw(v.projector().matrix, v.shape, SeeSawConfig(seed=3, restarts=1), np.inf)
+    pure = v.projector().matrix
+    q, _ = _witness_seesaw(pure, v.shape, SeeSawConfig(seed=3, restarts=1), np.inf, _top(pure))
     assert q == pytest.approx(pure_pi_norm(v), rel=1e-12)
     op = random_density(BipartiteShape(2, 3), 21)
-    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k), np.inf)[0]
+    qs = [_witness_seesaw(op.matrix, op.shape, SeeSawConfig(seed=3, restarts=k), np.inf,
+                          _top(op.matrix))[0]
           for k in (1, 2, 5, 16, 32)]
     assert qs == sorted(qs)
 
@@ -611,7 +623,7 @@ def test_witness_seesaw_ceiling_costs_at_most_tol(seed, tmp_path, monkeypatch):
     cfg = SeeSawConfig(seed=seed)
     for op in ops:
         an = bounds._Analysis(op, cfg)
-        full, _ = bounds._witness_seesaw(an.unit.matrix, op.shape, cfg, np.inf)
+        full, _ = bounds._witness_seesaw(an.unit.matrix, op.shape, cfg, np.inf, an.eig[1][:, 0])
         q, _ = an.witness
         assert q >= full - cfg.tol * max(abs(full), 1.0)
 
@@ -632,7 +644,8 @@ def test_witness_seesaw_draws_its_starts_in_one_call(monkeypatch):
     polar = bounds._polar_rows
     monkeypatch.setattr(bounds, "_polar_rows",
                         lambda g, shape: firsts.append(g.copy()) or polar(g, shape))
-    bounds._witness_seesaw(np.eye(n, dtype=complex), BipartiteShape(2, 3), cfg, np.inf)
+    eye = np.eye(n, dtype=complex)
+    bounds._witness_seesaw(eye, BipartiteShape(2, 3), cfg, np.inf, _top(eye))
     starts = firsts[0][1:]  # D = I: the first step's input is the starts themselves
     np.testing.assert_allclose(starts, [z / np.linalg.norm(z) for z in loop], rtol=0, atol=4e-16)
 
@@ -816,7 +829,7 @@ def test_hermitian_upper_matches_the_eigh_split_construction(dh, dj, scale):
         value, dec = hermitian_upper(op)
         unit, k, _ = unit_scale(op.matrix)
         ref = [(float(np.ldexp(t, k)), rho, sig) for t, rho, sig in
-               _eigh_split_signed(_spectral_schmidt(BipartiteOperator(op.shape, unit)), op.shape)]
+               _eigh_split_signed(_spectral_schmidt(eigh_blocks(unit), op.shape), op.shape)]
         assert len(dec.terms) == len(ref)
         for (t, rho, sig), (tr, rhor, sigr) in zip(dec.terms, ref):
             assert t == pytest.approx(tr, rel=1e-12)
@@ -1320,7 +1333,7 @@ def test_robustness_gets_the_analysis_of_pi_bounds(monkeypatch):
 
     builds = []
     spectral = bounds._spectral_schmidt
-    monkeypatch.setattr(bounds, "_spectral_schmidt", lambda op: builds.append(op) or spectral(op))
+    monkeypatch.setattr(bounds, "_spectral_schmidt", lambda *a: builds.append(a) or spectral(*a))
     op = random_density(BipartiteShape(2, 2), 7)
     nb = pi_bounds(op, CFG)
     assert len(builds) == 1  # one spectral-Schmidt expansion per call
@@ -2220,3 +2233,27 @@ def test_decomposition_wire_format():
     assert [t["t"] for t in signed["terms"]] == [1.5, -0.5]
     assert signed["weight"] == 2.0 and signed["alpha"] == 1.5
     assert set(signed) == {"kind", "shape", "terms", "weight", "alpha"}
+
+
+def test_one_eigendecomposition_per_analysis(monkeypatch):
+    """The PSD flag, the witness start and the spectral-Schmidt expansion
+    share one eigh_blocks call, and no is_psd runs."""
+    from crossnorm import bounds, core
+
+    eighs, psds, seesaws = [], [], []
+    eigh, is_psd, seesaw = bounds.eigh_blocks, core.BipartiteOperator.is_psd, bounds._witness_seesaw
+    monkeypatch.setattr(bounds, "eigh_blocks", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(core.BipartiteOperator, "is_psd",
+                        lambda *a, **k: psds.append(1) or is_psd(*a, **k))
+    monkeypatch.setattr(bounds, "_witness_seesaw", lambda *a: seesaws.append(1) or seesaw(*a))
+    rng = np.random.default_rng(3)
+    u = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+         for _ in range(2)]
+    local = np.kron(*u)
+    op = random_density(BipartiteShape(2, 2), 3)  # realignment 1.39: the witness search runs
+    op = BipartiteOperator(op.shape, local @ op.matrix @ local.conj().T)
+    classify(op, SeeSawConfig(seed=1, restarts=4, max_iters=40))
+    assert (len(eighs), len(psds), len(seesaws)) == (1, 0, 1)
+    eighs.clear()
+    pi_bounds(isotropic(0.6, 2), CFG, include_robustness=True)
+    assert (len(eighs), len(psds)) == (1, 0)

@@ -207,7 +207,8 @@ def _assert_same_decomposition(dec, ref):
 @pytest.mark.parametrize("name", PANEL)
 def test_spectral_schmidt_matches_the_per_vector_loop(name):
     op = _unit(name)
-    got, ref = bounds._spectral_schmidt(op), _reference_spectral_schmidt(op)
+    got = bounds._spectral_schmidt(eigh_blocks(op.matrix), op.shape)
+    ref = _reference_spectral_schmidt(op)
     assert len(got) == len(ref) > 0
     for (lam, sf), (lam_ref, sf_ref) in zip(got, ref):
         assert lam == lam_ref and sf.shape == sf_ref.shape
@@ -227,7 +228,8 @@ def test_schmidt_decompose_matches_the_per_vector_reference(name):
 
 
 def test_ragged_panel_state_cuts_each_eigenvector_at_its_own_rank():
-    spectral = bounds._spectral_schmidt(_unit("ragged-3x3"))
+    op = _unit("ragged-3x3")
+    spectral = bounds._spectral_schmidt(eigh_blocks(op.matrix), op.shape)
     assert [sf.rank for _, sf in spectral] == [1, 3, 3, 2]
     assert 1e-12 / np.sqrt(2.0) < spectral[1][1].coefficients[-1] < 1e-12  # 1.2e-12 / sqrt 2
 
@@ -307,7 +309,7 @@ def test_zero_operator_single_providers_give_zero_and_no_terms(provider):
 
 def test_zero_operator_builders_return_empty_stacks():
     op = _zero_2x3()
-    assert bounds._spectral_schmidt(op) == []
+    assert bounds._spectral_schmidt(eigh_blocks(op.matrix), op.shape) == []
     phis, psis, weights = bounds._signed_atoms([], op.shape)
     assert phis.shape == (0, 2) and psis.shape == (0, 3) and weights.shape == (0,)
     assert bounds._decomposition_from(phis, psis, weights, op.shape, cutoff=0.0).terms == []

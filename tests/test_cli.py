@@ -311,3 +311,50 @@ def test_bounds_and_gnorm_run_at_the_edges_of_the_float_range(tmp_path, scale):
         lower, upper = ((res["pi_lower"], res["pi_upper"]) if cmd == "bounds"
                         else (res[key]["lower"], res[key]["upper"]))
         assert 0.0 < lower <= upper
+
+
+_NOT_PURE = {  # each was read as its top eigenvector before the loader gated on the analysis
+    "indefinite": np.diag([1.0, -0.5, 0.0, 0.0]).astype(complex),
+    "non-hermitian": np.outer([1, 0, 0, 0], [1, 0, 0, 0]) + 0.5 * np.outer([0, 0, 0, 1],
+                                                                             [1, 0, 0, 0]),
+    "subnormal-mixed": np.eye(4, dtype=complex) / 4 * 1e-310,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_PURE))
+def test_witness_command_rejects_an_operator_that_is_not_a_pure_state(tmp_path, capsys, name):
+    from crossnorm import BipartiteOperator, BipartiteShape
+
+    path = tmp_path / "op.json"
+    op = BipartiteOperator(BipartiteShape(2, 2), _NOT_PURE[name])
+    path.write_text(json.dumps(to_state_dict(op)))
+    assert run(["witness", path, 2, "--seed", 4]) == 1
+    assert "needs a vector state or a pure operator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_witness_loader_reads_a_scaled_bell_projector_as_its_vector(tmp_path, scale):
+    from crossnorm import BipartiteOperator, BipartiteVector, max_entangled_vector
+    from crossnorm.cli import _load_vector
+
+    bell = max_entangled(2)
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(to_state_dict(BipartiteOperator(bell.shape, bell.matrix * scale))))
+    v = _load_vector(str(path))
+    assert isinstance(v, BipartiteVector)
+    assert v.norm() ** 2 == pytest.approx(scale, rel=1e-12)
+    overlap = abs(np.vdot(max_entangled_vector(2).entries, v.entries)) / v.norm()
+    assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gallery_product_rejects_a_non_hermitian_factor(tmp_path, capsys):
+    from crossnorm import BipartiteOperator, BipartiteShape
+
+    rho, sigma = tmp_path / "rho.json", tmp_path / "sigma.json"
+    bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    rho.write_text(json.dumps(to_state_dict(BipartiteOperator(BipartiteShape(2, 1), bad))))
+    good = BipartiteOperator(BipartiteShape(2, 1), np.eye(2, dtype=complex) / 2)
+    sigma.write_text(json.dumps(to_state_dict(good)))
+    out = tmp_path / "prod.json"
+    assert run(["gallery", "product", "--rho", rho, "--sigma", sigma, "--out", out]) == 1
+    assert "density" in capsys.readouterr().err and not out.exists()

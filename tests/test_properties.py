@@ -110,7 +110,7 @@ def test_realignment_dominates_the_witness_seesaw(shape, kind, seed, parts):
         cfg = SeeSawConfig(seed=seed % 1000, restarts=8)
         an = _Analysis(BipartiteOperator(bshape, mat), cfg)  # a density: k = 0, unit D is D
         q, _ = an.witness
-        full, _ = _witness_seesaw(an.unit.matrix, bshape, cfg, np.inf)
+        full, _ = _witness_seesaw(an.unit.matrix, bshape, cfg, np.inf, an.eig[1][:, 0])
         assert q <= bound and full <= bound
         assert q >= full - cfg.tol * max(abs(full), 1.0)
 

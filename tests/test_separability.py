@@ -316,3 +316,17 @@ def test_gallery_product_state_validation():
     rho = random_density(BipartiteShape(2, 1), rng).matrix
     sig = random_density(BipartiteShape(3, 1), rng).matrix
     assert product_state(rho, sig).is_density()
+
+
+@pytest.mark.parametrize("scale", [1e-315, 1e-300, 1.0, 1e300])
+def test_witness_check_reads_the_exact_norm_of_the_scaled_e2_witness(scale):
+    """The rank-one test reads the unit operator, so no absolute floor hides it."""
+    wit = build_witness_EN(max_entangled_vector(2), 2)
+    rep = witness_check(BipartiteOperator(wit.operator.shape, wit.operator.matrix * scale))
+    assert rep.g_norm_exact is not None
+    assert abs(rep.g_norm_certified_upper / scale - 1.0) <= 1e-12
+
+
+def test_product_state_rejects_a_non_hermitian_factor():
+    with pytest.raises(ValueError):
+        product_state(np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(2) / 2)
