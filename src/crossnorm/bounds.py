@@ -26,10 +26,14 @@ The spectral-Schmidt, signed (:func:`_signed_atoms`) and operator-Schmidt
 certificates are closed form, each built by broadcasts over stacked arrays
 with the arithmetic and term order of a loop over its terms.  Every atom
 set is a pair of stacks (phis, psis), and the signed atoms also start the
-robustness search.  The witness see-saw is projected
-power iteration on co-isometries (:func:`_witness_seesaw`); only PSD
-operators reach it, from ``classify``, the CLI isotropic sweep and
-:func:`lower_bound_witness`.  The product-state ascent
+robustness search.  Only PSD operators reach the witness search, from
+``classify``, the CLI isotropic sweep and :func:`lower_bound_witness`.
+At 2x2 both searches are closed forms: the best rank-one witness is the
+top eigenpair of a real 4x4 matrix (:func:`_qubit_witness`), and every PPT
+state is Wootters' mixture of at most four product vectors
+(:func:`_wootters_mixture`, checked by reconstruction, ``separable_fit``
+where the check fails).  Above 2x2 the witness see-saw is projected
+power iteration on co-isometries (:func:`_witness_seesaw`).  The product-state ascent
 (:func:`_product_ascent`) prices the next atoms of both mixture searches,
 ``separable_fit`` and the robustness search's phase 2; its loop calls
 NumPy's LAPACK driver for ``eigh`` directly (:func:`_eigh`).  Both searches
@@ -433,13 +437,30 @@ def _polar_rows(g: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     return (u @ vh).reshape(len(g), -1)
 
 
+# x in R^4 -> the row-major vec of [[x0 + i x1, -x2 + i x3], [x2 + i x3, x0 - i x1]],
+# which is in SU(2), every singular value |x|, and every matrix of SU(2) is one such image
+_SU2_BASIS = np.array([[1, 1j, 0, 0], [0, 0, -1, 1j], [0, 0, 1, 1j], [1, -1j, 0, 0]])
+
+
+def _qubit_witness(mat: np.ndarray) -> tuple:
+    """The best rank-one witness of a PSD two-qubit D exactly: (q, c).
+
+    <c|D|c> is convex on {a_1(c) <= 1}, so its maximum there sits at an
+    extreme point, a unitary C; the phase of C does not move it, and
+    SU(2) is the real-linear image of the unit sphere of R^4
+    (``_SU2_BASIS``).  So q is the top eigenvalue of the real 4x4 matrix
+    Re(B^dag D B) and c = B v_max, with a_1(c) = |v_max| = 1."""
+    w, v = np.linalg.eigh((_SU2_BASIS.conj().T @ mat @ _SU2_BASIS).real)
+    return float(w[-1]), _SU2_BASIS @ v[:, -1]
+
+
 def lower_bound_witness(op: BipartiteOperator, config: SeeSawConfig):
     """Certified entanglement-function lower bound from rank-one witnesses.
 
     Maximizes q(c) = <c|D|c> / a_1(c)^2 over nonzero vectors c; the
     operator F = |c><c| / a_1(c)^2 has injective norm exactly one, so every
-    q(c) lower-bounds ent(D) = ||D||_pi.  Returns the best value found and
-    its certificate vector.
+    q(c) lower-bounds ent(D) = ||D||_pi.  Returns the best value found, the
+    maximum itself at 2x2 (:func:`_qubit_witness`), and its certificate vector.
 
     Raises
     ------
@@ -734,6 +755,74 @@ def separable_fit(op: BipartiteOperator, config: SeeSawConfig):
     return None, rounds
 
 
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y, real
+_HADAMARD4 = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], float)
+
+
+def _wootters_mixture(an: _Analysis):
+    """Wootters' product mixture of a two-qubit analysis' unit operator (PRL
+    80, 2245, 1998), or None where it does not reconstruct it to
+    VALIDATE_TOL in trace norm, as :func:`separable_fit` checks its own.
+
+    From :attr:`_Analysis.eig`: V = u sqrt(w) on the eigenvalues above
+    1e-13 of the largest, tau = V^dag (sigma_y (x) sigma_y) conj(V), complex
+    symmetric, and its Takagi vectors Q, tau conj(Q) = Q diag(lam), are the
+    top eigenvectors [Re Q; Im Q] of the real symmetric [[Re tau, Im tau],
+    [Im tau, -Re tau]], whose spectrum is +-lam: a positive eigenspace is
+    orthogonal to the negative one, also where lam repeats (isotropic
+    states).  y = V Q diag(1, i, i, i), padded to four columns, has the
+    spin-flip Gram matrix diag(lam_1, -lam_2, -lam_3, -lam_4); phases that
+    close the quadrilateral lam_1 e^(i phi_1) = sum_(j>=2) lam_j e^(i phi_j)
+    (:func:`_closed_quadrilateral`), which exists for every PPT state (zero
+    concurrence), make each column of z = y diag(e^(-i phi / 2)) H_4^T / 2 a
+    product vector, and sum_k z_k z_k^dag = V V^dag.  One stacked SVD splits
+    every z_k into its factors, of weight ||z_k||^2."""
+    w, u, _ = an.eig
+    keep = w > 1e-13 * w[0]
+    v = u[:, keep] * np.sqrt(w[keep])
+    r = v.shape[1]
+    tau = v.conj().T @ _SPIN_FLIP @ v.conj()
+    tau = (tau + tau.T) / 2  # eigh reads one triangle; the +-lam pairing needs both
+    s, x = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    top = x[:, ::-1][:, :r]
+    lam, y = np.zeros(4), np.zeros((4, 4), dtype=complex)
+    lam[:r], y[:, :r] = np.maximum(s[::-1][:r], 0.0), v @ (top[:r] + 1j * top[r:])
+    y[:, 1:] *= 1j
+    z = (y * np.exp(-0.5j * _closed_quadrilateral(lam))) @ _HADAMARD4.T / 2
+    uz, _, vhz = np.linalg.svd(z.T.reshape(4, 2, 2))
+    tn = an.trace_norm or 1.0
+    dec = _decomposition_from(uz[:, :, 0], vhz[:, 0, :], (np.abs(z) ** 2).sum(axis=0),
+                              an.op.shape, cutoff=1e-14 * tn)
+    return dec if _reconstruction_error(an.unit, dec, tn) <= VALIDATE_TOL else None
+
+
+def _closed_quadrilateral(lam: np.ndarray) -> np.ndarray:
+    """Phases phi, phi_1 = 0, with lam_1 e^(i phi_1) = sum_(j>=2) lam_j e^(i phi_j)
+    for lam_1 >= ... >= lam_4 >= 0 and lam_1 <= lam_2 + lam_3 + lam_4.  The
+    side w = lam_1 - lam_4 e^(i phi_4) takes the middle of its feasible
+    lengths, then lam_2 and lam_3 close the triangle on w (:func:`_apex`).
+    Where rounding puts lam_1 above the sum the nearest figure is taken,
+    and the reconstruction check judges the mixture."""
+    a, b, c, d = lam
+    w = _apex(complex(a), 0.5 * (max(a - d, b - c) + min(a + d, b + c)), d)
+    bv = _apex(w, b, c)
+    return np.angle([a, bv, w - bv, a - w])
+
+
+def _apex(t: complex, r1: float, r2: float) -> complex:
+    """The point p with |p| = r1 and |t - p| = r2, on the left of t; with the
+    law of cosines written as products of differences, so that no arccos
+    near +-1 loses half the digits of a flat triangle.  Outside the triangle
+    inequality p is clamped onto the line through t."""
+    l = abs(t)
+    if l == 0.0:
+        return complex(r1)
+    x = (r1 * r1 + l * l - r2 * r2) / (2 * l)
+    gap = (r2 - r1 + l) * (r2 + r1 - l) / (2 * l)  # r1 - x
+    x = min(max(x, -r1), r1)
+    return (x + 1j * np.sqrt(max(gap * (2 * r1 - gap), 0.0))) * t / l
+
+
 def _nnls_fit(cols: np.ndarray, d: np.ndarray, n: int, tn_target: float) -> tuple:
     """NNLS weights of the columns (one row per atom) for the target's
     parameters d, the residual target - fit as a matrix, and its trace norm
@@ -968,9 +1057,9 @@ def _robustness(an: _Analysis) -> RobustnessResult:
     op, shape, n = an.unit, an.op.shape, an.op.shape.total
     tn_lp = an.trace_norm or 1.0
 
-    mixture, rounds1 = an.mixture
+    mixture, rounds1, method = an.mixture
     if mixture is not None:  # weight equals the trace; 1 for a density
-        return RobustnessResult(mixture, rounds1, "nonnegative product mixture found")
+        return RobustnessResult(mixture, rounds1, f"nonnegative product mixture found ({method})")
 
     # phase 2: signed search seeded with the constructive decomposition's atoms
     base_dec = an.signed
@@ -1092,14 +1181,24 @@ class _Analysis:
         """PSD with unit trace; the trace target is absolute, so its tolerance is too."""
         return self.psd and abs(self.op.trace() - 1.0) <= EPS_TRACE
 
+    @property
+    def two_qubit(self) -> bool:
+        """d_h = d_j = 2, where the witness and the product mixture have closed forms."""
+        return self.op.shape.dh == self.op.shape.dj == 2
+
+    @cached_property
+    def pt_eigenvalues(self) -> np.ndarray:
+        """The spectrum of H^Gamma, ascending, H = (D + D^dag) / 2 and Gamma the
+        partial transpose: :attr:`npt`, ``ppt_oracle`` and the CLI sweep read it."""
+        pt = partial_transpose(self.unit)
+        return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+
     @cached_property
     def npt(self) -> bool:
-        """lambda_min(H^Gamma) < -2 VALIDATE_TOL ||D||_1, H = (D + D^dag) / 2: then no
-        product mixture S passes :func:`separable_fit`, which needs S^Gamma >= 0 and
+        """lambda_min(H^Gamma) < -2 VALIDATE_TOL ||D||_1: then no product mixture S
+        passes :func:`separable_fit`, which needs S^Gamma >= 0 and
         ||(H - S)^Gamma||_inf <= ||D - S||_1 <= VALIDATE_TOL ||D||_1 (x2: rounding)."""
-        pt = partial_transpose(self.unit)
-        lam = np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]
-        return bool(lam < -2 * VALIDATE_TOL * self.trace_norm)
+        return bool(self.pt_eigenvalues[0] < -2 * VALIDATE_TOL * self.trace_norm)
 
     @cached_property
     def realignment_lower(self) -> float:
@@ -1110,11 +1209,16 @@ class _Analysis:
 
     @cached_property
     def witness(self) -> tuple:
-        """Best rank-one witness value (of the unit D) and vector.  The search
-        stops once a restart reaches :attr:`realignment_lower`, which no
-        witness exceeds (:attr:`lower`), within the search's ``tol``."""
-        q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config,
-                               self.realignment_lower, self.eig[1][:, 0])
+        """Best rank-one witness value (of the unit D, which is PSD) and vector.
+        At 2x2 it is exact (:func:`_qubit_witness`) and reads no seed.  Other
+        shapes run the see-saw, which stops once a restart reaches
+        :attr:`realignment_lower`, which no witness exceeds (:attr:`lower`),
+        within the search's ``tol``."""
+        if self.two_qubit:
+            q, c = _qubit_witness(self.unit.matrix)
+        else:
+            q, c = _witness_seesaw(self.unit.matrix, self.op.shape, self.config,
+                                   self.realignment_lower, self.eig[1][:, 0])
         return q, BipartiteVector(self.op.shape, c)
 
     @property
@@ -1134,8 +1238,19 @@ class _Analysis:
 
     @cached_property
     def mixture(self) -> tuple:
-        """:func:`separable_fit` of ``unit``, or (None, 0) when :attr:`npt` rules it out."""
-        return (None, 0) if self.npt else separable_fit(self.unit, self.config)
+        """(mixture, rounds, method): a product mixture of ``unit``, the rounds
+        its search took and its method label, or (None, 0, None) when
+        :attr:`npt` rules it out.  At 2x2 Wootters' construction
+        (:func:`_wootters_mixture`, no rounds) builds it from :attr:`eig`;
+        :func:`separable_fit` runs where that does not validate, and on
+        every other shape."""
+        if self.npt:
+            return None, 0, None
+        if self.two_qubit:
+            dec = _wootters_mixture(self)
+            if dec is not None:
+                return dec, 0, "wootters"
+        return (*separable_fit(self.unit, self.config), "separable_fit")
 
     @cached_property
     def spectral(self) -> list:
@@ -1167,8 +1282,9 @@ class _Analysis:
             rb = _robustness(self)
             if rb.success:
                 ups.append((rb.decomposition.weight, "robustness", rb.decomposition))
-        if "mixture" in vars(self) and self.mixture[0] is not None:
-            ups.append((self.mixture[0].weight, "separable_fit", self.mixture[0]))
+        mixture, _, method = self.mixture if "mixture" in vars(self) else (None, 0, None)
+        if mixture is not None:
+            ups.append((mixture.weight, method, mixture))
         up, low = min(ups, key=lambda p: p[0]), self.lower
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]

@@ -30,11 +30,11 @@ from .core import (
 from .gnorm import SeeSawConfig, g_norm_seesaw
 from .separability import (
     _classify,
+    _ppt,
     build_witness_EN,
     classify,
     isotropic,
     max_entangled,
-    ppt_oracle,
     product_state,
     pure_with_schmidt,
     random_separable,
@@ -280,7 +280,7 @@ def cmd_sweep(args) -> int:
                     "pi_lower": nb.pi_lower,
                     "pi_upper": nb.pi_upper,
                     "verdict": cls.verdict,
-                    "ppt_min_eigenvalue": ppt_oracle(op).min_eigenvalue,
+                    "ppt_min_eigenvalue": _ppt(an).min_eigenvalue,
                 }
             )
         _write_csv(out, rows, ["p", "witness_lower", "pi_lower", "pi_upper",

@@ -8,8 +8,11 @@ the state (Separable).  States yielding neither within budget stay
 Undecided.  A state whose partial transpose is not positive (Peres) has no
 product mixture, so the search is skipped for it; on every other state it
 runs before the witness search.  The witness search runs only when the
-realignment bound exceeds one: it never beats realignment.  The
-partial-transpose oracle is test plumbing for shapes where PPT is decisive.
+realignment bound exceeds one: it never beats realignment.  At 2x2 both
+certificates are closed forms, the exact best rank-one witness and
+Wootters' mixture, so a 2x2 state stays Undecided only where no rank-one
+witness detects it.  The partial-transpose oracle is test plumbing for
+shapes where PPT is decisive.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
     kron,
     operator_norm,
     operator_schmidt,
-    partial_transpose,
     random_density,
     rng_from_seed,
     schmidt_decompose,
@@ -213,13 +215,15 @@ def _classify(an: _Analysis) -> Classification:
     # exist, and on separable states the mixture skips the witness search
     realign_low = an.realignment_lower
     if realign_low <= 1.0 + PINCH_TOL:
-        mixture, rounds = an.mixture  # (None, 0) when the partial transpose rules it out
+        mixture, rounds, method = an.mixture  # no mixture where the partial transpose rules it out
         if mixture is not None and abs(mixture.weight - 1.0) <= PINCH_TOL:
+            found = ("by Wootters' construction, exact at 2x2" if method == "wootters"
+                     else f"found in {rounds} rounds")
             return Classification(
                 verdict="Separable",
                 certificate=mixture,
                 detection_value=None,
-                message=f"weight-one product mixture found in {rounds} rounds",
+                message=f"weight-one product mixture {found}",
             )
 
     # no rank-one witness exceeds realignment (_Analysis.lower): at or below
@@ -237,7 +241,10 @@ def _classify(an: _Analysis) -> Classification:
             )
 
     # without a rank-one witness the verdict stays Undecided
-    if realign_low > 1.0 + PINCH_TOL:
+    if realign_low > 1.0 + PINCH_TOL and an.two_qubit:
+        message = (f"realignment bound {realign_low:.12g} proves entanglement, but the best "
+                   f"rank-one witness is {q:.10g} <= 1 + {PINCH_TOL:g}, exact at 2x2")
+    elif realign_low > 1.0 + PINCH_TOL:
         message = (f"realignment bound {realign_low:.12g} proves entanglement "
                    "but no witness certificate was found")
     elif an.npt:
@@ -268,10 +275,16 @@ def ppt_oracle(op: BipartiteOperator) -> PPTResult:
     verdict is exact ground truth; at larger shapes only "NPT implies
     entangled" is asserted.
     """
-    w = np.linalg.eigvalsh(partial_transpose(op, "j"))
-    min_eig = float(w.min())
-    is_ppt = min_eig >= -1e-10 * float(np.abs(w).max())  # relative: scale-free
-    decisive = {op.shape.dh, op.shape.dj} in ({2}, {2, 3}) and op.shape.total <= 6
+    return _ppt(_Analysis(op))
+
+
+def _ppt(an: _Analysis) -> PPTResult:
+    """:func:`ppt_oracle` from an analysis' partial-transpose spectrum, scaled back by 2^k."""
+    w = an.pt_eigenvalues
+    min_eig = float(np.ldexp(w[0], an.k))
+    is_ppt = bool(w[0] >= -1e-10 * np.abs(w).max())  # relative: scale-free
+    shape = an.op.shape
+    decisive = {shape.dh, shape.dj} in ({2}, {2, 3}) and shape.total <= 6
     if not is_ppt:
         verdict = "entangled"
     elif decisive:

@@ -579,17 +579,21 @@ def _ceiling_states():
 
 
 def test_witness_seesaw_stops_at_the_realignment_ceiling(monkeypatch):
+    """Above 2x2 the see-saw stops after one step; at 2x2 the exact kernel
+    runs once instead, and no see-saw step."""
     from crossnorm import bounds
 
-    steps = []  # one _polar_rows call per step
-    polar = bounds._polar_rows
+    steps, exact = [], []  # one _polar_rows call per see-saw step
+    polar, qubit = bounds._polar_rows, bounds._qubit_witness
     monkeypatch.setattr(bounds, "_polar_rows", lambda *a: steps.append(a) or polar(*a))
+    monkeypatch.setattr(bounds, "_qubit_witness", lambda *a: exact.append(a) or qubit(*a))
     tol = SeeSawConfig(seed=1).tol
     for op in _ceiling_states():
         an = bounds._Analysis(op, SeeSawConfig(seed=1))
         steps.clear()
+        exact.clear()
         q, c = an.witness
-        assert len(steps) == 1, op.shape
+        assert (len(steps), len(exact)) == ((0, 1) if an.two_qubit else (1, 0)), op.shape
         ceiling = an.realignment_lower
         assert abs(q - ceiling) <= tol * max(ceiling, 1.0)
         assert witness_value(an.unit, c) == pytest.approx(q, rel=1e-12)
@@ -648,6 +652,129 @@ def test_witness_seesaw_draws_its_starts_in_one_call(monkeypatch):
     bounds._witness_seesaw(eye, BipartiteShape(2, 3), cfg, np.inf, _top(eye))
     starts = firsts[0][1:]  # D = I: the first step's input is the starts themselves
     np.testing.assert_allclose(starts, [z / np.linalg.norm(z) for z in loop], rtol=0, atol=4e-16)
+
+
+# ---------------------------------------------------------------------------
+# two-qubit closed forms: the exact rank-one witness and Wootters' mixture
+
+QUBITS = BipartiteShape(2, 2)
+
+
+def _qubit_states():
+    """Random densities, Bell, isotropic and product states of two qubits."""
+    qubit = BipartiteShape(2, 1)
+    ops = [random_density(QUBITS, s) for s in range(12)]
+    ops += [max_entangled(2)] + [isotropic(p, 2) for p in (0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0)]
+    ops += [kron(random_density(qubit, s).matrix, random_density(qubit, s + 50).matrix)
+            for s in range(3)]
+    return ops + [random_pure(QUBITS, 3).projector()]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_qubit_witness_is_never_below_the_seesaw(seed):
+    """The exact kernel is an oracle for the see-saw at 2x2: no restart of
+    the full search beats it, realignment bounds it up to the rounding rule
+    (4 n eps), and its vector re-evaluates to it."""
+    from crossnorm import bounds
+
+    cfg = SeeSawConfig(seed=seed)
+    for op in _qubit_states():
+        an = bounds._Analysis(op, cfg)
+        q, c = an.witness
+        full, _ = bounds._witness_seesaw(an.unit.matrix, op.shape, cfg, np.inf, an.eig[1][:, 0])
+        assert full <= q * (1 + 1e-12)
+        assert q <= an.realignment_lower * (1 + 16 * np.finfo(float).eps)
+        assert witness_value(an.unit, c) == pytest.approx(q, rel=1e-12)
+
+
+def test_qubit_witness_beats_every_sampled_unitary():
+    """q(C) for Haar-random unitaries C, the extreme points of {a_1 <= 1},
+    never passes the kernel's maximum."""
+    from crossnorm import bounds
+
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+    c = np.linalg.qr(z)[0].reshape(500, 4)
+    for op in _qubit_states():
+        q, _ = bounds._qubit_witness(op.matrix)
+        sampled = np.einsum("ka,ab,kb->k", c.conj(), op.matrix, c).real
+        assert sampled.max() <= q * (1 + 1e-12)
+
+
+def _product_mixture(rank: int, seed: int, shared: int = 0) -> BipartiteOperator:
+    """A random mixture of ``rank`` pure product states of two qubits, the
+    first ``shared`` of them with one H factor: rank ``rank``, and for
+    ``shared`` >= 2 Wootters' values repeat or vanish."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rank, 2, 2)) + 1j * rng.standard_normal((rank, 2, 2))
+    z[:shared, 0] = z[0, 0]
+    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    kets = np.einsum("ki,kj->kij", z[:, 0], z[:, 1]).reshape(rank, 4)
+    mat = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(rank)), kets, kets.conj())
+    return BipartiteOperator(QUBITS, mat)
+
+
+def _assert_wootters(op):
+    """The analysis' mixture of ``op`` is Wootters': at most 4 terms, valid,
+    positive, of weight the trace within 1e-12 relative."""
+    from crossnorm import bounds
+
+    an = bounds._Analysis(op, CFG)
+    dec, rounds, method = an.mixture
+    assert (rounds, method) == (0, "wootters")
+    dec = dec.scaled(an.k)
+    report = validate_decomposition(op, dec)
+    assert report.valid and report.positive, report.messages
+    assert report.reconstruction_error <= 1e-12 and len(dec.terms) <= 4
+    trace = op.trace().real
+    assert abs(dec.weight - trace) <= 1e-12 * trace
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_wootters_mixture_validates_on_separable_states(rank):
+    for seed in range(8):
+        _assert_wootters(_product_mixture(rank, seed))
+        _assert_wootters(_product_mixture(rank, seed, shared=rank))
+        _assert_wootters(_product_mixture(rank, seed, shared=rank - 1))
+        _assert_wootters(random_separable(QUBITS, rank + 2, seed)[0])
+
+
+def test_wootters_mixture_validates_on_ppt_isotropic_states():
+    """p = 1/3 is the boundary: lam_1 = lam_2 + lam_3 + lam_4 up to rounding."""
+    for p in [*np.linspace(0.0, 1 / 3, 11), 1 / 3]:
+        _assert_wootters(isotropic(float(p), 2))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_wootters_mixture_validates_at_every_scale(scale):
+    """On PPT densities scaled far from unit trace; robustness_upper's phase 1
+    returns the mixture scaled back."""
+    from crossnorm import bounds
+
+    ppt = [op for op in (random_density(QUBITS, s) for s in range(40))
+           if not bounds._Analysis(op).npt][:3]
+    assert len(ppt) == 3
+    for op in ppt + [random_separable(QUBITS, 4, 11)[0]]:
+        op = BipartiteOperator(QUBITS, op.matrix * scale)
+        _assert_wootters(op)
+        res = robustness_upper(op, CFG)
+        assert res.success and "wootters" in res.message and len(res.decomposition.terms) <= 4
+        assert validate_decomposition(op, res.decomposition).valid
+
+
+def test_wootters_mixture_falls_back_where_the_quadrilateral_does_not_close(monkeypatch):
+    """On entangled states lam_1 > lam_2 + lam_3 + lam_4: the closed form does
+    not reconstruct them, and the analysis hands the search to separable_fit."""
+    from crossnorm import bounds
+
+    for op in (max_entangled(2), isotropic(0.5, 2), random_density(QUBITS, 7)):
+        an = bounds._Analysis(op, CFG)
+        assert an.npt and bounds._wootters_mixture(an) is None
+    fits = []
+    monkeypatch.setattr(bounds, "separable_fit", lambda *a: fits.append(a) or (None, 3))
+    an = bounds._Analysis(isotropic(0.5, 2), CFG)
+    an.npt = False  # as if the partial transpose had not ruled a mixture out
+    assert an.mixture == (None, 3, "separable_fit") and len(fits) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1976,28 +2103,35 @@ def test_brackets_are_never_inverted():
 
 
 def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
-    """At most one see-saw per analysis, and only where its vector is asked
-    for: the sweep's witness column, or classify above realignment one."""
+    """At most one witness search per analysis, and only where its vector is
+    asked for: the sweep's witness column, or classify above realignment
+    one.  At 2x2 the search is the exact kernel, and no see-saw runs."""
     from crossnorm import bounds
     from crossnorm.cli import main
 
-    calls = []
-    seesaw = bounds._witness_seesaw
+    calls, exact = [], []
+    seesaw, qubit = bounds._witness_seesaw, bounds._qubit_witness
 
     def counted(*args, **kwargs):
         calls.append(args)
         return seesaw(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "_witness_seesaw", counted)
+    monkeypatch.setattr(bounds, "_qubit_witness", lambda *a: exact.append(a) or qubit(*a))
     small = ["--seed", "3", "--restarts", "4", "--max-iters", "40"]
-    assert main(["sweep", "isotropic", "--d", "2", "--p", "0:1:0.5",
-                 "--csv-out", str(tmp_path / "iso.csv")] + small) == 0
-    assert len(calls) == 3  # one per grid point, shared by classify where it runs
+    for d, counts in ((3, (3, 0)), (2, (0, 3))):
+        calls.clear()
+        exact.clear()
+        assert main(["sweep", "isotropic", "--d", str(d), "--p", "0:1:0.5",
+                     "--csv-out", str(tmp_path / "iso.csv")] + small) == 0
+        assert (len(calls), len(exact)) == counts  # one per grid point, shared by classify
 
     cfg = SeeSawConfig(seed=3, restarts=4, max_iters=40)
-    calls.clear()
-    assert classify(isotropic(0.9, 2), cfg).verdict == "Entangled"
-    assert len(calls) == 1  # realignment 1.85 > 1
+    for d, counts in ((3, (1, 0)), (2, (0, 1))):  # realignment 2.73 and 1.85 > 1
+        calls.clear()
+        exact.clear()
+        assert classify(isotropic(0.9, d), cfg).verdict == "Entangled"
+        assert (len(calls), len(exact)) == counts
     calls.clear()
     rho = random_density(BipartiteShape(2, 3), 1)  # NPT, but realignment <= 1
     assert lower_bound_realignment(rho) <= 1.0
@@ -2027,23 +2161,32 @@ def test_one_witness_seesaw_per_call(monkeypatch, tmp_path):
 
 
 def test_one_mixture_search_per_analysis(monkeypatch):
-    """classify, the bounds and the robustness search share one separable_fit,
-    and the bounds count classify's mixture without validating it again."""
+    """classify, the bounds and the robustness search share one product
+    mixture, Wootters' at 2x2 and one separable_fit above, and the bounds
+    count classify's mixture, under its method, without validating it again."""
     from crossnorm import bounds
     from crossnorm.separability import _classify
 
-    fits, validations = [], []
-    fit, validate = bounds.separable_fit, bounds.validate_decomposition
-    monkeypatch.setattr(bounds, "separable_fit", lambda *a: fits.append(a) or fit(*a))
+    calls, validations = {"wootters": [], "separable_fit": []}, []
+    fit, wootters = bounds.separable_fit, bounds._wootters_mixture
+    validate = bounds.validate_decomposition
+    monkeypatch.setattr(bounds, "separable_fit",
+                        lambda *a: calls["separable_fit"].append(a) or fit(*a))
+    monkeypatch.setattr(bounds, "_wootters_mixture",
+                        lambda *a: calls["wootters"].append(a) or wootters(*a))
     monkeypatch.setattr(bounds, "validate_decomposition",
                         lambda *a: validations.append(a) or validate(*a))
-    an = bounds._Analysis(isotropic(0.25, 2), CFG)
-    cls = _classify(an)
-    assert cls.verdict == "Separable"
-    nb = an.bounds(include_robustness=False)
-    assert nb.pi_upper <= 1.0 + 1e-12 and nb.methods["pi_upper"] == "separable_fit"
-    assert bounds._robustness(an).decomposition is cls.certificate is an.mixture[0]
-    assert len(fits) == 1 and validations == []
+    for op, method in ((isotropic(0.25, 2), "wootters"), (isotropic(0.2, 3), "separable_fit")):
+        for found in calls.values():
+            found.clear()
+        an = bounds._Analysis(op, CFG)
+        cls = _classify(an)
+        assert cls.verdict == "Separable"
+        nb = an.bounds(include_robustness=False)
+        assert nb.pi_upper <= 1.0 + 1e-12 and nb.methods["pi_upper"] == method
+        assert bounds._robustness(an).decomposition is cls.certificate is an.mixture[0]
+        assert {k: len(v) for k, v in calls.items()} == {k: int(k == method) for k in calls}
+    assert validations == []
 
 
 # ---------------------------------------------------------------------------
@@ -2235,25 +2378,38 @@ def test_decomposition_wire_format():
     assert set(signed) == {"kind", "shape", "terms", "weight", "alpha"}
 
 
+def _locally_rotated(op, seed):
+    """op in a random local frame U (x) V."""
+    rng = np.random.default_rng(seed)
+    u = [np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+         for d in (op.shape.dh, op.shape.dj)]
+    local = np.kron(*u)
+    return BipartiteOperator(op.shape, local @ op.matrix @ local.conj().T)
+
+
 def test_one_eigendecomposition_per_analysis(monkeypatch):
-    """The PSD flag, the witness start and the spectral-Schmidt expansion
-    share one eigh_blocks call, and no is_psd runs."""
+    """The PSD flag, the witness start, Wootters' mixture and the
+    spectral-Schmidt expansion share one eigh_blocks call, and no is_psd runs."""
     from crossnorm import bounds, core
 
-    eighs, psds, seesaws = [], [], []
+    eighs, psds, seesaws, exact = [], [], [], []
     eigh, is_psd, seesaw = bounds.eigh_blocks, core.BipartiteOperator.is_psd, bounds._witness_seesaw
+    qubit = bounds._qubit_witness
     monkeypatch.setattr(bounds, "eigh_blocks", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
     monkeypatch.setattr(core.BipartiteOperator, "is_psd",
                         lambda *a, **k: psds.append(1) or is_psd(*a, **k))
     monkeypatch.setattr(bounds, "_witness_seesaw", lambda *a: seesaws.append(1) or seesaw(*a))
-    rng = np.random.default_rng(3)
-    u = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-         for _ in range(2)]
-    local = np.kron(*u)
-    op = random_density(BipartiteShape(2, 2), 3)  # realignment 1.39: the witness search runs
-    op = BipartiteOperator(op.shape, local @ op.matrix @ local.conj().T)
-    classify(op, SeeSawConfig(seed=1, restarts=4, max_iters=40))
-    assert (len(eighs), len(psds), len(seesaws)) == (1, 0, 1)
+    monkeypatch.setattr(bounds, "_qubit_witness", lambda *a: exact.append(1) or qubit(*a))
+    cfg = SeeSawConfig(seed=1, restarts=4, max_iters=40)
+    # realignment 1.39 and 1.03: the witness search runs, exact at 2x2
+    for shape, seed, counts in (((2, 2), 3, (1, 0, 0, 1)), ((2, 3), 4, (1, 0, 1, 0))):
+        for found in (eighs, psds, seesaws, exact):
+            found.clear()
+        classify(_locally_rotated(random_density(BipartiteShape(*shape), seed), 3), cfg)
+        assert (len(eighs), len(psds), len(seesaws), len(exact)) == counts
     eighs.clear()
     pi_bounds(isotropic(0.6, 2), CFG, include_robustness=True)
+    assert (len(eighs), len(psds)) == (1, 0)
+    eighs.clear()
+    assert classify(_locally_rotated(isotropic(0.25, 2), 3), cfg).verdict == "Separable"
     assert (len(eighs), len(psds)) == (1, 0)

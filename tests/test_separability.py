@@ -54,6 +54,20 @@ def test_classify_product_mixture_separable():
     assert cls.certificate.weight == pytest.approx(1.0, abs=1e-6)
 
 
+def test_classify_names_the_two_qubit_closed_forms():
+    """A 2x2 Separable verdict names Wootters' construction; a 2x2 Undecided
+    one above realignment one states the exact rank-one maximum."""
+    op, _ = random_separable(BipartiteShape(2, 2), 5, seed=83)
+    cls = classify(op, CFG)
+    assert cls.message == "weight-one product mixture by Wootters' construction, exact at 2x2"
+    assert len(cls.certificate.terms) <= 4
+    cls = classify(random_density(BipartiteShape(2, 2), 7), CFG)  # realignment 1.028
+    assert cls.verdict == "Undecided"
+    assert cls.message.startswith("realignment bound 1.0282096424")
+    assert "best rank-one witness is 0.96703294" in cls.message
+    assert cls.message.endswith("<= 1 + 1e-06, exact at 2x2")
+
+
 def test_classify_isotropic_below_threshold_never_entangled():
     op = isotropic(0.3, 2)
     assert ppt_oracle(op).min_eigenvalue == pytest.approx((1 - 0.9) / 4, abs=1e-12)
@@ -91,17 +105,24 @@ def test_classify_skips_the_product_search_on_an_npt_state(monkeypatch, dh, dj):
 
 
 def test_classify_runs_the_witness_search_only_without_a_mixture(monkeypatch):
+    """The see-saw above 2x2 and the exact kernel at 2x2 each run once on an
+    entangled state, and neither on a separable one."""
     from crossnorm import bounds
 
-    calls = []
-    seesaw = bounds._witness_seesaw
+    calls, exact = [], []
+    seesaw, qubit = bounds._witness_seesaw, bounds._qubit_witness
     monkeypatch.setattr(bounds, "_witness_seesaw",
                         lambda *a, **k: calls.append(a) or seesaw(*a, **k))
-    op, _ = random_separable(BipartiteShape(3, 3), 4, seed=11)
-    assert classify(op, CFG).verdict == "Separable"
-    assert calls == []
+    monkeypatch.setattr(bounds, "_qubit_witness", lambda *a: exact.append(a) or qubit(*a))
+    for d in (3, 2):
+        op, _ = random_separable(BipartiteShape(d, d), 4, seed=11)
+        assert classify(op, CFG).verdict == "Separable"
+        assert calls == exact == []
+    assert classify(max_entangled(3), CFG).verdict == "Entangled"
+    assert (len(calls), len(exact)) == (1, 0)
+    calls.clear()
     assert classify(max_entangled(2), CFG).verdict == "Entangled"
-    assert len(calls) == 1
+    assert (len(calls), len(exact)) == (0, 1)
 
 
 def test_classify_2x2_consistency_smoke():
@@ -242,6 +263,27 @@ def test_ppt_decisive_shapes():
     res = ppt_oracle(op)
     assert not res.decisive
     assert res.verdict in ("entangled", "inconclusive")
+
+
+def test_ppt_oracle_reads_the_analysis_spectrum(monkeypatch, tmp_path):
+    """One owner of the partial-transpose spectrum: the oracle and the npt flag
+    read one eigvalsh of one analysis, and the isotropic sweep takes one per
+    grid point (it took a second for its ppt_min_eigenvalue column)."""
+    from crossnorm import bounds
+    from crossnorm.cli import main
+    from crossnorm.separability import _ppt
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+    an = bounds._Analysis(random_density(BipartiteShape(2, 3), 3))
+    res = _ppt(an)
+    assert an.npt == (not res.is_ppt) and len(calls) == 1
+    for d in (2, 3):
+        calls.clear()
+        assert main(["sweep", "isotropic", "--d", str(d), "--p", "0:1:0.5", "--seed", "1",
+                     "--csv-out", str(tmp_path / "iso.csv")]) == 0
+        assert len(calls) == 3
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
