@@ -13,11 +13,14 @@ signed atoms.  No kernel scales for itself: every bound reported for D, by
 Over it sit one list of lower and one list of upper providers, each a
 ``(value, method, certificate)`` triple.  Lower: the trace norm and the
 realignment (computable cross norm) inequality, which dominates every
-rank-one witness (:attr:`_Analysis.lower`).  Upper: the spectral-Schmidt
-and operator-Schmidt expansions, a signed decomposition over product
-densities and a robustness-style search for affine combinations of separable
-states.  A witness or product mixture the analysis already found counts
-too.  Non-Hermitian input is bounded through its two Hermitian parts.
+rank-one witness (:attr:`_Analysis.lower`), and for the Hermitian norm the
+dual of the PPT split (``ppt_dual``, :class:`PPTDual`) where the robustness
+search ran it.  Upper: the spectral-Schmidt and operator-Schmidt
+expansions, a signed decomposition over product densities and a
+robustness-style search for affine combinations of separable states,
+which decomposes the two parts of the PPT split (:mod:`crossnorm._split`).
+A witness or product mixture the analysis already found counts too.
+Non-Hermitian input is bounded through its two Hermitian parts.
 Every bound carries a certificate that can be re-checked independently of
 how it was produced, and every reported bound is rounded outward by 4 n eps
 (relative) to cover floating-point error.
@@ -35,25 +38,27 @@ state is Wootters' mixture of at most four product vectors
 where the check fails).  Above 2x2 the witness see-saw is projected
 power iteration on co-isometries (:func:`_witness_seesaw`).  The product-state ascent
 (:func:`_product_ascent`) prices the next atoms of both mixture searches,
-``separable_fit`` and the robustness search's phase 2; its loop calls
-NumPy's LAPACK driver for ``eigh`` directly (:func:`_eigh`).  Both searches
-share one column format, :func:`_embed_hermitian` of the stack of entering
+``separable_fit`` and the robustness search's LP fallback; its loop
+calls NumPy's LAPACK routine for ``eigh`` directly (:func:`core._eigh`).
+Both searches share one column format, :func:`_embed_hermitian` of the stack of entering
 atoms' densities (:func:`_columns`), so residuals come from the columns and
 no product matrix is kept, and either returns a mixture only after it
 reconstructs the target to VALIDATE_TOL in trace norm, within MAX_ROUNDS
 rounds.  ``separable_fit`` also moves its weighted atoms by
 Levenberg-Marquardt on the factors of the mixture (:func:`_polish_mixture`),
 which ends Frank-Wolfe's slow tail on the boundary of the separable set.
-Phase 2 solves each round's linear program cold through scipy's bundled
-HiGHS, called directly (:func:`_min_weight_lp`): the constraint matrix goes
-over as CSC arrays, into one HiGHS workspace per search that is cleared
-before every solve and dropped with the search.
+The LP fallback solves each round's linear program cold through scipy's
+bundled HiGHS, called directly (:func:`_min_weight_lp`): the constraint
+matrix goes over as CSC arrays, into one HiGHS workspace per search that
+is cleared before every solve and dropped with the search.
 
 Upper certificates are one container family.  A ``StandardDecomposition``
 sum_k r_k X_k (x) Y_k certifies a projective-norm upper bound, its weight.
 A ``SignedDecomposition`` sum_k t_k rho_k (x) sigma_k over product
 densities is a standard one too, and its weight sum_k |t_k| also bounds
 the Hermitian norm; the robustness search and ``separable_fit`` return it.
+The one lower certificate object is :class:`PPTDual`; the trace norm and
+realignment need none.
 """
 
 from __future__ import annotations
@@ -90,8 +95,11 @@ from .core import (
     schmidt_forms,
     trace_norm,
     unit_scale,
+    _eigh,
     _fix_phases,
+    _lapack_errstate,
 )
+from ._split import Split, partial_transposes, ppt_split
 from .gnorm import SeeSawConfig, g_norm_rank_one
 
 VALIDATE_TOL = 1e-8
@@ -174,6 +182,55 @@ class SignedDecomposition(StandardDecomposition):
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "alpha": self.alpha}
+
+
+@dataclass(eq=False)
+class PPTDual:
+    """A Hermitian-norm lower bound's certificate, the PPT split's dual (Y, B, E).
+
+    With delta = max(0, -lambda_min(I - Y - 2 E^Gamma), -lambda_min(I + Y -
+    2 B^Gamma)), plus twice the most negative eigenvalue of B or E, every
+    product expectation of Y lies in [-1 - delta, 1 + delta]: a partial
+    transpose of a PSD matrix has nonnegative product expectations.  So
+    tr(Y D) / (1 + delta) is at most the weight of every signed
+    decomposition of D, and bounds ||D||_H below.  Y, B and E are read by
+    their Hermitian parts; the bound does not move with the scale of D.
+    """
+
+    y: np.ndarray
+    b: np.ndarray
+    e: np.ndarray
+    shape: BipartiteShape
+    kind = "ppt_dual"
+
+    @property
+    def slack(self) -> float:
+        """delta, from one stacked ``eigvalsh``."""
+        y, b, e = ((m + m.conj().T) / 2 for m in (self.y, self.b, self.e))
+        eye = np.eye(len(y))
+        bt, et = partial_transposes(np.stack([b, e]), self.shape)
+        w = np.linalg.eigvalsh(np.stack([eye - y - 2 * et, eye + y - 2 * bt, b, e]))[:, 0]
+        return float(max(0.0, -w[0], -w[1]) + 2 * max(0.0, -w[2], -w[3]))
+
+    def unit_value(self, mat: np.ndarray) -> float:
+        """tr(Y D) / (1 + delta), unrounded, for the matrix D = ``mat``."""
+        y = (self.y + self.y.conj().T) / 2
+        return float(np.vdot(y, mat).real) / (1.0 + self.slack)
+
+    def lower_bound(self, target: BipartiteOperator) -> float:
+        """The bound on ||target||_H this certificate proves, computed on the
+        target's unit operator and rounded down (:meth:`_Analysis.reported`)."""
+        an = _Analysis(target)
+        return an.reported(self.unit_value(an.unit.matrix), up=False)
+
+    def validate(self, target: BipartiteOperator, value: float) -> bool:
+        """Whether this certificate proves ||target||_H >= ``value``."""
+        return self.lower_bound(target) >= value
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "shape": {"dh": self.shape.dh, "dj": self.shape.dj},
+                "y": complex_to_pairs(self.y), "b": complex_to_pairs(self.b),
+                "e": complex_to_pairs(self.e), "slack": self.slack}
 
 
 @dataclass(eq=False)
@@ -542,8 +599,12 @@ class RobustnessResult:
     Everything but the search record derives from ``decomposition``, which
     is None when the search failed: D = alpha D1 - (alpha-1) D2, with
     alpha = (1 + value) / 2 for unit-trace targets, D1 and D2 the positive
-    and the negative terms.  ``message`` says which phase found the
-    certificate and why the signed search stopped.
+    and the negative terms.  ``rounds_used`` counts the rounds of the search
+    that produced it: the product-mixture search's, the PPT split's
+    iterations or the LP's rounds.  ``message`` says which search that was,
+    why it stopped and, where the PPT split ran, its iterations, final
+    residuals, certified gap h_upper - h_lower at unit scale and whether it
+    hit its iteration budget.
     """
 
     decomposition: SignedDecomposition | None
@@ -603,26 +664,6 @@ def _columns(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
     per atom: :func:`_embed_hermitian` of the stack of |v><v|, v = phis[k] (x) psis[k]."""
     v = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), phis.shape[1] * psis.shape[1])
     return _embed_hermitian(v[:, :, None] * v.conj()[:, None, :])
-
-
-def _eigh_failed(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _lapack_errstate():
-    """The floating-point error state ``np.linalg.eigh`` runs LAPACK in: a
-    failed solve, which the driver flags as invalid, raises LinAlgError, and
-    every other flag is ignored."""
-    return np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
-def _eigh(a: np.ndarray) -> tuple:
-    """``np.linalg.eigh(a)`` of a stack of complex Hermitian matrices, bit for
-    bit: the LAPACK driver it calls (private numpy API), without its checks
-    and conversions.  Call it under :func:`_lapack_errstate`, which makes it
-    raise LinAlgError where ``eigh`` does."""
-    return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
 
 
 def _product_ascent(mats, shape: BipartiteShape, rng, n_starts=5, iters=40, extra_starts=None,
@@ -1017,29 +1058,22 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig) -> RobustnessR
     """Hermitian-norm upper bound 2 alpha - 1 from D = alpha D1 - (alpha-1) D2.
 
     Phase 1 is the product-mixture search (alpha = 1), which
-    ``_Analysis.npt`` may rule out.  Phase 2 is column generation for the
-    weight-minimizing signed combination.  The dictionary
-    starts from the atoms of the signed decomposition of
-    :func:`hermitian_upper` (so the result never exceeds its weight), then
-    the local eigenbasis products.  Each round solves the l1-minimal
-    weight linear program over the n^2 real parameters of a Hermitian
-    matrix, one cold HiGHS solve (:func:`_min_weight_lp`, in one workspace
-    per search), then prices
-    product states against its dual Y by the product ascent on [Y, -Y],
-    5 steps from each matrix's lead start and the 8 heaviest atoms of the
-    LP's support, those of positive weight on Y and of negative weight on
-    -Y (they price at exactly 1); no start is random, so phase 2 does not
-    depend on the seed.  Every start whose local maximum beats
-    1 + PRICING_TOL enters, near duplicates removed.  Before they enter,
-    the dictionary is pruned to :func:`_atom_budget`: atoms with LP weight
-    first, then the newest (an atom with weight is never dropped).  When
-    the short pricing finds nothing, the same starts run to 40 steps, and
-    the search stops as converged only if that finds nothing either; it
-    also stops after MAX_ROUNDS rounds or when the LP fails, and its
-    ``message`` says which.
+    ``_Analysis.npt`` may rule out.  Phase 2 splits D = P+ - P- with P+ and
+    P- PPT and tr P+ + tr P- least (:func:`_split.ppt_split`), shifts both
+    parts by t I into the strict interior of the PPT cone and decomposes
+    each as a product mixture (:attr:`_Analysis.mixture`: Wootters' closed
+    form at 2x2, :func:`separable_fit` elsewhere).  At 2x2 and 2x3 every PPT
+    state is separable, so the joined signed decomposition's weight is
+    ||D||_H up to the split's residuals and the shift.  The split's dual is
+    the ``ppt_dual`` lower bound of :func:`pi_bounds`.  Where a part has no
+    mixture (it may be PPT-entangled above 2x3) or the join misses
+    VALIDATE_TOL, the LP column generation (:func:`_robustness_lp`) gives
+    the bound instead.  ``message`` says which search produced the result,
+    and records the split's iterations, final residuals, certified gap and
+    whether it hit its budget.
 
     Failure to reach reconstruction tolerance returns an explicit
-    unsuccessful result instead of raising.  Both phases run on the unit
+    unsuccessful result instead of raising.  Every phase runs on the unit
     operator of ``op`` (:class:`_Analysis`), and the decomposition is
     scaled back.
     """
@@ -1054,14 +1088,84 @@ def robustness_upper(op: BipartiteOperator, config: SeeSawConfig) -> RobustnessR
 
 def _robustness(an: _Analysis) -> RobustnessResult:
     """:func:`robustness_upper` with its decomposition left at unit scale."""
-    op, shape, n = an.unit, an.op.shape, an.op.shape.total
-    tn_lp = an.trace_norm or 1.0
-
     mixture, rounds1, method = an.mixture
     if mixture is not None:  # weight equals the trace; 1 for a density
         return RobustnessResult(mixture, rounds1, f"nonnegative product mixture found ({method})")
+    split = an.split
+    joined, how = _split_decomposition(an)
+    if joined is not None:
+        res = RobustnessResult(joined, split.iterations,
+                               f"signed decomposition of the PPT split's parts ({how})")
+    else:
+        res = _robustness_lp(an)
+        res.message = f"LP column generation, as {how}: {res.message}"
+    gap = res.value - an.ppt_dual[0] if res.success else float("inf")
+    stop = "converged" if split.converged else "stopped by its iteration budget"
+    res.message += (f"; PPT split: {split.iterations} iterations, residuals {split.primal:.1e} "
+                    f"primal and {split.dual:.1e} dual, certified gap {gap:.1e} at unit scale, "
+                    f"{stop}")
+    return res
 
-    # phase 2: signed search seeded with the constructive decomposition's atoms
+
+_SPLIT_MARGIN = 1e-13  # the least eigenvalue of the shifted parts and their transposes
+
+
+def _split_decomposition(an: _Analysis) -> tuple:
+    """The PPT split's parts as one signed decomposition of ``an.unit``, and
+    how it was found; (None, the reason) where a part has no product mixture
+    or the join does not reconstruct D to VALIDATE_TOL.
+
+    P- = Q + t I and P+ = D + Q + t I, t just past the most negative
+    eigenvalue of Q, Q^Gamma, D + Q and (D + Q)^Gamma (one stacked
+    ``eigvalsh``), so both parts are strictly PPT.  Each part's mixture comes
+    from its own analysis, scaled back, and P-'s terms enter negated.  Each
+    part is fit to VALIDATE_TOL of its own trace norm, so the two errors can
+    add up past the join's tolerance."""
+    shape, d, q = an.op.shape, an.unit.matrix, an.split.minus
+    ends = np.stack([q, d + q])
+    w = np.linalg.eigvalsh(np.concatenate([ends, partial_transposes(ends, shape)]))
+    q = q + (max(0.0, -w[:, 0].min()) + _SPLIT_MARGIN) * np.eye(shape.total)
+    terms, methods = [], []
+    for sign, name, part in ((1.0, "P+", d + q), (-1.0, "P-", q)):
+        pan = _Analysis(BipartiteOperator(shape, part), an.config)
+        dec, _, method = pan.mixture
+        if dec is None:
+            return None, f"{name} has no product mixture"
+        terms += [(sign * t, rho, sigma) for t, rho, sigma in dec.scaled(pan.k).terms]
+        methods.append(method)
+    joined = SignedDecomposition(terms, shape)
+    err = _reconstruction_error(an.unit, joined, an.trace_norm or 1.0)
+    if err > VALIDATE_TOL:
+        return None, f"the parts' mixtures reconstruct D only to {err:.3e}"
+    return joined, " and ".join(methods)
+
+
+def _robustness_lp(an: _Analysis) -> RobustnessResult:
+    """The LP column generation for the weight-minimizing signed combination,
+    on ``an.unit``, its decomposition left at unit scale.
+
+    The dictionary starts from the atoms of the signed decomposition of
+    :func:`hermitian_upper` (so the result never exceeds its weight), then
+    the local eigenbasis products.  Each round solves the l1-minimal
+    weight linear program over the n^2 real parameters of a Hermitian
+    matrix, one cold HiGHS solve (:func:`_min_weight_lp`, in one workspace
+    per search), then prices
+    product states against its dual Y by the product ascent on [Y, -Y],
+    5 steps from each matrix's lead start and the 8 heaviest atoms of the
+    LP's support, those of positive weight on Y and of negative weight on
+    -Y (they price at exactly 1); no start is random, so it does not
+    depend on the seed.  Every start whose local maximum beats
+    1 + PRICING_TOL enters, near duplicates removed.  Before they enter,
+    the dictionary is pruned to :func:`_atom_budget`: atoms with LP weight
+    first, then the newest (an atom with weight is never dropped).  When
+    the short pricing finds nothing, the same starts run to 40 steps, and
+    the search stops as converged only if that finds nothing either; it
+    also stops after MAX_ROUNDS rounds or when the LP fails, and its
+    ``message`` says which.
+    """
+    op, shape, n = an.unit, an.op.shape, an.op.shape.total
+    tn_lp = an.trace_norm or 1.0
+    # seeded with the constructive decomposition's atoms
     base_dec = an.signed
     (phis, psis, _), (seed_phis, seed_psis) = an.signed_atoms, _seed_atoms(op)
     phis, psis = np.concatenate([phis, seed_phis]), np.concatenate([psis, seed_psis])
@@ -1253,6 +1357,19 @@ class _Analysis:
         return (*separable_fit(self.unit, self.config), "separable_fit")
 
     @cached_property
+    def split(self) -> Split:
+        """The PPT split of ``unit`` (:func:`_split.ppt_split`), which the
+        robustness search runs where no product mixture exists."""
+        return ppt_split(self.unit.matrix, self.op.shape)
+
+    @cached_property
+    def ppt_dual(self) -> tuple:
+        """(value, certificate) of the split's dual on ``unit``: the
+        ``ppt_dual`` lower bound on the Hermitian norm, unrounded."""
+        cert = PPTDual(self.split.y, self.split.b, self.split.e, self.op.shape)
+        return cert.unit_value(self.unit.matrix), cert
+
+    @cached_property
     def spectral(self) -> list:
         return _spectral_schmidt(self.eig, self.op.shape)
 
@@ -1268,7 +1385,10 @@ class _Analysis:
     def bounds(self, include_robustness: bool = True) -> NormBounds:
         """The brackets :func:`pi_bounds` reports, from the provider lists; a
         mixture found here already counts, after the robustness search,
-        which returns the same mixture and so wins the tie."""
+        which returns the same mixture and so wins the tie.  Where the
+        robustness search ran the PPT split, its dual is an ``h_lower``
+        provider (``ppt_dual``) and its joined parts the ``robustness``
+        upper bound of both norms."""
         if not self.hermitian:
             value, dec = _hermitian_split_upper(self.unit)
             split = (value, "hermitian_split", dec)
@@ -1286,10 +1406,16 @@ class _Analysis:
         if mixture is not None:
             ups.append((mixture.weight, method, mixture))
         up, low = min(ups, key=lambda p: p[0]), self.lower
+        h_lows = [low]
+        if "split" in vars(self):
+            value, cert = self.ppt_dual
+            h_lows.append((value, "ppt_dual", cert))
+        h_low = max(h_lows, key=lambda p: p[0])
         # a signed decomposition is also a standard one: its weight bounds both norms
         h_ups = [p for p in ups if isinstance(p[2], SignedDecomposition)]
         h_up = min(h_ups + [(2.0 * up[0], "twice_pi_upper", up[2])], key=lambda p: p[0])
-        return self.norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": low, "h_upper": h_up})
+        return self.norm_bounds({"pi_lower": low, "pi_upper": up, "h_lower": h_low,
+                                 "h_upper": h_up})
 
     def norm_bounds(self, winners: dict, indirect: bool = False) -> NormBounds:
         """NormBounds from the winning (value, method, certificate) of each bound

@@ -394,6 +394,26 @@ def eigh_blocks(mat: np.ndarray, rel_tol: float = 1e-9):
     return w, u, equal_runs(w, rel_tol)
 
 
+def _eigh_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_errstate():
+    """The floating-point error state ``np.linalg.eigh`` runs LAPACK in: a
+    failed solve, which NumPy's wrapper flags as invalid, raises LinAlgError, and
+    every other flag is ignored."""
+    return np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` of a stack of complex Hermitian matrices, bit for
+    bit: the LAPACK routine it calls (private numpy API), without its checks
+    and conversions.  Call it under :func:`_lapack_errstate`, which makes it
+    raise LinAlgError where ``eigh`` does."""
+    return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
+
+
 def equal_runs(values: np.ndarray, rel_tol: float = 1e-9) -> list:
     """Index slices of the runs of a sorted array whose entries lie within
     ``rel_tol``, relative to the largest |entry|, of the run's first."""

@@ -1295,6 +1295,158 @@ def test_robustness_bell():
     assert dec.weight == pytest.approx(res.value, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# PPT split: the Hermitian norm at 2x2 and 2x3, certified on both sides
+
+
+def _assert_split_certificates(op, nb):
+    """Both ends of the h bracket come from the split and validate."""
+    from crossnorm.bounds import PPTDual
+
+    assert nb.methods["h_lower"] == "ppt_dual" and isinstance(nb.certificates["h_lower"], PPTDual)
+    assert nb.certificates["h_lower"].validate(op, nb.h_lower)
+    rep = validate_decomposition(op, nb.certificates["h_upper"])
+    assert rep.valid and rep.certifies_h_upper and rep.weight <= nb.h_upper
+
+
+@pytest.mark.parametrize("op,exact,digits", [
+    (max_entangled(2), 3.0, 1e-8), (isotropic(0.6, 2), 1.8, 1e-8),
+    (random_density(BipartiteShape(2, 3), 1), 1.1202242, 1e-7)])
+def test_ppt_split_pinches_the_closed_forms(op, exact, digits):
+    """Bell's ||D||_H = 3 and isotropic(0.6, 2)'s 1.8 are exact; the NPT 2x3
+    density's 1.1202242 is known to seven digits (ROADMAP item 18).  Each
+    bracket pinches to 1e-8 relative."""
+    nb = pi_bounds(op, CFG)
+    assert nb.h_lower <= nb.h_upper <= nb.h_lower * (1 + 1e-8)
+    assert abs(nb.h_value() - exact) <= digits * exact
+    _assert_split_certificates(op, nb)
+
+
+def test_ppt_dual_rejects_a_perturbed_y():
+    """One entry of Y moved by 1e-6, either way: delta grows, and the bound
+    the certificate proves falls below the reported h_lower."""
+    from crossnorm.bounds import PPTDual
+
+    op = random_density(QUBITS, 7)
+    nb = pi_bounds(op, CFG)
+    cert = nb.certificates["h_lower"]
+    assert cert.validate(op, nb.h_lower) and cert.slack < 1e-9
+    for i, j in ((0, 0), (0, 1), (1, 3), (2, 2), (3, 0)):
+        for step in (1e-6, -1e-6, 1e-6j) if i != j else (1e-6, -1e-6):
+            y = cert.y.copy()
+            y[i, j] += step
+            moved = PPTDual(y, cert.b, cert.e, cert.shape)
+            assert moved.slack > cert.slack + 1e-8 or moved.lower_bound(op) < nb.h_lower
+            assert not moved.validate(op, nb.h_lower)
+
+
+def _bench_frame(op, seed):
+    """op in the local frame the benchmark draws first from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    us = []
+    for d in (op.shape.dh, op.shape.dj):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    local = np.kron(*us)
+    return BipartiteOperator(op.shape, local @ op.matrix @ local.conj().T)
+
+
+def test_ppt_split_bracket_does_not_move_with_the_local_frame():
+    """The split is covariant under local unitaries, so the bench's rotated
+    ginibre-2x2 row reads the same bracket in every frame; the LP's upper
+    bound moved with rounding there, between 1.08844103 and 1.08844107."""
+    brackets = []
+    for seed in (1, 2, 3, 4):
+        op = _bench_frame(random_density(QUBITS, 7), seed)
+        nb = pi_bounds(op, SeeSawConfig(seed=seed))
+        _assert_split_certificates(op, nb)
+        brackets.append((nb.h_lower, nb.h_upper))
+    for low, up in brackets[1:]:
+        assert low == pytest.approx(brackets[0][0], rel=1e-9)
+        assert up == pytest.approx(brackets[0][1], rel=1e-9)
+
+
+@pytest.mark.parametrize("dh,dj", [(2, 2), (2, 3)])
+def test_ppt_split_upper_is_no_looser_than_the_lp(monkeypatch, dh, dj):
+    """On the NPT densities of seeds 1-8 pi_bounds solves no LP, and its
+    h_upper is at most the LP's value plus 1e-9 relative."""
+    from crossnorm import bounds
+
+    lps, lp = [], bounds._min_weight_lp
+    monkeypatch.setattr(bounds, "_min_weight_lp", lambda *a: lps.append(1) or lp(*a))
+    states = [random_density(BipartiteShape(dh, dj), seed) for seed in range(1, 9)]
+    states = [op for op in states if bounds._Analysis(op).npt]
+    assert len(states) >= 7
+    for op in states:
+        nb = pi_bounds(op, CFG)
+        assert lps == []
+        _assert_split_certificates(op, nb)
+        oracle = _lp_robustness(op, CFG)
+        assert oracle.success and nb.h_upper <= oracle.value * (1 + 1e-9)
+        lps.clear()
+
+
+def _split_record(message):
+    """(iterations, primal, dual, gap, stop) from a robustness message's PPT split record."""
+    record = message.split("; PPT split: ")[1]
+    its, rest = record.split(" iterations, residuals ")
+    primal, rest = rest.split(" primal and ")
+    dual, rest = rest.split(" dual, certified gap ")
+    gap, stop = rest.split(" at unit scale, ")
+    return int(its), float(primal), float(dual), float(gap), stop
+
+
+def test_robustness_message_records_the_split(monkeypatch):
+    from crossnorm import _split, bounds
+
+    op = random_density(QUBITS, 7)
+    res = robustness_upper(op, CFG)
+    assert res.message.startswith("signed decomposition of the PPT split's parts "
+                                  "(wootters and wootters); PPT split: ")
+    its, primal, dual, gap, stop = _split_record(res.message)
+    assert its == res.rounds_used and primal <= 1e-10 and dual <= 1e-10
+    assert 0.0 <= gap <= 1e-9 and stop == "converged"
+    monkeypatch.setattr(_split, "SPLIT_ITERS", 5)
+    res = robustness_upper(op, CFG)
+    its, primal, dual, wide, stop = _split_record(res.message)
+    assert its == res.rounds_used == 5 and stop == "stopped by its iteration budget"
+    assert wide > gap and validate_decomposition(op, res.decomposition).valid
+    an = bounds._Analysis(op, CFG)  # a split stopped early still certifies both ends
+    nb = an.bounds()
+    value, cert = an.ppt_dual
+    assert cert.validate(op, an.reported(value, up=False)) and value <= nb.h_upper
+    assert validate_decomposition(op, nb.certificates["h_upper"]).valid
+
+
+def test_robustness_falls_back_to_the_lp_where_a_part_has_no_mixture(monkeypatch):
+    from crossnorm import bounds
+
+    monkeypatch.setattr(bounds, "_wootters_mixture", lambda an: None)
+    monkeypatch.setattr(bounds, "separable_fit", lambda op, config: (None, 0))
+    op = random_density(QUBITS, 7)
+    res = robustness_upper(op, CFG)
+    assert res.message.startswith("LP column generation, as P+ has no product mixture: "
+                                  "signed decomposition found; converged")
+    assert _split_record(res.message)[4] == "converged"
+    assert validate_decomposition(op, res.decomposition).valid
+    nb = pi_bounds(op, CFG)
+    assert nb.methods["h_upper"] == "robustness" and nb.methods["h_lower"] == "ppt_dual"
+    assert nb.certificates["h_lower"].validate(op, nb.h_lower) and nb.h_lower <= nb.h_upper
+
+
+def test_ppt_dual_serializes_and_does_not_move_with_scale():
+    import json
+
+    op = random_density(BipartiteShape(2, 3), 1)
+    cert = pi_bounds(op, CFG).certificates["h_lower"]
+    d = json.loads(json.dumps(cert.to_dict()))
+    assert d["kind"] == "ppt_dual" and d["shape"] == {"dh": 2, "dj": 3}
+    assert len(d["y"]) == len(d["b"]) == len(d["e"]) == 36 and d["slack"] == cert.slack
+    for scale in (1e-300, 1e-9, 1e9, 1e300):
+        scaled = BipartiteOperator(op.shape, op.matrix * scale)
+        assert cert.lower_bound(scaled) == pytest.approx(cert.lower_bound(op) * scale, rel=1e-13)
+
+
 def _record_ascent_calls(monkeypatch):
     """Route the product ascent ``bounds._product_ascent`` through a recorder
     of every call: its matrices, rng, n_starts, iters, extra_starts and the
@@ -1328,6 +1480,18 @@ def test_one_product_ascent_per_separable_fit_round(monkeypatch):
     assert dec is not None and validate_decomposition(op, dec).valid
     assert [(len(c.mats), c.n_starts, c.iters, c.extra) for c in calls] == \
         [(1, 5, 40, None)] * (rounds - 1)
+
+
+def _lp_robustness(op, config):
+    """The LP column generation that robustness_upper falls back to, run on
+    op's unit operator and scaled back as robustness_upper scales its result."""
+    from crossnorm import bounds
+
+    an = bounds._Analysis(op, config)
+    res = bounds._robustness_lp(an)
+    if res.success:
+        res.decomposition = res.decomposition.scaled(an.k)
+    return res
 
 
 def _found(call) -> bool:
@@ -1364,7 +1528,7 @@ def test_phase_two_prices_once_per_round_and_builds_each_column_once(monkeypatch
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     monkeypatch.setattr(bounds, "_columns", counted_columns)
     op = random_density(BipartiteShape(2, 2), 7)
-    res = bounds.robustness_upper(op, CFG)
+    res = _lp_robustness(op, CFG)
     assert bounds._Analysis(op, CFG).npt
     assert fits == []  # phase 1 is skipped: no product mixture of an NPT state exists
     assert "converged" in res.message and res.rounds_used == len(lps) >= 3
@@ -1401,7 +1565,7 @@ def test_phase_two_converges_only_after_a_full_pricing_finds_nothing(monkeypatch
         return out
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
-    res = bounds.robustness_upper(random_density(BipartiteShape(dh, dj), seed), CFG)
+    res = _lp_robustness(random_density(BipartiteShape(dh, dj), seed), CFG)
     assert res.success and "converged" in res.message
     short, full = calls[-2:]
     assert (short.iters, full.iters) == (5, 40) and not _found(short) and not _found(full)
@@ -1497,7 +1661,7 @@ def _record_lp_and_columns(monkeypatch):
 def test_phase_two_lp_has_hermitian_rows_and_stays_in_budget(monkeypatch):
     events = _record_lp_and_columns(monkeypatch)
     op = random_density(BipartiteShape(2, 2), 7)
-    res = robustness_upper(op, CFG)
+    res = _lp_robustness(op, CFG)
     assert res.success and validate_decomposition(op, res.decomposition).valid
     shapes = [shape for kind, shape in events if kind == "lp"]
     assert len(shapes) >= 3
@@ -1518,7 +1682,7 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
     monkeypatch.setattr(bounds, "MAX_ROUNDS", 1)
     op = random_density(BipartiteShape(2, 2), 7)
-    robustness_upper(op, CFG)
+    _lp_robustness(op, CFG)
     phis, psis, _ = bounds._Analysis(op, CFG).signed_atoms
     seed_phis, seed_psis = bounds._seed_atoms(op)
     a_mat = bounds._columns(np.concatenate([phis, seed_phis]), np.concatenate([psis, seed_psis])).T
@@ -1527,7 +1691,7 @@ def test_phase_two_starts_from_the_signed_atoms_then_the_seed_atoms(monkeypatch)
 
 def test_phase_two_enters_several_columns_in_a_round(monkeypatch):
     events = _record_lp_and_columns(monkeypatch)
-    robustness_upper(random_density(BipartiteShape(2, 2), 7), CFG)
+    _lp_robustness(random_density(BipartiteShape(2, 2), 7), CFG)
     lps = [i for i, (kind, _) in enumerate(events) if kind == "lp"]
     entered = [b - a - 1 for a, b in zip(lps, lps[1:])]  # columns built between two LPs
     assert entered and max(entered) > 1
@@ -1548,7 +1712,7 @@ def test_min_weight_lp_equals_linprog_bit_for_bit(monkeypatch, dh, dj, seed):
         return lps[-1][2]
 
     monkeypatch.setattr(bounds, "_min_weight_lp", recorded_lp)
-    res = robustness_upper(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
+    res = _lp_robustness(random_density(BipartiteShape(dh, dj), seed), SeeSawConfig(seed=7))
     assert len(lps) == res.rounds_used >= 25  # one LP per round, over a search of some length
     for a_mat, d, (ok, t, y, _) in lps:
         k = a_mat.shape[1]
@@ -1568,7 +1732,7 @@ def test_min_weight_lp_reports_an_infeasible_program(monkeypatch):
     op = random_density(BipartiteShape(2, 2), 7)
     monkeypatch.setattr(bounds, "_columns",
                         lambda phis, psis: np.zeros((len(phis), op.shape.total ** 2)))
-    res = robustness_upper(op, CFG)
+    res = _lp_robustness(op, CFG)
     assert res.rounds_used == 1 and res.message.endswith("; LP failed: " + message)
     assert res.value == hermitian_upper(op)[1].weight
 
@@ -1774,12 +1938,12 @@ def test_phase_two_says_why_it_stopped(monkeypatch):
     from crossnorm import bounds
 
     op = random_density(BipartiteShape(2, 2), 1)
-    res = robustness_upper(op, SeeSawConfig(seed=7))
+    res = _lp_robustness(op, SeeSawConfig(seed=7))
     assert res.success and res.message.startswith("signed decomposition found; converged")
     gain = float(res.message.split("pricing gain ")[1].split()[0])
     assert gain <= 1.0 + 1e-7
     monkeypatch.setattr(bounds, "MAX_ROUNDS", 3)
-    res = robustness_upper(op, SeeSawConfig(seed=7))
+    res = _lp_robustness(op, SeeSawConfig(seed=7))
     assert res.rounds_used == 3
     assert "max_rounds (3) exhausted" in res.message and "converged" not in res.message
 
@@ -1803,7 +1967,7 @@ def test_robustness_value_no_looser_than_the_forty_step_pricing(dh, dj, seed, pa
     """``parent``: the value when every round priced from random starts to the
     40-step cap; 2x3 seed 1 then ran out its 200 rounds."""
     op = random_density(BipartiteShape(dh, dj), seed)
-    res = robustness_upper(op, SeeSawConfig(seed=7))
+    res = _lp_robustness(op, SeeSawConfig(seed=7))
     assert res.success and res.value <= parent * (1.0 + 1e-7)
     assert "converged" in res.message
     assert validate_decomposition(op, res.decomposition).valid
@@ -1825,7 +1989,7 @@ def test_robustness_bound_holds_away_from_unit_scale(scale):
     target lost it (1.9763 at 1e-12, 1.3340 at 1e-6, 1.0895 at 1e12)."""
     op = random_density(BipartiteShape(2, 2), 1)
     op = BipartiteOperator(op.shape, op.matrix * scale)
-    res = robustness_upper(op, SeeSawConfig(seed=1))
+    res = _lp_robustness(op, SeeSawConfig(seed=1))
     assert res.success and res.value / scale <= 1.0755
     assert validate_decomposition(op, res.decomposition).valid
 
@@ -1901,15 +2065,18 @@ def test_bell_h_upper_is_at_least_the_exact_norm(scale):
     """||Bell||_H = 3 tr D exactly.  At 1e-310 the robustness weight used to
     come back through the operator's scale and lose bits: h_upper read
     2.9999999999997e-310 < 3 tr D = 2.99999999999984e-310, and h_value
-    2.5e-310 was quoted for the open bracket [2e-310, 3e-310]."""
+    2.5e-310 was quoted for the open bracket [2e-310, 3e-310].  The PPT
+    split's dual now closes the bracket at 3 tr D from below."""
     from fractions import Fraction
 
     op = BipartiteOperator(BipartiteShape(2, 2), max_entangled(2).matrix * scale)
     nb = pi_bounds(op, SeeSawConfig(seed=1))
     exact_h = 3 * sum(Fraction(float(x.real)) for x in np.diag(op.matrix))
-    assert Fraction(nb.h_upper) >= exact_h
+    assert Fraction(nb.h_lower) <= exact_h <= Fraction(nb.h_upper)
     assert Fraction(nb.pi_lower) <= 2 * exact_h / 3 <= Fraction(nb.pi_upper)
-    assert nb.h_value() is None and nb.pi_value() == pytest.approx(2 * scale, rel=1e-12)
+    assert nb.methods["h_lower"] == "ppt_dual"
+    assert nb.h_value() == pytest.approx(float(exact_h), rel=1e-12)
+    assert nb.pi_value() == pytest.approx(2 * scale, rel=1e-12)
 
 
 def _rounding_operators() -> dict:
@@ -2389,13 +2556,15 @@ def _locally_rotated(op, seed):
 
 def test_one_eigendecomposition_per_analysis(monkeypatch):
     """The PSD flag, the witness start, Wootters' mixture and the
-    spectral-Schmidt expansion share one eigh_blocks call, and no is_psd runs."""
+    spectral-Schmidt expansion share one eigh_blocks call, and no is_psd runs.
+    The PPT split's two parts are analyses of their own, one call each."""
     from crossnorm import bounds, core
 
     eighs, psds, seesaws, exact = [], [], [], []
     eigh, is_psd, seesaw = bounds.eigh_blocks, core.BipartiteOperator.is_psd, bounds._witness_seesaw
     qubit = bounds._qubit_witness
-    monkeypatch.setattr(bounds, "eigh_blocks", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(bounds, "eigh_blocks",
+                        lambda *a, **k: eighs.append(a[0].tobytes()) or eigh(*a, **k))
     monkeypatch.setattr(core.BipartiteOperator, "is_psd",
                         lambda *a, **k: psds.append(1) or is_psd(*a, **k))
     monkeypatch.setattr(bounds, "_witness_seesaw", lambda *a: seesaws.append(1) or seesaw(*a))
@@ -2409,7 +2578,8 @@ def test_one_eigendecomposition_per_analysis(monkeypatch):
         assert (len(eighs), len(psds), len(seesaws), len(exact)) == counts
     eighs.clear()
     pi_bounds(isotropic(0.6, 2), CFG, include_robustness=True)
-    assert (len(eighs), len(psds)) == (1, 0)
+    # the state, then P+ and P- of its PPT split: no matrix is decomposed twice
+    assert (len(eighs), len(set(eighs)), len(psds)) == (3, 3, 0)
     eighs.clear()
     assert classify(_locally_rotated(isotropic(0.25, 2), 3), cfg).verdict == "Separable"
     assert (len(eighs), len(psds)) == (1, 0)
